@@ -175,9 +175,10 @@
 //
 // # Kernel layer
 //
-// The innermost loops — exact distance with blocked early abandoning,
-// gathered reordered distance, batched code-table bounds, and
-// interval/region bounds — live in internal/simd as hand-written AVX2+FMA
+// The innermost loops — exact distance with blocked early abandoning, the
+// same with the query's 16-element blocks reordered by decreasing energy
+// (one cache line per block, contiguous loads, no gather), batched
+// code-table bounds, and interval/region bounds — live in internal/simd as hand-written AVX2+FMA
 // assembly with a portable Go twin, selected once at startup by CPU-feature
 // detection (HYDRA_SIMD=off forces the Go backend; the purego build tag
 // compiles the assembly out). The two backends are bit-identical on every
@@ -231,10 +232,12 @@
 // are full sums computed in the serial kernel's lane structure and
 // reduction order, and the (distance, ID) top-k selection is
 // insertion-order independent. The blocked distance kernels used by the
-// scans and leaf-materializing indexes (series.SquaredDistEABlocked and the
-// ordered variant) agree with the scalar kernels to within 1e-9 relative
-// error, never abandon a candidate the scalar kernels keep, and return
-// bit-identical values on every SIMD backend (the internal/simd contract). Simulated I/O counts, pruning ratios
+// scans and every index's leaf refinement (series.SquaredDistEABlocked and
+// the block-reordered series.SquaredDistEAOrderedBlocked, whose full sums
+// depend on the query's block order and on nothing else) agree with the
+// scalar kernels to within 1e-9 relative error, never abandon a candidate
+// the scalar kernels keep, and return bit-identical values on every SIMD
+// backend (the internal/simd contract). Simulated I/O counts, pruning ratios
 // and disk-access figures are exactly reproducible in serial mode and for
 // all sharded scans; only measured wall-clock times vary run to run.
 package hydra

@@ -33,8 +33,9 @@ type Scratch struct {
 	heap    BoundHeap
 }
 
-// Order returns the reordered-early-abandoning order for q, equivalent to
-// series.NewOrder without allocating. Valid until the next Order call.
+// Order returns the block-granular reordered-early-abandoning order for q,
+// equivalent to series.NewOrder without allocating. Valid until the next
+// Order call.
 func (s *Scratch) Order(q series.Series) series.Order { return s.ob.Build(q) }
 
 // Summary returns a length-n float64 buffer for the query's reduced

@@ -67,8 +67,8 @@ func TestScratchSequentialReuse(t *testing.T) {
 		for qi, q := range queries {
 			ord := sc.Order(q)
 			wantOrd := series.NewOrder(q)
-			for i := range wantOrd {
-				if ord[i] != wantOrd[i] {
+			for i := range q {
+				if ord.At(i) != wantOrd.At(i) {
 					t.Fatalf("round %d query %d: scratch order diverges at %d", round, qi, i)
 				}
 			}

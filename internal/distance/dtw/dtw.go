@@ -174,9 +174,14 @@ func LBKeogh(env Envelope, c series.Series) float64 {
 
 // LBKeoghEA is LBKeogh with early abandoning at bound, visiting coordinates
 // in the given order (reordered early abandoning, as the UCR suite does).
+// ord must have been built for a series of c's length.
 func LBKeoghEA(env Envelope, c series.Series, ord series.Order, bound float64) float64 {
+	if ord.Len() != len(c) {
+		panic(fmt.Sprintf("dtw: candidate length %d, order length %d", len(c), ord.Len()))
+	}
 	var sum float64
-	for _, i := range ord {
+	for k := range c {
+		i := ord.At(k)
 		v := float64(c[i])
 		switch {
 		case v > env.U[i]:

@@ -412,7 +412,7 @@ func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match,
 			}
 			ix.c.File.ChargeLeafRead(len(cands))
 			for _, id := range cands {
-				d := series.SquaredDistEAOrdered(q, ix.c.File.Peek(id), ord, set.Bound())
+				d := series.SquaredDistEAOrderedBlocked(q, ix.c.File.Peek(id), ord, set.Bound())
 				qs.DistCalcs++
 				qs.RawSeriesExamined++
 				set.Add(id, d)

@@ -219,7 +219,7 @@ func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match,
 			break
 		}
 		raw := f.Read(c.id)
-		d := series.SquaredDistEAOrdered(q, raw, ord, set.Bound())
+		d := series.SquaredDistEAOrderedBlocked(q, raw, ord, set.Bound())
 		qs.DistCalcs++
 		qs.RawSeriesExamined++
 		set.Add(c.id, d)

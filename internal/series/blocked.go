@@ -8,7 +8,7 @@ import (
 
 // The blocked kernels below compute the same squared distances as
 // SquaredDistEA / SquaredDistEAOrdered but test the early-abandon bound once
-// per 16-element block instead of once per element, and split the
+// per 16-element block (simd.BlockLen) instead of once per element, and split the
 // accumulation over eight independent lanes — the dispatch layer
 // (internal/simd) runs them as AVX2+FMA assembly where the hardware allows
 // and as a bit-identical Go twin everywhere else. On the raw-data scans that
@@ -46,11 +46,16 @@ func SquaredDistEABlocked(q, c Series, bound float64) float64 {
 }
 
 // SquaredDistEAOrderedBlocked computes the squared distance with blocked
-// early abandoning, visiting coordinates in the given order (the UCR-suite
-// reordered optimization). ord must be a permutation of [0,len(q)).
+// early abandoning, visiting the query's 16-element blocks in the given
+// order (the UCR-suite reordered optimization at block granularity: every
+// block is one cache line of the aligned arena, read with the same two
+// contiguous vector loads as the unordered kernel — a per-element order
+// would need gathers that touch every line of the candidate at random and
+// cost several times what the reordering saves). Callers that walk the
+// arena in storage order are also served by the kernel's prefetch of the
+// same blocks sixteen series ahead (see simd.SquaredDistEAOrderedBlocked).
+// It panics unless q, c and the series ord was built for have one length.
 func SquaredDistEAOrderedBlocked(q, c Series, ord Order, bound float64) float64 {
-	if len(q) != len(c) {
-		panic(fmt.Sprintf("series: squared distance of mismatched lengths %d and %d", len(q), len(c)))
-	}
-	return simd.SquaredDistEAOrderedBlocked(q, c, ord, bound)
+	checkOrdered(q, c, ord)
+	return simd.SquaredDistEAOrderedBlocked(q, c, ord.starts, bound)
 }

@@ -96,7 +96,13 @@ func TestBlockedMismatchedLengthsPanic(t *testing.T) {
 	for name, f := range map[string]func(){
 		"blocked": func() { SquaredDistEABlocked(make(Series, 3), make(Series, 4), 1) },
 		"ordered": func() {
-			SquaredDistEAOrderedBlocked(make(Series, 3), make(Series, 4), Order{0, 1, 2}, 1)
+			SquaredDistEAOrderedBlocked(make(Series, 3), make(Series, 4), NewOrder(make(Series, 3)), 1)
+		},
+		"ordered, order of another length": func() {
+			SquaredDistEAOrderedBlocked(make(Series, 32), make(Series, 32), NewOrder(make(Series, 48)), 1)
+		},
+		"scalar ordered, order of another length": func() {
+			SquaredDistEAOrdered(make(Series, 32), make(Series, 32), NewOrder(make(Series, 16)), 1)
 		},
 	} {
 		func() {
@@ -107,5 +113,53 @@ func TestBlockedMismatchedLengthsPanic(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestBlockedNeverLosesNeighbour is the property exact search rests on, for
+// random Z-normalized pairs of every block-remainder length: a candidate
+// whose true squared distance is within the bound is never abandoned (the
+// kernel returns its full sum, which exceeds the bound by at most the
+// reassociation slack), and whenever the kernel does abandon, what it
+// returns is strictly above the bound. The bounds include the adversarial
+// ones: the true distance itself, the kernel's own full sum and one ulp
+// below it. It runs on whichever backend the build selects, so the purego
+// job covers the Go twin and every other job the assembly.
+func TestBlockedNeverLosesNeighbour(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	inf := math.Inf(1)
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(130)
+		q, c := randPair(n, rng)
+		q.ZNormalize()
+		c.ZNormalize()
+		ord := NewOrder(q)
+		truth := SquaredDistEA(q, c, inf)
+		kernels := []struct {
+			name string
+			dist func(bound float64) float64
+		}{
+			{"blocked", func(bound float64) float64 { return SquaredDistEABlocked(q, c, bound) }},
+			{"ordered blocked", func(bound float64) float64 { return SquaredDistEAOrderedBlocked(q, c, ord, bound) }},
+		}
+		for _, kern := range kernels {
+			full := kern.dist(inf)
+			bounds := []float64{
+				0, truth, full, math.Nextafter(full, 0), math.Nextafter(truth, inf),
+				truth * rng.Float64(), truth * (1 + rng.Float64()), inf,
+			}
+			for _, bound := range bounds {
+				got := kern.dist(bound)
+				abandoned := math.Float64bits(got) != math.Float64bits(full)
+				if truth <= bound && (abandoned || got > bound*(1+1e-9)) {
+					t.Fatalf("%s n=%d bound=%v: returned %v for a candidate at true distance %v (full sum %v)",
+						kern.name, n, bound, got, truth, full)
+				}
+				if abandoned && !(got > bound) {
+					t.Fatalf("%s n=%d bound=%v: abandoned with partial sum %v, not above the bound",
+						kern.name, n, bound, got)
+				}
+			}
+		}
 	}
 }

@@ -28,7 +28,6 @@ package series
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"hydra/internal/simd"
 )
@@ -172,84 +171,88 @@ func SquaredDistEA(q, c Series, bound float64) float64 {
 }
 
 // Order is a query-specific evaluation order for reordered early abandoning
-// (UCR-suite optimization (c)): on Z-normalized data the largest |q[i]| values
-// are the most likely to contribute large distance terms, so visiting them
-// first abandons sooner.
-type Order []int
+// (UCR-suite optimization (c)): on Z-normalized data the parts of the query
+// with the largest values are the most likely to contribute large distance
+// terms, so visiting them first abandons sooner. The order is block-granular:
+// it permutes the query's whole simd.BlockLen-element blocks — one cache line
+// of the aligned arena each — by decreasing block energy Σq², ties by
+// position, and keeps the len%BlockLen tail sequential at the end, so the
+// kernel streams every block it visits with contiguous loads.
+//
+// Only NewOrder and OrderBuilder.Build make a non-empty Order; the fields are
+// unexported so that "every block start is a multiple of BlockLen and the
+// block lies inside the series" holds by construction for whatever reaches
+// the kernels. The zero Order is the sequential order of an empty series.
+type Order struct {
+	starts []int // first element of each whole block, in visiting order
+	n      int   // length of the series the order was built for
+}
 
-// NewOrder builds the reordered-early-abandoning order for query q: indexes
-// sorted by decreasing absolute value of q.
-func NewOrder(q Series) Order {
-	o := make(Order, len(q))
-	for i := range o {
-		o[i] = i
+// Len returns the length of the series the order was built for.
+func (o Order) Len() int { return o.n }
+
+// At returns the position visited at step i of the order, for i in
+// [0, Len()): the steps of one block are consecutive and ascending.
+func (o Order) At(i int) int {
+	if b := i / simd.BlockLen; b < len(o.starts) {
+		return o.starts[b] + i%simd.BlockLen
 	}
-	sort.Slice(o, func(a, b int) bool {
-		va := math.Abs(float64(q[o[a]]))
-		vb := math.Abs(float64(q[o[b]]))
-		if va != vb {
-			return va > vb
-		}
-		return o[a] < o[b]
-	})
-	return o
+	return i
+}
+
+// NewOrder builds the reordered-early-abandoning order for query q. The
+// order owns its memory; query paths that answer many queries reuse one
+// OrderBuilder instead.
+func NewOrder(q Series) Order {
+	var b OrderBuilder
+	return b.Build(q)
 }
 
 // OrderBuilder builds reordered-early-abandoning orders without allocating
 // after its buffers have grown once: the zero value is ready to use, and
-// each Build overwrites the previous order. It produces exactly the same
-// permutation as NewOrder (the comparator is a total order, so every sort
-// yields the unique sorted sequence). Query paths that answer many queries
-// keep one per scratch (core.Scratch) to strike per-query allocations.
+// each Build overwrites the previous order. Query paths that answer many
+// queries keep one per scratch (core.Scratch) to strike per-query
+// allocations.
 //
 // An OrderBuilder is not safe for concurrent use; the Order it returns is
 // only valid until the next Build.
 type OrderBuilder struct {
-	ord  Order
-	keys []float64 // |q[i]| per position, the sort key
+	starts []int
+	energy []float64 // Σq² per block, parallel to starts: the sort key
 }
 
 // Build fills the builder's order for query q and returns it.
 func (b *OrderBuilder) Build(q Series) Order {
-	n := len(q)
-	if cap(b.ord) < n {
-		b.ord = make(Order, n)
-		b.keys = make([]float64, n)
+	nb := len(q) / simd.BlockLen
+	if cap(b.starts) < nb {
+		b.starts = make([]int, nb)
+		b.energy = make([]float64, nb)
 	}
-	b.ord = b.ord[:n]
-	b.keys = b.keys[:n]
-	for i := range b.ord {
-		b.ord[i] = i
-		b.keys[i] = math.Abs(float64(q[i]))
+	starts, energy := b.starts[:nb], b.energy[:nb]
+	// Insertion sort as the blocks are scanned in position order: a block
+	// moves ahead of strictly smaller energies only, so ties keep position
+	// order. A series has few blocks (16 at length 256).
+	for k := range starts {
+		start := k * simd.BlockLen
+		e := SumSquares(q[start : start+simd.BlockLen])
+		j := k
+		for ; j > 0 && energy[j-1] < e; j-- {
+			starts[j], energy[j] = starts[j-1], energy[j-1]
+		}
+		starts[j], energy[j] = start, e
 	}
-	sort.Sort(b)
-	return b.ord
+	return Order{starts: starts, n: len(q)}
 }
 
-// Len implements sort.Interface.
-func (b *OrderBuilder) Len() int { return len(b.ord) }
-
-// Less implements sort.Interface: decreasing |q[i]|, ties by position.
-func (b *OrderBuilder) Less(i, j int) bool {
-	va, vb := b.keys[b.ord[i]], b.keys[b.ord[j]]
-	if va != vb {
-		return va > vb
-	}
-	return b.ord[i] < b.ord[j]
-}
-
-// Swap implements sort.Interface.
-func (b *OrderBuilder) Swap(i, j int) { b.ord[i], b.ord[j] = b.ord[j], b.ord[i] }
-
-// SquaredDistEAOrdered computes the squared distance with early abandoning,
-// visiting coordinates in the given order. ord must be a permutation of
-// [0,len(q)).
+// SquaredDistEAOrdered computes the squared distance with early abandoning
+// tested after every element, visiting coordinates in the given order — the
+// scalar reference of SquaredDistEAOrderedBlocked. It panics unless q, c and
+// the series ord was built for have one length.
 func SquaredDistEAOrdered(q, c Series, ord Order, bound float64) float64 {
-	if len(q) != len(c) {
-		panic(fmt.Sprintf("series: squared distance of mismatched lengths %d and %d", len(q), len(c)))
-	}
+	checkOrdered(q, c, ord)
 	var sum float64
-	for _, i := range ord {
+	for k := range q {
+		i := ord.At(k)
 		d := float64(q[i]) - float64(c[i])
 		sum += d * d
 		if sum > bound {
@@ -257,6 +260,22 @@ func SquaredDistEAOrdered(q, c Series, ord Order, bound float64) float64 {
 		}
 	}
 	return sum
+}
+
+// checkOrdered panics unless q, c and the series ord was built for have one
+// length.
+func checkOrdered(q, c Series, ord Order) {
+	if len(q) != len(c) || len(q) != ord.n {
+		panicOrdered(len(q), len(c), ord.n)
+	}
+}
+
+// panicOrdered is split from checkOrdered so that the check inlines into the
+// kernels' wrappers.
+//
+//go:noinline
+func panicOrdered(q, c, ord int) {
+	panic(fmt.Sprintf("series: squared distance of mismatched lengths %d and %d under an order for length %d", q, c, ord))
 }
 
 // DotProduct returns the inner product of q and c in float64.

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"hydra/internal/simd"
 )
 
 func randSeries(rng *rand.Rand, n int) Series {
@@ -115,23 +117,72 @@ func TestSquaredDistEAOrderedExact(t *testing.T) {
 	}
 }
 
+// TestNewOrderIsPermutation pins the block-granular order contract: a
+// permutation of [0,n) whose every aligned run of 16 steps is one whole
+// aligned block in ascending position, blocks by non-increasing energy with
+// ties by position, and the n%16 tail sequential at the end.
 func TestNewOrderIsPermutation(t *testing.T) {
+	const bl = simd.BlockLen
 	rng := rand.New(rand.NewSource(4))
-	q := randSeries(rng, 50)
-	ord := NewOrder(q)
-	seen := make([]bool, len(q))
-	for _, i := range ord {
-		if i < 0 || i >= len(q) || seen[i] {
-			t.Fatalf("order is not a permutation: %v", ord)
+	for n := 0; n <= 3*bl+bl-1; n++ {
+		q := randSeries(rng, n)
+		if n >= 3*bl {
+			// Equal-energy blocks: the tie must fall back to position.
+			copy(q[2*bl:3*bl], q[:bl])
 		}
-		seen[i] = true
+		for _, ord := range []Order{NewOrder(q), new(OrderBuilder).Build(q)} {
+			if ord.Len() != n {
+				t.Fatalf("n=%d: order length %d", n, ord.Len())
+			}
+			seen := make([]bool, n)
+			for k := 0; k < n; k++ {
+				i := ord.At(k)
+				if i < 0 || i >= n || seen[i] {
+					t.Fatalf("n=%d: step %d visits %d: not a permutation", n, k, i)
+				}
+				seen[i] = true
+			}
+			whole := n - n%bl
+			for k := 0; k < whole; k += bl {
+				start := ord.At(k)
+				if start%bl != 0 {
+					t.Fatalf("n=%d: block at step %d starts at %d, not a multiple of %d", n, k, start, bl)
+				}
+				for j := 1; j < bl; j++ {
+					if ord.At(k+j) != start+j {
+						t.Fatalf("n=%d: block at step %d is not contiguous ascending", n, k)
+					}
+				}
+				if k == 0 {
+					continue
+				}
+				prev := ord.At(k - bl)
+				ePrev, e := SumSquares(q[prev:prev+bl]), SumSquares(q[start:start+bl])
+				if ePrev < e || (ePrev == e && prev > start) {
+					t.Fatalf("n=%d: block %d (energy %v) before block %d (energy %v)", n, prev, ePrev, start, e)
+				}
+			}
+			for k := whole; k < n; k++ {
+				if ord.At(k) != k {
+					t.Fatalf("n=%d: tail step %d visits %d", n, k, ord.At(k))
+				}
+			}
+		}
 	}
-	// Sorted by decreasing |q[i]|.
-	for i := 1; i < len(ord); i++ {
-		a := math.Abs(float64(q[ord[i-1]]))
-		b := math.Abs(float64(q[ord[i]]))
-		if a < b {
-			t.Fatalf("order not sorted by decreasing magnitude at %d", i)
+}
+
+// TestOrderBuilderReuse: a builder that has served a longer query must build
+// the same order for a shorter one as a fresh builder does.
+func TestOrderBuilderReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var b OrderBuilder
+	for _, n := range []int{256, 40, 96, 7, 256} {
+		q := randSeries(rng, n)
+		got, want := b.Build(q), NewOrder(q)
+		for k := 0; k < n; k++ {
+			if got.At(k) != want.At(k) {
+				t.Fatalf("n=%d: reused builder diverges at step %d", n, k)
+			}
 		}
 	}
 }

@@ -3,8 +3,12 @@ package simd
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
+
+// sink keeps benchmark results alive so the compiler cannot drop the calls.
+var sink float64
 
 // Backend-vs-backend kernel benchmarks: "dispatched" is whatever Backend()
 // selected (the assembly on AVX2 machines), "go" pins the portable twin.
@@ -41,55 +45,100 @@ func BenchmarkSquaredDist(b *testing.B) {
 	})
 }
 
-func BenchmarkSquaredDistEABlocked(b *testing.B) {
-	const n = 256
-	q, c := benchSeries(n, 1), benchSeries(n, 2)
-	full := squaredDistGo(q, c)
-	for _, regime := range []struct {
-		name  string
-		bound float64
-	}{{"full", math.Inf(1)}, {"abandon", full / 8}} {
-		thr := eaThreshold(regime.bound)
-		b.Run(regime.name+"/dispatched", func(b *testing.B) {
-			b.SetBytes(2 * 4 * n)
-			var sum float64
-			for i := 0; i < b.N; i++ {
-				sum += SquaredDistEABlocked(q, c, regime.bound)
-			}
-			_ = sum
-		})
-		b.Run(regime.name+"/go", func(b *testing.B) {
-			b.SetBytes(2 * 4 * n)
-			var sum float64
-			for i := 0; i < b.N; i++ {
-				sum += squaredDistEABlockedGo(q, c, thr)
-			}
-			_ = sum
-		})
-	}
+// eaBenchSet is what a scan's inner loop sees: count Z-normalized random
+// walks of length n back to back in one flat array (rows start on cache
+// lines, like the storage arena), a query of the same kind, its block order
+// by decreasing energy (what series.OrderBuilder builds; this package cannot
+// import it) and the squared distance to its k-th nearest row.
+type eaBenchSet struct {
+	n      int
+	data   []float32
+	q      []float32
+	starts []int
+	kth    float64
 }
 
-func BenchmarkSquaredDistEAOrderedBlocked(b *testing.B) {
+func newEABenchSet(count, n, k int, seed int64) *eaBenchSet {
+	rng := rand.New(rand.NewSource(seed))
+	walk := func(dst []float32) {
+		var v, sum, sumSq float64
+		for i := range dst {
+			v += rng.NormFloat64()
+			dst[i] = float32(v)
+			sum += v
+			sumSq += v * v
+		}
+		mean := sum / float64(n)
+		inv := 1 / math.Sqrt(sumSq/float64(n)-mean*mean)
+		for i, x := range dst {
+			dst[i] = float32((float64(x) - mean) * inv)
+		}
+	}
+	s := &eaBenchSet{n: n, data: make([]float32, count*n), q: make([]float32, n)}
+	for i := 0; i < count; i++ {
+		walk(s.row(i))
+	}
+	walk(s.q)
+	s.starts = make([]int, n/BlockLen)
+	energy := make([]float64, len(s.starts))
+	for b := range s.starts {
+		s.starts[b] = b * BlockLen
+		for _, v := range s.q[b*BlockLen : (b+1)*BlockLen] {
+			energy[b] += float64(v) * float64(v)
+		}
+	}
+	sort.SliceStable(s.starts, func(i, j int) bool { return energy[s.starts[i]/BlockLen] > energy[s.starts[j]/BlockLen] })
+	dists := make([]float64, count)
+	for i := range dists {
+		dists[i] = squaredDistGo(s.q, s.row(i))
+	}
+	sort.Float64s(dists)
+	s.kth = dists[k-1]
+	return s
+}
+
+func (s *eaBenchSet) row(i int) []float32 { return s.data[i*s.n : (i+1)*s.n : (i+1)*s.n] }
+
+// BenchmarkSquaredDistEA times both early-abandoning kernels, on both
+// backends, over a 32 MB collection in the three regimes a query meets:
+// "full" never abandons (bound +Inf, the first k candidates of a scan),
+// "abandon" runs against the query's real 10th-best bound, cycling through a
+// cache-resident window of 64 candidates (a leaf refine loop, and what
+// bench/ probes), "abandon-ooc" does the same through the whole collection,
+// so every candidate comes from memory (a scan). The bytes are the
+// candidate's, whether read or not: MB/s is scan throughput.
+func BenchmarkSquaredDistEA(b *testing.B) {
 	const n = 256
-	q, c := benchSeries(n, 1), benchSeries(n, 2)
-	ord := rand.New(rand.NewSource(3)).Perm(n)
-	thr := eaThreshold(math.Inf(1))
-	b.Run("dispatched", func(b *testing.B) {
-		b.SetBytes(2 * 4 * n)
-		var sum float64
-		for i := 0; i < b.N; i++ {
-			sum += SquaredDistEAOrderedBlocked(q, c, ord, math.Inf(1))
+	set := newEABenchSet(32<<20/(4*n), n, 10, 1)
+	for _, regime := range []struct {
+		name  string
+		rows  int
+		bound float64
+	}{
+		{"full", 64, math.Inf(1)},
+		{"abandon", 64, set.kth},
+		{"abandon-ooc", len(set.data) / n, set.kth},
+	} {
+		rows, bound, thr := regime.rows, regime.bound, eaThreshold(regime.bound)
+		for _, kern := range []struct {
+			name string
+			dist func(c []float32) float64
+		}{
+			{"blocked/dispatched", func(c []float32) float64 { return SquaredDistEABlocked(set.q, c, bound) }},
+			{"blocked/go", func(c []float32) float64 { return squaredDistEABlockedGo(set.q, c, thr) }},
+			{"ordered/dispatched", func(c []float32) float64 { return SquaredDistEAOrderedBlocked(set.q, c, set.starts, bound) }},
+			{"ordered/go", func(c []float32) float64 { return squaredDistEAOrderedBlockedGo(set.q, c, set.starts, thr) }},
+		} {
+			b.Run(regime.name+"/"+kern.name, func(b *testing.B) {
+				b.SetBytes(4 * n)
+				var sum float64
+				for i := 0; i < b.N; i++ {
+					sum += kern.dist(set.row(i % rows))
+				}
+				sink = sum
+			})
 		}
-		_ = sum
-	})
-	b.Run("go", func(b *testing.B) {
-		b.SetBytes(2 * 4 * n)
-		var sum float64
-		for i := 0; i < b.N; i++ {
-			sum += squaredDistEAOrderedBlockedGo(q, c, ord, thr)
-		}
-		_ = sum
-	})
+	}
 }
 
 func BenchmarkCodeBoundBatch(b *testing.B) {

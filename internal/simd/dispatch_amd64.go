@@ -48,7 +48,7 @@ func squaredDistAVX2(q, c []float32) float64
 func squaredDistEABlockedAVX2(q, c []float32, thr float64) float64
 
 //go:noescape
-func squaredDistEAOrderedBlockedAVX2(q, c []float32, ord []int, thr float64) float64
+func squaredDistEAOrderedBlockedAVX2(q, c []float32, starts []int, thr float64) float64
 
 //go:noescape
 func codeBoundAccumAVX2(row []float64, codes []uint8, out []float64)
@@ -85,14 +85,28 @@ func SquaredDistEABlocked(q, c []float32, bound float64) float64 {
 	return squaredDistEABlockedGo(q, c, thr)
 }
 
-// SquaredDistEAOrderedBlocked is SquaredDistEABlocked visiting coordinates
-// in the given order. Precondition: every ord[i] indexes into both q and c.
-func SquaredDistEAOrderedBlocked(q, c []float32, ord []int, bound float64) float64 {
+// SquaredDistEAOrderedBlocked is SquaredDistEABlocked visiting whole blocks
+// in the given order: block k is the BlockLen contiguous elements from
+// starts[k], summed and tested exactly like a block of the unordered kernel
+// (the identity order returns the same bits), and the elements from
+// BlockLen·len(starts) on are the sequential tail. The result is the squared
+// distance when starts is a permutation of the multiples of BlockLen below
+// len(q) — series.Order builds only such slices; any other slice stays
+// memory-safe, because at most len(q)/BlockLen starts are read and each is
+// clamped to [0, len(q)-BlockLen]. Precondition: len(c) >= len(q).
+//
+// The assembly also prefetches the four leading blocks of the series sixteen
+// series-lengths past c — the candidate a scan over the contiguous arena
+// reaches sixteen calls later. Reordered blocks are a pattern no hardware
+// prefetcher follows, so without it every candidate waits on a cache miss
+// and a scan's speed follows whatever else shares the last-level cache. A
+// prefetch cannot fault and changes no result; the Go twin has none.
+func SquaredDistEAOrderedBlocked(q, c []float32, starts []int, bound float64) float64 {
 	thr := eaThreshold(bound)
 	if useAVX2 {
-		return squaredDistEAOrderedBlockedAVX2(q, c, ord, thr)
+		return squaredDistEAOrderedBlockedAVX2(q, c, starts, thr)
 	}
-	return squaredDistEAOrderedBlockedGo(q, c, ord, thr)
+	return squaredDistEAOrderedBlockedGo(q, c, starts, thr)
 }
 
 // codeBoundAccum adds row[codes[i]] into out[i] for every candidate of one

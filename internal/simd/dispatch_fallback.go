@@ -28,10 +28,17 @@ func SquaredDistEABlocked(q, c []float32, bound float64) float64 {
 	return squaredDistEABlockedGo(q, c, eaThreshold(bound))
 }
 
-// SquaredDistEAOrderedBlocked is SquaredDistEABlocked visiting coordinates
-// in the given order. Precondition: every ord[i] indexes into both q and c.
-func SquaredDistEAOrderedBlocked(q, c []float32, ord []int, bound float64) float64 {
-	return squaredDistEAOrderedBlockedGo(q, c, ord, eaThreshold(bound))
+// SquaredDistEAOrderedBlocked is SquaredDistEABlocked visiting whole blocks
+// in the given order: block k is the BlockLen contiguous elements from
+// starts[k], summed and tested exactly like a block of the unordered kernel
+// (the identity order returns the same bits), and the elements from
+// BlockLen·len(starts) on are the sequential tail. The result is the squared
+// distance when starts is a permutation of the multiples of BlockLen below
+// len(q) — series.Order builds only such slices; any other slice stays
+// memory-safe, because at most len(q)/BlockLen starts are read and each is
+// clamped to [0, len(q)-BlockLen]. Precondition: len(c) >= len(q).
+func SquaredDistEAOrderedBlocked(q, c []float32, starts []int, bound float64) float64 {
+	return squaredDistEAOrderedBlockedGo(q, c, starts, eaThreshold(bound))
 }
 
 // codeBoundAccum adds row[codes[i]] into out[i] for every candidate of one

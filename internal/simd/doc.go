@@ -1,5 +1,7 @@
 // Package simd is the kernel layer: the innermost arithmetic loops of query
-// answering — exact Euclidean distance with blocked early abandoning, table
+// answering — exact Euclidean distance with blocked early abandoning
+// (sequential, and with whole BlockLen-element blocks reordered: one cache
+// line per block and contiguous loads, never an element gather), table
 // gathers for batched lower bounds, and interval (region/MBR/EAPCA) bound
 // sums — each available as hand-written AVX2+FMA assembly on amd64 with a
 // portable Go twin, selected once at startup by runtime CPU-feature
@@ -57,5 +59,10 @@
 //
 // Kernels trust their callers: length preconditions are documented per
 // function and checked with at most O(1) work, because these loops sit
-// under every distance computation and lower bound in the suite.
+// under every distance computation and lower bound in the suite. The one
+// argument that addresses memory — the block starts of
+// SquaredDistEAOrderedBlocked — is the exception: each start is clamped into
+// the series as it is read, on both backends alike. (The assembly's
+// look-ahead prefetch in that kernel forms addresses past c on purpose; a
+// prefetch cannot fault and loads nothing the kernel computes with.)
 package simd

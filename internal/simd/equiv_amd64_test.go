@@ -62,14 +62,13 @@ func TestSquaredDistEAOrderedBlockedEquivalence(t *testing.T) {
 		for off := 0; off < 3; off++ {
 			q := misalignF32(rng, n, off)
 			c := misalignF32(rng, n, off+1)
-			ord := rng.Perm(n)
-			full := squaredDistGo(q, c)
-			for _, bound := range []float64{0, full * 0.5, full, math.Inf(1)} {
-				thr := eaThreshold(bound)
-				asm := squaredDistEAOrderedBlockedAVX2(q, c, ord, thr)
-				ref := squaredDistEAOrderedBlockedGo(q, c, ord, thr)
-				if !bitEq(asm, ref) {
-					t.Fatalf("n=%d off=%d bound=%v: asm %v, go %v", n, off, bound, asm, ref)
+			for _, starts := range append(blockOrders(rng, n), hostileStarts(rng, n)) {
+				for _, thr := range orderedThresholds(q, c, starts) {
+					asm := squaredDistEAOrderedBlockedAVX2(q, c, starts, thr)
+					ref := squaredDistEAOrderedBlockedGo(q, c, starts, thr)
+					if !bitEq(asm, ref) {
+						t.Fatalf("n=%d off=%d starts=%v thr=%v: asm %v, go %v", n, off, starts, thr, asm, ref)
+					}
 				}
 			}
 		}

@@ -103,22 +103,26 @@ func squaredDistEABlockedGo(q, c []float32, thr float64) float64 {
 	return sum
 }
 
-func squaredDistEAOrderedBlockedGo(q, c []float32, ord []int, thr float64) float64 {
+func squaredDistEAOrderedBlockedGo(q, c []float32, starts []int, thr float64) float64 {
 	var l0, l1, l2, l3, l4, l5, l6, l7 float64
-	n := len(ord)
-	i := 0
-	for ; i+16 <= n; i += 16 {
-		for _, b := range [2]int{i, i + 8} {
-			o0, o1, o2, o3 := ord[b+0], ord[b+1], ord[b+2], ord[b+3]
-			o4, o5, o6, o7 := ord[b+4], ord[b+5], ord[b+6], ord[b+7]
-			d0 := float64(q[o0]) - float64(c[o0])
-			d1 := float64(q[o1]) - float64(c[o1])
-			d2 := float64(q[o2]) - float64(c[o2])
-			d3 := float64(q[o3]) - float64(c[o3])
-			d4 := float64(q[o4]) - float64(c[o4])
-			d5 := float64(q[o5]) - float64(c[o5])
-			d6 := float64(q[o6]) - float64(c[o6])
-			d7 := float64(q[o7]) - float64(c[o7])
+	n := len(q)
+	nb := min(len(starts), n/BlockLen)
+	last := n - BlockLen
+	for _, o := range starts[:nb] {
+		// The assembly's unsigned clamp: no start, negative or past the
+		// end, moves a block outside the series.
+		if uint(o) > uint(last) {
+			o = last
+		}
+		for _, b := range [2]int{o, o + 8} {
+			d0 := float64(q[b+0]) - float64(c[b+0])
+			d1 := float64(q[b+1]) - float64(c[b+1])
+			d2 := float64(q[b+2]) - float64(c[b+2])
+			d3 := float64(q[b+3]) - float64(c[b+3])
+			d4 := float64(q[b+4]) - float64(c[b+4])
+			d5 := float64(q[b+5]) - float64(c[b+5])
+			d6 := float64(q[b+6]) - float64(c[b+6])
+			d7 := float64(q[b+7]) - float64(c[b+7])
 			l0 = math.FMA(d0, d0, l0)
 			l1 = math.FMA(d1, d1, l1)
 			l2 = math.FMA(d2, d2, l2)
@@ -133,9 +137,8 @@ func squaredDistEAOrderedBlockedGo(q, c []float32, ord []int, thr float64) float
 		}
 	}
 	sum := reduce8(l0, l1, l2, l3, l4, l5, l6, l7)
-	for ; i < n; i++ {
-		o := ord[i]
-		d := float64(q[o]) - float64(c[o])
+	for i := nb * BlockLen; i < n; i++ {
+		d := float64(q[i]) - float64(c[i])
 		sum = math.FMA(d, d, sum)
 	}
 	return sum

@@ -135,82 +135,91 @@ done:
 	VZEROUPPER
 	RET
 
-// GATHERSTEP8 accumulates 8 gathered float32 squared differences at order
-// positions IDX..IDX+7 (int64 indices at base OP) from bases QP/CP into
-// Y0/Y1. Clobbers Y2-Y7 and X13 (gather mask).
-#define GATHERSTEP8(QP, CP, OP, IDX)  \
-	VMOVDQU (OP)(IDX*8), Y2        \
-	VMOVDQU 32(OP)(IDX*8), Y3      \
-	VPCMPEQD X13, X13, X13         \
-	VGATHERQPS X13, (QP)(Y2*4), X4 \
-	VPCMPEQD X13, X13, X13         \
-	VGATHERQPS X13, (CP)(Y2*4), X5 \
-	VPCMPEQD X13, X13, X13         \
-	VGATHERQPS X13, (QP)(Y3*4), X6 \
-	VPCMPEQD X13, X13, X13         \
-	VGATHERQPS X13, (CP)(Y3*4), X7 \
-	VCVTPS2PD X4, Y4               \
-	VCVTPS2PD X5, Y5               \
-	VCVTPS2PD X6, Y6               \
-	VCVTPS2PD X7, Y7               \
-	VSUBPD  Y5, Y4, Y4             \
-	VSUBPD  Y7, Y6, Y6             \
-	VFMADD231PD Y4, Y4, Y0         \
-	VFMADD231PD Y6, Y6, Y1
-
-// SCALARSTEPORD accumulates one squared difference at element ord[IDX]
-// into X0 low lane. Clobbers R9, X2, X3.
-#define SCALARSTEPORD(QP, CP, OP, IDX)  \
-	MOVQ (OP)(IDX*8), R9      \
-	VMOVSS (QP)(R9*4), X2     \
-	VMOVSS (CP)(R9*4), X3     \
-	VCVTSS2SD X2, X2, X2      \
-	VCVTSS2SD X3, X3, X3      \
-	VSUBSD X3, X2, X2         \
-	VFMADD231SD X2, X2, X0
-
-// func squaredDistEAOrderedBlockedAVX2(q, c []float32, ord []int, thr float64) float64
+// func squaredDistEAOrderedBlockedAVX2(q, c []float32, starts []int, thr float64) float64
+//
+// The unordered kernel with the block offset loaded from starts instead of
+// advanced by 16: R8 = min(len(starts), len(q)/16) blocks, each start
+// clamped (unsigned) to R10 = len(q)-16 so that no slice of ints can steer a
+// load outside q or c; the tail from 16·R8 on is sequential. The clamp is
+// out of line: a series.Order never takes it, so a block pays one compare
+// and one predicted branch for it.
 TEXT ·squaredDistEAOrderedBlockedAVX2(SB), NOSPLIT, $0-88
 	MOVQ q_base+0(FP), SI
 	MOVQ c_base+24(FP), DI
-	MOVQ ord_base+48(FP), BX
-	MOVQ ord_len+56(FP), CX
+	MOVQ q_len+8(FP), CX
+	MOVQ starts_base+48(FP), BX
+	MOVQ starts_len+56(FP), R8
 	VMOVSD thr+72(FP), X15
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
-	XORQ AX, AX
-	MOVQ CX, DX
-	SUBQ $15, DX
+	MOVQ CX, R9
+	SHRQ $4, R9
+	CMPQ R8, R9
+	CMOVQGT R9, R8
+	MOVQ CX, R10
+	SUBQ $16, R10
+	XORQ DX, DX
+
+	// Prefetch the four leading blocks of the series 16 series-lengths past
+	// c (R11 = c + 64·len(q) bytes): in a scan over the contiguous arena that
+	// is a candidate sixteen calls ahead, and its blocks arrive in an order
+	// no hardware prefetcher follows. PREFETCHT0 never faults, so the starts
+	// need no clamp here and the address may lie past the arena.
+	CMPQ R8, $4
+	JLT  block
+	MOVQ CX, R11
+	SHLQ $6, R11
+	ADDQ DI, R11
+	MOVQ (BX), AX
+	PREFETCHT0 (R11)(AX*4)
+	MOVQ 8(BX), AX
+	PREFETCHT0 (R11)(AX*4)
+	MOVQ 16(BX), AX
+	PREFETCHT0 (R11)(AX*4)
+	MOVQ 24(BX), AX
+	PREFETCHT0 (R11)(AX*4)
 
 block:
-	CMPQ AX, DX
+	CMPQ DX, R8
 	JGE  reduce
-	GATHERSTEP8(SI, DI, BX, AX)
-	ADDQ $8, AX
-	GATHERSTEP8(SI, DI, BX, AX)
-	ADDQ $8, AX
+	MOVQ (BX)(DX*8), AX
+	INCQ DX
+	CMPQ AX, R10
+	JHI  clamp
 
-	VADDPD Y1, Y0, Y8
-	VEXTRACTF128 $1, Y8, X9
-	VADDPD X9, X8, X8
-	VPERMILPD $1, X8, X9
-	VADDSD X9, X8, X8
-	VUCOMISD X15, X8
+clamped:
+	STEP8(SI, DI, AX)
+	ADDQ $8, AX
+	STEP8(SI, DI, AX)
+
+	// partial = hsum8 into X6 without disturbing the accumulators.
+	VADDPD Y1, Y0, Y6
+	VEXTRACTF128 $1, Y6, X7
+	VADDPD X7, X6, X6
+	VPERMILPD $1, X6, X7
+	VADDSD X7, X6, X6
+	VUCOMISD X15, X6
 	JA   abandoned
 	JMP  block
 
+clamp:
+	MOVQ R10, AX
+	JMP  clamped
+
 abandoned:
-	VMOVSD X8, ret+80(FP)
+	VMOVSD X6, ret+80(FP)
 	VZEROUPPER
 	RET
 
 reduce:
 	HSUM8(Y0, Y1, X0, X1)
+	MOVQ R8, AX
+	SHLQ $4, AX
 
 tail:
 	CMPQ AX, CX
 	JGE  done
-	SCALARSTEPORD(SI, DI, BX, AX)
+	SCALARSTEP(SI, DI, AX)
 	INCQ AX
 	JMP  tail
 

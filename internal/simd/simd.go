@@ -2,6 +2,11 @@ package simd
 
 import "os"
 
+// BlockLen is the number of elements between two early-abandon tests of the
+// blocked kernels, and the unit the reordered kernel permutes: sixteen
+// float32 values, one 64-byte cache line of the aligned series arena.
+const BlockLen = 16
+
 // eaRelSlack is the relative margin the blocked early-abandoning kernels
 // require before abandoning: a block-boundary partial sum must exceed
 // bound*(1+eaRelSlack). Reassociating a sum of non-negative float64 terms

@@ -17,8 +17,8 @@ import (
 // structure (the 16-element abandon block), plus a few larger sizes that
 // exercise long main loops with every tail remainder.
 func tailLengths() []int {
-	ls := make([]int, 0, 48)
-	for n := 0; n <= 33; n++ {
+	ls := make([]int, 0, 64)
+	for n := 0; n <= 2*BlockLen+BlockLen-1; n++ {
 		ls = append(ls, n)
 	}
 	for _, n := range []int{63, 64, 65, 127, 128, 129, 255, 256, 257} {
@@ -156,15 +156,88 @@ func TestTranspose8(t *testing.T) {
 	}
 }
 
+// blockOrders returns legal orders for a series of length n — permutations
+// of the multiples of BlockLen below n: the identity and the reversal, which
+// are every legal order up to two blocks (all of tailLengths' dense
+// 0..2·16+15 range), and four seeded shuffles.
+func blockOrders(rng *rand.Rand, n int) [][]int {
+	nb := n / BlockLen
+	orders := make([][]int, 6)
+	for i := range orders {
+		orders[i] = rng.Perm(nb)
+	}
+	for b := 0; b < nb; b++ {
+		orders[0][b], orders[1][b] = b, nb-1-b
+	}
+	for _, starts := range orders {
+		for i := range starts {
+			starts[i] *= BlockLen
+		}
+	}
+	return orders
+}
+
+// hostileStarts returns a slice no Order would hold — too many entries,
+// negative, unaligned, past the end — which the kernels must still answer
+// identically and without reading outside the series.
+func hostileStarts(rng *rand.Rand, n int) []int {
+	starts := []int{-1, n, n - BlockLen + 1, math.MaxInt, math.MinInt, 3}
+	for i := 0; i < n/BlockLen+2; i++ {
+		starts = append(starts, rng.Intn(2*n+1)-n/2)
+	}
+	return starts
+}
+
+// orderedThresholds returns the adversarial abandon thresholds of one
+// (q, c, starts) case: 0, +Inf, NaN, half the full sum, and every distinct
+// block-boundary partial sum exactly — the threshold at which `partial >
+// thr` is decided by the last bit.
+func orderedThresholds(q, c []float32, starts []int) []float64 {
+	full := squaredDistEAOrderedBlockedGo(q, c, starts, math.Inf(1))
+	thrs := []float64{0, math.Inf(1), math.NaN(), full / 2, full}
+	for thr := math.Inf(-1); ; {
+		partial := squaredDistEAOrderedBlockedGo(q, c, starts, thr)
+		if !(partial > thr) {
+			return thrs
+		}
+		thrs = append(thrs, partial)
+		thr = partial
+	}
+}
+
+// TestOrderedIdentityMatchesUnordered pins the claim that the reordered
+// kernel is the unordered one with a permuted block sequence: under the
+// identity order the two return the same bits, abandoned or not.
+func TestOrderedIdentityMatchesUnordered(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range tailLengths() {
+		q, c := misalignF32(rng, n, 1), misalignF32(rng, n, 2)
+		ident := make([]int, n/BlockLen)
+		for b := range ident {
+			ident[b] = b * BlockLen
+		}
+		for _, thr := range orderedThresholds(q, c, ident) {
+			bound := thr / (1 + eaRelSlack)
+			got, want := SquaredDistEAOrderedBlocked(q, c, ident, bound), SquaredDistEABlocked(q, c, bound)
+			if !bitEq(got, want) {
+				t.Fatalf("n=%d bound=%v: identity-ordered %v, unordered %v", n, bound, got, want)
+			}
+		}
+	}
+}
+
 // FuzzSquaredDistEABlocked fuzzes the abandon-bound space of the blocked
-// kernel: both backends must agree bitwise for arbitrary data and bounds.
+// kernels: both backends must agree bitwise for arbitrary data, every bound
+// including NaN and negatives, and a seeded legal block order.
 func FuzzSquaredDistEABlocked(f *testing.F) {
 	f.Add(int64(1), 17, 0.5)
 	f.Add(int64(2), 33, math.Inf(1))
 	f.Add(int64(3), 0, 0.0)
 	f.Add(int64(4), 129, 1e300)
+	f.Add(int64(5), 47, math.NaN())
+	f.Add(int64(6), 256, -1.0)
 	f.Fuzz(func(t *testing.T, seed int64, n int, bound float64) {
-		if n < 0 || n > 1<<12 || math.IsNaN(bound) || bound < 0 {
+		if n < 0 || n > 1<<12 {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewSource(seed))
@@ -175,10 +248,45 @@ func FuzzSquaredDistEABlocked(f *testing.F) {
 		if got := SquaredDistEABlocked(q, c, bound); !bitEq(got, ref) {
 			t.Fatalf("dispatched %v, go %v", got, ref)
 		}
-		ord := rng.Perm(n)
-		refOrd := squaredDistEAOrderedBlockedGo(q, c, ord, thr)
-		if got := SquaredDistEAOrderedBlocked(q, c, ord, bound); !bitEq(got, refOrd) {
+		starts := rng.Perm(n / BlockLen)
+		for i := range starts {
+			starts[i] *= BlockLen
+		}
+		refOrd := squaredDistEAOrderedBlockedGo(q, c, starts, thr)
+		if got := SquaredDistEAOrderedBlocked(q, c, starts, bound); !bitEq(got, refOrd) {
 			t.Fatalf("ordered dispatched %v, go %v", got, refOrd)
+		}
+	})
+}
+
+// FuzzSquaredDistEAOrderedBlocked fuzzes what the reordered kernel adds to
+// the unordered one — the block sequence: the fuzzer owns the starts
+// themselves (eight raw values, repeated to cover the series), legal or
+// not, and both backends must agree bitwise around every block-boundary
+// partial sum without reading outside q and c.
+func FuzzSquaredDistEAOrderedBlocked(f *testing.F) {
+	f.Add(int64(1), 47, 0, 16, 0, 0, 0, 0, 0, 0)
+	f.Add(int64(2), 256, 240, 0, 128, 16, 64, 32, 208, 96)
+	f.Add(int64(3), 33, -1, 18, 1<<30, 17, 3, -16, 32, 33)
+	f.Add(int64(4), 15, 0, 0, 0, 0, 0, 0, 0, 0)
+	f.Fuzz(func(t *testing.T, seed int64, n int, s0, s1, s2, s3, s4, s5, s6, s7 int) {
+		if n < 0 || n > 1<<12 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		q := misalignF32(rng, n, int(seed&3))
+		c := misalignF32(rng, n, int(seed>>2&3))
+		raw := [8]int{s0, s1, s2, s3, s4, s5, s6, s7}
+		starts := make([]int, n/BlockLen+int(seed>>4&3))
+		for i := range starts {
+			starts[i] = raw[i%len(raw)] + i/len(raw)*len(raw)*BlockLen
+		}
+		for _, thr := range orderedThresholds(q, c, starts) {
+			bound := thr / (1 + eaRelSlack)
+			ref := squaredDistEAOrderedBlockedGo(q, c, starts, eaThreshold(bound))
+			if got := SquaredDistEAOrderedBlocked(q, c, starts, bound); !bitEq(got, ref) {
+				t.Fatalf("starts=%v bound=%v: dispatched %v, go %v", starts, bound, got, ref)
+			}
 		}
 	})
 }
