@@ -178,7 +178,9 @@
 // The innermost loops — exact distance with blocked early abandoning, the
 // same with the query's 16-element blocks reordered by decreasing energy
 // (one cache line per block, contiguous loads, no gather), batched
-// code-table bounds, and interval/region bounds — live in internal/simd as hand-written AVX2+FMA
+// code-table bounds (eight candidates a group, one load per dimension for
+// their code bytes, sums held in registers — no gather either), and
+// interval/region bounds — live in internal/simd as hand-written amd64
 // assembly with a portable Go twin, selected once at startup by CPU-feature
 // detection (HYDRA_SIMD=off forces the Go backend; the purego build tag
 // compiles the assembly out). The two backends are bit-identical on every

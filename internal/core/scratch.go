@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync"
 
 	"hydra/internal/series"
@@ -10,9 +9,10 @@ import (
 // Scratch is the per-query reusable state of the zero-allocation query
 // paths: the reordered query, the query summary (PAA vector, DFT features,
 // …), the candidate lower-bound buffer, the k-NN heap backing, a node
-// priority queue for best-first traversals, and a lower-bound lookup table
-// for the batched kernels. Buffers grow on demand and never shrink, so
-// steady-state queries stop allocating after the first few.
+// priority queue for best-first traversals, a candidate-id queue for
+// filter-file visits, and a lower-bound lookup table for the batched
+// kernels. Buffers grow on demand and never shrink, so steady-state queries
+// stop allocating after the first few.
 //
 // A Scratch serves one query at a time; concurrent queries each take their
 // own from a ScratchPool. Everything handed out by a Scratch (orders,
@@ -27,8 +27,7 @@ type Scratch struct {
 	word    []uint8
 	f32     []float32
 	cbuf    []complex128
-	ids     []int
-	idSort  boundSorter
+	queue   BoundQueue
 	set     KNNSet
 	heap    BoundHeap
 }
@@ -95,41 +94,88 @@ func (s *Scratch) KNN(k int) *KNNSet { s.set.Reset(k); return &s.set }
 // Heap returns the scratch's node priority queue, reset to empty.
 func (s *Scratch) Heap() *BoundHeap { s.heap.Reset(); return &s.heap }
 
-// SortedByBound returns the ids 0..len(lbs)-1 sorted by (lbs[id] ascending,
-// id ascending) — the candidate visit order of filter-file methods. The
-// returned slice is scratch-owned and valid until the next call.
-func (s *Scratch) SortedByBound(lbs []float64) []int {
+// QueueByBound returns the ids 0..len(lbs)-1 as a lazy min-queue over
+// (lbs[id] ascending, id ascending) — the candidate visit order of
+// filter-file methods, which pop a few hundred of many thousand candidates
+// before the bound ends the query. Building the queue is O(n); each Pop is
+// O(log n). The queue reads lbs on every Pop and is scratch-owned: both it
+// and lbs must stay untouched until the caller is done popping, and the
+// next QueueByBound call invalidates it.
+func (s *Scratch) QueueByBound(lbs []float64) *BoundQueue {
 	n := len(lbs)
-	if cap(s.ids) < n {
-		s.ids = make([]int, n)
+	if cap(s.queue.ids) < n {
+		s.queue.ids = make([]int, n)
 	}
-	s.ids = s.ids[:n]
-	for i := range s.ids {
-		s.ids[i] = i
+	q := &s.queue
+	q.ids, q.lb = q.ids[:n], lbs
+	for i := range q.ids {
+		q.ids[i] = i
 	}
-	s.idSort.ids = s.ids
-	s.idSort.lb = lbs
-	sort.Sort(&s.idSort)
-	return s.ids
+	for i := n/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
+	return q
 }
 
-// boundSorter orders candidate ids by their lower bounds, ties by id — a
-// total order, so every sort yields the same unique permutation that
-// sort.Slice over (lb, id) pairs produced.
-type boundSorter struct {
+// BoundQueue is a binary min-heap of candidate ids keyed by (lower bound,
+// id). The key is a total order, so the pop sequence is the one sorted
+// permutation of the ids whatever the heap's internal arrangement.
+type BoundQueue struct {
 	ids []int
 	lb  []float64
 }
 
-func (b *boundSorter) Len() int { return len(b.ids) }
-func (b *boundSorter) Less(i, j int) bool {
-	li, lj := b.lb[b.ids[i]], b.lb[b.ids[j]]
-	if li != lj {
-		return li < lj
-	}
-	return b.ids[i] < b.ids[j]
+// Pop removes and returns the id with the smallest (bound, id) key.
+// Precondition: fewer ids popped so far than the queue was built over.
+func (q *BoundQueue) Pop() int {
+	top := q.ids[0]
+	n := len(q.ids) - 1
+	q.ids[0] = q.ids[n]
+	q.ids = q.ids[:n]
+	q.down(0)
+	return top
 }
-func (b *boundSorter) Swap(i, j int) { b.ids[i], b.ids[j] = b.ids[j], b.ids[i] }
+
+// down sifts the id at heap position i into place. The moving id is held
+// in locals and written once, so a level costs one store, not a swap. Which
+// child is smaller is a coin flip on unsorted bounds, so the choice is added
+// to the child index as 0 or 1 instead of branched on: that alone took a
+// quarter off the O(n) build.
+func (q *BoundQueue) down(i int) {
+	ids, lb := q.ids, q.lb
+	n := len(ids)
+	if i >= n {
+		return
+	}
+	id := ids[i]
+	key := lb[id]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n {
+			lkey, rkey := lb[ids[c]], lb[ids[r]]
+			right := rkey < lkey
+			if rkey == lkey {
+				right = ids[r] < ids[c]
+			}
+			var step int
+			if right {
+				step = 1
+			}
+			c += step
+		}
+		cid := ids[c]
+		ckey := lb[cid]
+		if key < ckey || key == ckey && id < cid {
+			break
+		}
+		ids[i] = cid
+		i = c
+	}
+	ids[i] = id
+}
 
 func growFloats(buf []float64, n int) []float64 {
 	if cap(buf) < n {

@@ -3,7 +3,9 @@ package core
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"hydra/internal/dataset"
@@ -48,6 +50,44 @@ func TestBoundHeapMatchesContainerHeap(t *testing.T) {
 				if lb != want.lb || *(node.(*int)) != want.id {
 					t.Fatalf("trial %d op %d: popped (%g, %d), container/heap (%g, %d)",
 						trial, op, lb, *(node.(*int)), want.lb, want.id)
+				}
+			}
+		}
+	}
+}
+
+// TestQueueByBoundPopsSortedOrder is the contract the VA+file's lazy visit
+// order rests on: popping the queue dry yields exactly the permutation
+// sort.Slice over (lb, id) yields — with heavy ties, +Inf bounds (ADS+-style
+// exclusions) and the degenerate sizes — and one Scratch can be re-queued
+// over a different bound array of any size afterwards.
+func TestQueueByBoundPopsSortedOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var sc Scratch
+	for _, n := range []int{0, 1, 2, 3, 7, 10000, 64, 1001, 5} {
+		for _, distinct := range []int{1, 4, n + 1} {
+			lbs := make([]float64, n)
+			for i := range lbs {
+				lbs[i] = float64(rng.Intn(distinct))
+				if rng.Intn(10) == 0 {
+					lbs[i] = math.Inf(1)
+				}
+			}
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			sort.Slice(want, func(a, b int) bool {
+				if lbs[want[a]] != lbs[want[b]] {
+					return lbs[want[a]] < lbs[want[b]]
+				}
+				return want[a] < want[b]
+			})
+			q := sc.QueueByBound(lbs)
+			for pos, id := range want {
+				if got := q.Pop(); got != id {
+					t.Fatalf("n=%d distinct=%d: pop %d = id %d (lb %g), sorted order has id %d (lb %g)",
+						n, distinct, pos, got, lbs[got], id, lbs[id])
 				}
 			}
 		}

@@ -42,9 +42,10 @@ type Index struct {
 	// wordsT is the segment-major (transposed) copy of the tree's summary
 	// array: segment j's max-cardinality symbols for all series are
 	// contiguous at wordsT[j*n : (j+1)*n]. It is what the batched SIMS
-	// lower-bound kernel streams (simd gathers want contiguous codes per
-	// segment); the candidate-major original stays in the tree for
-	// insertion, splitting and persistence.
+	// lower-bound kernel streams (one load fetches a segment's symbols for
+	// eight neighbouring series); the candidate-major original stays in the
+	// tree for insertion, splitting and persistence. Insert re-transposes
+	// into the same backing, so cap may exceed len.
 	wordsT []uint8
 	// pool hands each in-flight query its reusable scratch buffers.
 	pool core.ScratchPool
@@ -110,8 +111,11 @@ func (ix *Index) Build(c *core.Collection) error {
 // placed in the tree, then the segment-major transposed summary is rebuilt
 // once for the whole batch — the step-2 batched kernel requires wordsT to
 // cover exactly File.Len() series, and rebuilding per batch (not per
-// series) keeps ingestion linear. Callers must exclude concurrent queries
-// (the engine's ingest lock does).
+// series) keeps ingestion linear. The rebuild reuses wordsT's backing,
+// doubling it when full, so a steady stream of appends allocates O(log n)
+// times instead of a whole summary copy per batch under the lock that
+// excludes queries. Callers must exclude concurrent queries (the engine's
+// ingest lock does).
 func (ix *Index) Insert(ids []int) error {
 	if ix.c == nil {
 		return fmt.Errorf("ads: method not built")
@@ -123,7 +127,11 @@ func (ix *Index) Insert(ids []int) error {
 	// The summary write is the only I/O: Segments bytes per series, like
 	// the build's summarization pass.
 	ix.c.Counters.ChargeSeq(int64(len(ids)) * int64(ix.opts.Segments))
-	ix.wordsT = make([]uint8, len(ix.tree.Words))
+	need := len(ix.tree.Words)
+	if cap(ix.wordsT) < need {
+		ix.wordsT = make([]uint8, need, max(need, 2*cap(ix.wordsT)))
+	}
+	ix.wordsT = ix.wordsT[:need]
 	simd.Transpose8(ix.tree.Words, ix.tree.Segments, ix.wordsT)
 	return nil
 }

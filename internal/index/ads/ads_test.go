@@ -1,12 +1,14 @@
 package ads
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
 	"hydra/internal/core"
 	"hydra/internal/dataset"
 	_ "hydra/internal/index/isax" // registered for the build-cost comparison
+	"hydra/internal/simd"
 )
 
 func build(t *testing.T, ds *dataset.Dataset, leaf int) (*Index, *core.Collection) {
@@ -106,5 +108,38 @@ func TestSummaryArrayComplete(t *testing.T) {
 	}
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("tree invariants: %v", err)
+	}
+}
+
+// TestInsertReusesTransposedSummary: appended batches re-transpose into the
+// existing wordsT backing (growing it by doubling, not once per batch), the
+// result is the transpose a fresh build would hold, and the reported memory
+// footprint counts the summaries in use, not the spare capacity.
+func TestInsertReusesTransposedSummary(t *testing.T) {
+	all := dataset.RandomWalk(464, 64, 7)
+	ix, coll := build(t, dataset.FromFlat("head", all.Flat()[:400*64], 400, 64), 32)
+	grows := 0
+	for i := 400; i < all.Len(); i++ {
+		before := cap(ix.wordsT)
+		id := coll.File.Append(all.Series[i])
+		if err := ix.Insert([]int{id}); err != nil {
+			t.Fatalf("Insert(%d): %v", id, err)
+		}
+		if cap(ix.wordsT) != before {
+			grows++
+		}
+	}
+	if grows != 1 {
+		t.Errorf("wordsT backing reallocated %d times over 64 one-series batches, want 1 (doubling)", grows)
+	}
+	tree := ix.Tree()
+	want := make([]uint8, len(tree.Words))
+	simd.Transpose8(tree.Words, tree.Segments, want)
+	if !bytes.Equal(ix.wordsT, want) {
+		t.Fatal("wordsT after Insert is not the transpose of the summary array")
+	}
+	fresh, _ := build(t, all, 32)
+	if got, want := ix.TreeStats().MemBytes, fresh.TreeStats().MemBytes; got != want {
+		t.Errorf("MemBytes after appends = %d, fresh build over the same series = %d (cap(wordsT) = %d)", got, want, cap(ix.wordsT))
 	}
 }

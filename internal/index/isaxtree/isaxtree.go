@@ -59,7 +59,8 @@ type Tree struct {
 	// holds the PAA vectors in the same flat layout. ADS+ keeps these in
 	// memory as its summary array; the batched lower-bound kernel
 	// (sax.MinDistFullCardBatch) streams a segment-major transposed copy
-	// of Words that ADS+ materializes at build time (simd.Transpose8) —
+	// of Words that ADS+ keeps beside it (simd.Transpose8 at build time
+	// and again after every appended batch) —
 	// passing this candidate-major array to the batch kernel computes
 	// wrong bounds. Use Word/PAARow for per-series views.
 	Words []uint8

@@ -159,7 +159,7 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 	ord := sc.Order(q)
 	pr := core.NewQueryPruner(ix.c, q, spec, &qs)
 
-	// Phase 1: sequential scan of the approximation file, one table gather
+	// Phase 1: sequential scan of the approximation file, one table lookup
 	// per (candidate, dimension).
 	ix.c.Counters.ChargeSeq(ix.ApproxFileBytes())
 	n := ix.numCodes()
@@ -168,22 +168,25 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 	lbs := sc.LB(n)
 	ix.quant.LowerBoundBatch(table, ix.codesT, lbs)
 	qs.LBCalcs += int64(n)
-	order := sc.SortedByBound(lbs)
-	ngBudget := len(order)
+	queue := sc.QueueByBound(lbs)
+	ngBudget := n
 	if spec.Mode == core.ModeNG && k < ngBudget {
 		ngBudget = k
 	}
 
-	// Phase 2: visit raw series in ascending lower-bound order.
+	// Phase 2: visit raw series in ascending lower-bound order. A query
+	// verifies a few hundred of the n candidates before the bound stops it,
+	// so the order is drawn lazily from a min-queue, never sorted in full.
 	set := sc.KNN(k)
 	f := ix.c.File
-	for oi, id := range order {
+	for oi := 0; oi < ngBudget; oi++ {
 		if oi%core.CancelBlock == 0 {
 			if err := core.Canceled(ctx); err != nil {
 				return nil, qs, err
 			}
 		}
-		if oi >= ngBudget || pr.Prune(lbs[id], set.Bound()) {
+		id := queue.Pop()
+		if pr.Prune(lbs[id], set.Bound()) {
 			break
 		}
 		raw := f.Read(id) // charged as a seek (ascending-LB order is scattered)

@@ -3,10 +3,13 @@ package vafile
 import (
 	"context"
 	"math"
+	"sort"
 	"testing"
 
 	"hydra/internal/core"
 	"hydra/internal/dataset"
+	"hydra/internal/series"
+	"hydra/internal/stats"
 )
 
 func build(t *testing.T, ds *dataset.Dataset, opts core.Options) (*Index, *core.Collection) {
@@ -78,6 +81,83 @@ func TestVisitsStopAtBound(t *testing.T) {
 			qs.RawSeriesExamined, mustVisit)
 	}
 	_ = coll
+}
+
+// sortedSearch is search in its eager formulation — per-code lower bounds,
+// all candidate ids fully sorted by (bound, id), then the same phase-2 loop —
+// the reference the lazy visit order is held to.
+func sortedSearch(ix *Index, q series.Series, k int, spec core.ApproxSpec) ([]core.Match, stats.QueryStats) {
+	var qs stats.QueryStats
+	qf := ix.xform.Apply(q)
+	n := ix.numCodes()
+	lbs := make([]float64, n)
+	order := make([]int, n)
+	for i := range lbs {
+		lbs[i] = ix.quant.LowerBound(qf, ix.code(i))
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		if lbs[order[a]] != lbs[order[b]] {
+			return lbs[order[a]] < lbs[order[b]]
+		}
+		return order[a] < order[b]
+	})
+	if spec.Mode == core.ModeNG && k < n {
+		order = order[:k]
+	}
+	pr := core.NewQueryPruner(ix.c, q, spec, &qs)
+	ord := series.NewOrder(q)
+	set := core.NewKNNSet(k)
+	for _, id := range order {
+		if pr.Prune(lbs[id], set.Bound()) {
+			break
+		}
+		set.Add(id, series.SquaredDistEAOrderedBlocked(q, ix.c.File.Peek(id), ord, set.Bound()))
+		qs.RawSeriesExamined++
+		if pr.Visit() || pr.StopSatisfied(set.Bound()) {
+			break
+		}
+	}
+	pr.Finish(&qs)
+	return set.Results(), qs
+}
+
+// TestLazyOrderMatchesSortedFormulation: drawing the visit order from a
+// min-queue must change nothing a caller can observe — the same series
+// verified (RawSeriesExamined, NodesVisited) and bit-identical answers in
+// every query mode, against the formulation that sorts all candidates.
+func TestLazyOrderMatchesSortedFormulation(t *testing.T) {
+	ds := dataset.RandomWalk(3000, 128, 8)
+	ix, _ := build(t, ds, core.Options{})
+	specs := map[string]core.ApproxSpec{
+		"exact":     {},
+		"ng":        {Mode: core.ModeNG},
+		"delta-eps": {Mode: core.ModeDeltaEps, Epsilon: 0.5, Delta: 0.9, Seed: 3},
+		"budget":    {Mode: core.ModeBudget, NodeBudget: 25},
+	}
+	for name, spec := range specs {
+		for qi, q := range dataset.SynthRand(6, 128, 9).Queries {
+			for _, k := range []int{1, 7} {
+				got, gotQS, err := ix.KNNApprox(context.Background(), q, k, spec)
+				if err != nil {
+					t.Fatalf("%s query %d k=%d: %v", name, qi, k, err)
+				}
+				want, wantQS := sortedSearch(ix, q, k, spec)
+				if gotQS.RawSeriesExamined != wantQS.RawSeriesExamined || gotQS.NodesVisited != wantQS.NodesVisited {
+					t.Errorf("%s query %d k=%d: examined %d, nodes %d; sorted formulation %d, %d", name, qi, k,
+						gotQS.RawSeriesExamined, gotQS.NodesVisited, wantQS.RawSeriesExamined, wantQS.NodesVisited)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s query %d k=%d: %d matches, sorted formulation %d", name, qi, k, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+						t.Errorf("%s query %d k=%d match %d: %+v, sorted formulation %+v", name, qi, k, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestSampledTrainingStaysExact(t *testing.T) {

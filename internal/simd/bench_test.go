@@ -141,38 +141,72 @@ func BenchmarkSquaredDistEA(b *testing.B) {
 	}
 }
 
+// BenchmarkCodeBoundBatch times the code-bound kernel on the shapes the
+// engine runs — ADS+ SIMS (16 segments at cardinality 256, uniform rows,
+// through CodeBoundBatchStride) and the VA+file (16 dimensions with a
+// non-uniform bit allocation, ragged rows, through CodeBoundBatch) — and
+// reports ns/code. Both backends go through the exported entry point: the
+// "go" runs flip the dispatcher, they do not call the twin from here, so
+// what is timed is the code a query runs with HYDRA_SIMD=off.
 func BenchmarkCodeBoundBatch(b *testing.B) {
-	// The ADS+ SIMS shape: 16 segments at cardinality 256, many candidates.
 	const dims, stride = 16, 256
-	const n = 1 << 15
 	rng := rand.New(rand.NewSource(4))
-	table := make([]float64, dims*stride)
-	for i := range table {
-		table[i] = math.Abs(rng.NormFloat64())
-	}
-	codesT := make([]uint8, dims*n)
-	for i := range codesT {
-		codesT[i] = uint8(rng.Intn(256))
-	}
-	out := make([]float64, n)
-	b.Run("dispatched", func(b *testing.B) {
-		b.SetBytes(dims * n)
-		for i := 0; i < b.N; i++ {
-			CodeBoundBatchStride(table, stride, codesT, out)
+	randTable := func(n int) []float64 {
+		t := make([]float64, n)
+		for i := range t {
+			t[i] = math.Abs(rng.NormFloat64())
 		}
-	})
-	b.Run("go", func(b *testing.B) {
-		b.SetBytes(dims * n)
-		for i := 0; i < b.N; i++ {
-			clear(out)
-			for lo := 0; lo < n; lo += codeTile {
-				hi := min(lo+codeTile, n)
-				for d := 0; d < dims; d++ {
-					codeBoundAccumGo(table[d*stride:], codesT[d*n+lo:d*n+hi], out[lo:hi])
-				}
+		return t
+	}
+	// A vaq-style allocation: high-energy dimensions get more cells. The
+	// table carries the 255 entries of padding vaq.Quantizer.TableLen adds.
+	bits := [dims]int{8, 8, 7, 7, 6, 6, 5, 5, 4, 4, 3, 3, 2, 2, 1, 0}
+	offs := make([]int, dims)
+	cells := 0
+	for d, w := range bits {
+		offs[d] = cells
+		cells += 1 << w
+	}
+	type shape struct {
+		name     string
+		n        int
+		tableLen int
+		card     func(d int) int
+		run      func(table []float64, codesT []uint8, out []float64)
+	}
+	uniform := func(int) int { return stride }
+	strided := func(table []float64, codesT []uint8, out []float64) {
+		CodeBoundBatchStride(table, stride, codesT, out)
+	}
+	for _, sh := range []shape{
+		{"stride/32768x16", 1 << 15, dims * stride, uniform, strided},
+		{"stride/20000x16", 20000, dims * stride, uniform, strided},
+		{"ragged/10000x16", 10000, cells + codeRowLen - 1, func(d int) int { return 1 << bits[d] },
+			func(table []float64, codesT []uint8, out []float64) { CodeBoundBatch(table, offs, codesT, out) }},
+	} {
+		n := sh.n
+		table := randTable(sh.tableLen)
+		codesT := make([]uint8, dims*n)
+		for d := 0; d < dims; d++ {
+			for i := 0; i < n; i++ {
+				codesT[d*n+i] = uint8(rng.Intn(sh.card(d)))
 			}
 		}
-	})
+		out := make([]float64, n)
+		for _, backend := range []string{"dispatched", "go"} {
+			b.Run(sh.name+"/"+backend, func(b *testing.B) {
+				if backend == "go" {
+					defer forceGoBackend()()
+				}
+				b.SetBytes(int64(dims * n))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sh.run(table, codesT, out)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/code")
+			})
+		}
+	}
 }
 
 func BenchmarkWeightedIntervalDistSq(b *testing.B) {

@@ -51,7 +51,7 @@ func squaredDistEABlockedAVX2(q, c []float32, thr float64) float64
 func squaredDistEAOrderedBlockedAVX2(q, c []float32, starts []int, thr float64) float64
 
 //go:noescape
-func codeBoundAccumAVX2(row []float64, codes []uint8, out []float64)
+func codeBoundGroupsAsm(table []float64, offs []int, codesT []uint8, out []float64)
 
 //go:noescape
 func intervalDistSqAVX2(v, lo, hi []float64) float64
@@ -109,14 +109,31 @@ func SquaredDistEAOrderedBlocked(q, c []float32, starts []int, bound float64) fl
 	return squaredDistEAOrderedBlockedGo(q, c, starts, thr)
 }
 
-// codeBoundAccum adds row[codes[i]] into out[i] for every candidate of one
-// (tile, dimension) pair.
-func codeBoundAccum(row []float64, codes []uint8, out []float64) {
-	if useAVX2 {
-		codeBoundAccumAVX2(row, codes, out)
-		return
+// codeBoundGroups scores the leading whole groups of eight candidates of
+// CodeBoundBatch on the assembly backend and returns how many candidates it
+// covered: 0 on the Go backend, and 0 for a table the assembly may not
+// touch. The assembly indexes rows with raw code bytes and checks nothing
+// itself, so it runs only under codeRowsReadable; the caller has
+// established len(codesT) == len(offs)*len(out).
+func codeBoundGroups(table []float64, offs []int, codesT []uint8, out []float64) int {
+	if !useAVX2 || !codeRowsReadable(table, offs) {
+		return 0
 	}
-	codeBoundAccumGo(row, codes, out)
+	codeBoundGroupsAsm(table, offs, codesT, out)
+	return len(out) &^ 7
+}
+
+// codeRowsReadable reports whether every row start leaves codeRowLen
+// entries inside table — the condition under which no code byte can address
+// memory outside it.
+func codeRowsReadable(table []float64, offs []int) bool {
+	last := len(table) - codeRowLen
+	for _, off := range offs {
+		if off < 0 || off > last {
+			return false
+		}
+	}
+	return true
 }
 
 // IntervalDistSq returns Σ_i d(v[i], [lo[i], hi[i]])², the squared distance

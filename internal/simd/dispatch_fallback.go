@@ -41,11 +41,9 @@ func SquaredDistEAOrderedBlocked(q, c []float32, starts []int, bound float64) fl
 	return squaredDistEAOrderedBlockedGo(q, c, starts, eaThreshold(bound))
 }
 
-// codeBoundAccum adds row[codes[i]] into out[i] for every candidate of one
-// (tile, dimension) pair.
-func codeBoundAccum(row []float64, codes []uint8, out []float64) {
-	codeBoundAccumGo(row, codes, out)
-}
+// codeBoundGroups is the assembly share of CodeBoundBatch: none in this
+// build, so the Go kernel scores every candidate.
+func codeBoundGroups(table []float64, offs []int, codesT []uint8, out []float64) int { return 0 }
 
 // IntervalDistSq returns Σ_i d(v[i], [lo[i], hi[i]])², the squared distance
 // from a vector to a box — the MBR lower bound of SFA leaves and R-tree

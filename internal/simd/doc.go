@@ -1,9 +1,11 @@
 // Package simd is the kernel layer: the innermost arithmetic loops of query
 // answering — exact Euclidean distance with blocked early abandoning
 // (sequential, and with whole BlockLen-element blocks reordered: one cache
-// line per block and contiguous loads, never an element gather), table
-// gathers for batched lower bounds, and interval (region/MBR/EAPCA) bound
-// sums — each available as hand-written AVX2+FMA assembly on amd64 with a
+// line per block and contiguous loads, never an element gather), code-table
+// lookups for batched lower bounds (eight candidates a group, sums held in
+// registers — no vector gather either), and interval (region/MBR/EAPCA)
+// bound sums — each available as hand-written assembly on amd64 (AVX2+FMA
+// where vectors pay, plain scalar SSE2 for the table lookups) with a
 // portable Go twin, selected once at startup by runtime CPU-feature
 // detection.
 //
@@ -59,10 +61,18 @@
 //
 // Kernels trust their callers: length preconditions are documented per
 // function and checked with at most O(1) work, because these loops sit
-// under every distance computation and lower bound in the suite. The one
-// argument that addresses memory — the block starts of
-// SquaredDistEAOrderedBlocked — is the exception: each start is clamped into
-// the series as it is read, on both backends alike. (The assembly's
-// look-ahead prefetch in that kernel forms addresses past c on purpose; a
-// prefetch cannot fault and loads nothing the kernel computes with.)
+// under every distance computation and lower bound in the suite. Arguments
+// that address memory are the exception. The block starts of
+// SquaredDistEAOrderedBlocked are clamped into the series as they are read,
+// on both backends alike. (The assembly's look-ahead prefetch in that
+// kernel forms addresses past c on purpose; a prefetch cannot fault and
+// loads nothing the kernel computes with.) The code bytes and row offsets
+// of CodeBoundBatch are checked once per call, O(dimensions): the assembly
+// indexes rows with raw bytes, so the dispatcher takes it only when every
+// row start leaves 256 entries inside the table, and runs the
+// bounds-checked Go kernel on anything else.
+//
+// No kernel uses a vector gather (VGATHER*): the two that did were each
+// three to seven times slower than the contiguous or scalar formulation
+// that replaced them, and CI fails if the mnemonic reappears.
 package simd

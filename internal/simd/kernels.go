@@ -144,9 +144,37 @@ func squaredDistEAOrderedBlockedGo(q, c []float32, starts []int, thr float64) fl
 	return sum
 }
 
-func codeBoundAccumGo(row []float64, codes []uint8, out []float64) {
-	for i, code := range codes {
-		out[i] += row[code]
+// codeBoundGo scores candidates from..len(out)-1 of CodeBoundBatch: eight
+// neighbouring candidates at a time, their sums held in locals across the
+// dimension walk, then the remainder one candidate at a time. Every sum
+// starts from zero and takes one add per dimension in increasing d. All
+// indexing is bounds-checked, so a cell index outside table panics.
+func codeBoundGo(table []float64, offs []int, codesT []uint8, out []float64, from int) {
+	n := len(out)
+	i := from
+	for ; i+8 <= n; i += 8 {
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for d, off := range offs {
+			row := table[off:]
+			c := codesT[d*n+i : d*n+i+8]
+			s0 += row[c[0]]
+			s1 += row[c[1]]
+			s2 += row[c[2]]
+			s3 += row[c[3]]
+			s4 += row[c[4]]
+			s5 += row[c[5]]
+			s6 += row[c[6]]
+			s7 += row[c[7]]
+		}
+		o := out[i : i+8]
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
+	}
+	for ; i < n; i++ {
+		var sum float64
+		for d, off := range offs {
+			sum += table[off+int(codesT[d*n+i])]
+		}
+		out[i] = sum
 	}
 }
 

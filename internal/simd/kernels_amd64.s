@@ -228,46 +228,90 @@ done:
 	VZEROUPPER
 	RET
 
-// func codeBoundAccumAVX2(row []float64, codes []uint8, out []float64)
-TEXT ·codeBoundAccumAVX2(SB), NOSPLIT, $0-72
-	MOVQ row_base+0(FP), SI
-	MOVQ codes_base+24(FP), BX
-	MOVQ codes_len+32(FP), CX
-	MOVQ out_base+48(FP), DI
-	XORQ AX, AX
+// CODEADD2 adds the ROW entries selected by the two low bytes of the 32-bit
+// register whose byte halves are LO and HI (AL/AH, BL/BH) into the low lanes
+// of ACC0 and ACC1. The high-byte move is what limits IDX to a register
+// encodable without a REX prefix. Clobbers IDX.
+#define CODEADD2(ROW, LO, HI, IDX, ACC0, ACC1)  \
+	MOVBLZX LO, IDX            \
+	ADDSD   (ROW)(IDX*8), ACC0 \
+	MOVBLZX HI, IDX            \
+	ADDSD   (ROW)(IDX*8), ACC1
+
+// func codeBoundGroupsAsm(table []float64, offs []int, codesT []uint8, out []float64)
+//
+// Scores the len(out)/8 leading whole groups of eight candidates. A group
+// walks the dimensions once: its eight code bytes of dimension d arrive in
+// one 64-bit load (split into two 32-bit halves, so four bytes are
+// addressable before any shift), and each byte selects the row entry added
+// into that candidate's accumulator X0..X7, stored once per group. A code
+// byte is at most 255 and the dispatcher admits only tables with
+// offs[d]+256 <= len(table), so no load leaves table; the code loads stay
+// inside dimension d's n-byte row because 8·groups <= n.
+//
+// The adds are legacy-encoded ADDSD on purpose: with an indexed memory
+// operand the VEX form splits into two uops at issue, and this loop is
+// issue-bound (VADDSD measured a third slower on Ice Lake). No VEX
+// instruction runs here, and every AVX kernel leaves through VZEROUPPER, so
+// there is no SSE/AVX transition to pay.
+TEXT ·codeBoundGroupsAsm(SB), NOSPLIT, $0-96
+	MOVQ table_base+0(FP), R8
+	MOVQ offs_base+24(FP), R12
+	MOVQ offs_len+32(FP), R13
+	MOVQ codesT_base+48(FP), R10
+	MOVQ out_base+72(FP), DI
+	MOVQ out_len+80(FP), CX
 	MOVQ CX, DX
-	SUBQ $7, DX
+	SHRQ $3, DX
+	JZ   done
+	LEAQ (R12)(R13*8), R13
 
-loop8:
-	CMPQ AX, DX
-	JGE  tail
-	VPMOVZXBQ (BX)(AX*1), Y2
-	VPMOVZXBQ 4(BX)(AX*1), Y3
-	VPCMPEQD Y13, Y13, Y13
-	VGATHERQPD Y13, (SI)(Y2*8), Y4
-	VPCMPEQD Y13, Y13, Y13
-	VGATHERQPD Y13, (SI)(Y3*8), Y5
-	VMOVUPD (DI)(AX*8), Y6
-	VMOVUPD 32(DI)(AX*8), Y7
-	VADDPD Y4, Y6, Y6
-	VADDPD Y5, Y7, Y7
-	VMOVUPD Y6, (DI)(AX*8)
-	VMOVUPD Y7, 32(DI)(AX*8)
-	ADDQ $8, AX
-	JMP  loop8
+group:
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	XORPS X4, X4
+	XORPS X5, X5
+	XORPS X6, X6
+	XORPS X7, X7
+	MOVQ R10, R11
+	MOVQ R12, R15
+	CMPQ R15, R13
+	JEQ  store
 
-tail:
-	CMPQ AX, CX
-	JGE  done
-	MOVBLZX (BX)(AX*1), R9
-	VMOVSD (SI)(R9*8), X2
-	VADDSD (DI)(AX*8), X2, X2
-	VMOVSD X2, (DI)(AX*8)
-	INCQ AX
-	JMP  tail
+dim:
+	MOVQ (R15), R9
+	LEAQ (R8)(R9*8), R9
+	MOVQ (R11), AX
+	MOVQ AX, BX
+	SHRQ $32, BX
+	ADDQ CX, R11
+	CODEADD2(R9, AL, AH, SI, X0, X1)
+	CODEADD2(R9, BL, BH, SI, X4, X5)
+	SHRL $16, AX
+	SHRL $16, BX
+	CODEADD2(R9, AL, AH, SI, X2, X3)
+	CODEADD2(R9, BL, BH, SI, X6, X7)
+	ADDQ $8, R15
+	CMPQ R15, R13
+	JNE  dim
+
+store:
+	MOVSD X0, (DI)
+	MOVSD X1, 8(DI)
+	MOVSD X2, 16(DI)
+	MOVSD X3, 24(DI)
+	MOVSD X4, 32(DI)
+	MOVSD X5, 40(DI)
+	MOVSD X6, 48(DI)
+	MOVSD X7, 56(DI)
+	ADDQ $64, DI
+	ADDQ $8, R10
+	DECQ DX
+	JNZ  group
 
 done:
-	VZEROUPPER
 	RET
 
 // CLAMP4 computes max(LO-V, V-HI, 0) into DST (all ymm). Y14 must hold

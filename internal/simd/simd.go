@@ -30,35 +30,38 @@ func envDisabled() bool {
 	return false
 }
 
-// codeTile is the number of candidates scored per tile by the batched code
-// kernels: the out-tile (codeTile × 8 bytes) stays L1-resident while every
-// dimension's row streams over it, instead of dragging the full out array
-// through the cache once per dimension.
-const codeTile = 4096
+// codeRowLen is the number of table entries one code byte can address from
+// a row start. The assembly code-bound kernel indexes rows with raw bytes,
+// so it runs only when every row start leaves codeRowLen readable entries.
+const codeRowLen = 256
+
+// maxStackDims bounds the dimension count for which CodeBoundBatchStride
+// builds its row offsets on the stack (ADS+ runs 16 segments).
+const maxStackDims = 64
 
 // CodeBoundBatch scores len(out) candidates against a per-(dimension, cell)
 // contribution table with dimension rows starting at offs[d]: out[i] =
 // Σ_d table[offs[d]+codesT[d*n+i]]. codesT is the segment-major (transposed)
 // code array — dimension d's cell indices for all candidates are contiguous
-// at codesT[d*n : (d+1)*n] — which is what lets the AVX2 backend turn the
-// per-candidate table lookups into vector gathers. Each out[i] accumulates
-// one add per dimension in increasing d from zero, so results are
-// bit-identical to the per-candidate scalar formulation on either backend.
+// at codesT[d*n : (d+1)*n] — so one 64-bit load fetches a dimension's codes
+// for eight neighbouring candidates, whose sums the kernel keeps in
+// registers and stores once. Each out[i] accumulates one add per dimension
+// in increasing d from zero, so results are bit-identical to the
+// per-candidate scalar formulation on either backend.
 //
 // Preconditions: len(codesT) == len(offs)*len(out), and every referenced
-// cell index stays inside its dimension's row.
+// cell index stays inside table. The assembly backend does not rely on the
+// second: it is taken only when offs[d]+256 <= len(table) for every d, so no
+// code byte can address memory outside table; other tables (and the
+// len(out)%8 tail) run the bounds-checked Go kernel, which panics on a
+// violation.
 func CodeBoundBatch(table []float64, offs []int, codesT []uint8, out []float64) {
 	n := len(out)
 	if len(codesT) != len(offs)*n {
 		panic("simd: transposed code array does not match offsets × candidates")
 	}
-	clear(out)
-	for lo := 0; lo < n; lo += codeTile {
-		hi := min(lo+codeTile, n)
-		for d, off := range offs {
-			codeBoundAccum(table[off:], codesT[d*n+lo:d*n+hi], out[lo:hi])
-		}
-	}
+	done := codeBoundGroups(table, offs, codesT, out)
+	codeBoundGo(table, offs, codesT, out, done)
 }
 
 // CodeBoundBatchStride is CodeBoundBatch for tables whose dimension rows
@@ -73,13 +76,16 @@ func CodeBoundBatchStride(table []float64, stride int, codesT []uint8, out []flo
 	if len(codesT) != dims*n {
 		panic("simd: transposed code array is not a whole number of dimensions")
 	}
-	clear(out)
-	for lo := 0; lo < n; lo += codeTile {
-		hi := min(lo+codeTile, n)
-		for d := 0; d < dims; d++ {
-			codeBoundAccum(table[d*stride:], codesT[d*n+lo:d*n+hi], out[lo:hi])
-		}
+	var buf [maxStackDims]int
+	offs := buf[:]
+	if dims > len(buf) {
+		offs = make([]int, dims)
 	}
+	offs = offs[:dims]
+	for d := range offs {
+		offs[d] = d * stride
+	}
+	CodeBoundBatch(table, offs, codesT, out)
 }
 
 // Transpose8 fills dst with the segment-major (transposed) view of the

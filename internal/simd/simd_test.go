@@ -1,6 +1,8 @@
 package simd
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -83,56 +85,130 @@ func intervalCase(rng *rand.Rand, n, off int) (v, lo, hi []float64) {
 	return v, lo, hi
 }
 
+// codeLayout is one table shape of the code-bound kernel: dimension d's
+// row starts at offs[d] and its codes stay below card[d]. stride is the
+// common row distance when CodeBoundBatchStride can express the layout
+// (0 otherwise).
+type codeLayout struct {
+	name     string
+	tableLen int
+	offs     []int
+	card     []int
+	stride   int
+}
+
+// codeLayouts returns the shapes the kernel must agree on for dims
+// dimensions: uniform full-cardinality rows (ADS+; the assembly's case),
+// uniform 16-cell rows (the last rows end less than 256 entries before the
+// table does, so the dispatcher must fall back to the Go kernel), and ragged
+// rows with and without the 255 entries of padding that make the VA+file's
+// table safe for the assembly.
+func codeLayouts(rng *rand.Rand, dims int) []codeLayout {
+	uniform := func(stride int) codeLayout {
+		l := codeLayout{name: fmt.Sprintf("uniform%d", stride), tableLen: dims * stride, stride: stride}
+		for d := 0; d < dims; d++ {
+			l.offs = append(l.offs, d*stride)
+			l.card = append(l.card, stride)
+		}
+		return l
+	}
+	ragged := codeLayout{name: "ragged"}
+	for d := 0; d < dims; d++ {
+		ragged.offs = append(ragged.offs, ragged.tableLen)
+		ragged.card = append(ragged.card, 1<<rng.Intn(9))
+		ragged.tableLen += ragged.card[d]
+	}
+	padded := ragged
+	padded.name, padded.tableLen = "ragged+pad", ragged.tableLen+codeRowLen-1
+	return []codeLayout{uniform(256), uniform(16), ragged, padded}
+}
+
+// checkCodeBound scores n random candidates of the layout through both
+// entry points and the Go kernel, and requires every bound to carry the bits
+// of the per-candidate scalar sum.
+func checkCodeBound(t *testing.T, rng *rand.Rand, l codeLayout, n int) {
+	t.Helper()
+	dims := len(l.offs)
+	table := make([]float64, l.tableLen)
+	for i := range table {
+		table[i] = rng.NormFloat64()
+	}
+	codesT := make([]uint8, dims*n)
+	for d := 0; d < dims; d++ {
+		for i := 0; i < n; i++ {
+			codesT[d*n+i] = uint8(rng.Intn(l.card[d]))
+		}
+	}
+	want := make([]float64, n)
+	for i := range want {
+		for d := 0; d < dims; d++ {
+			want[i] += table[l.offs[d]+int(codesT[d*n+i])]
+		}
+	}
+	out := make([]float64, n)
+	check := func(entry string) {
+		t.Helper()
+		for i := range out {
+			if !bitEq(out[i], want[i]) {
+				t.Fatalf("%s %s dims=%d n=%d: out[%d] = %v, scalar %v", entry, l.name, dims, n, i, out[i], want[i])
+			}
+			out[i] = math.NaN() // the next entry must overwrite, not accumulate
+		}
+	}
+	CodeBoundBatch(table, l.offs, codesT, out)
+	check("CodeBoundBatch")
+	codeBoundGo(table, l.offs, codesT, out, 0)
+	check("codeBoundGo")
+	if l.stride > 0 && dims > 0 {
+		CodeBoundBatchStride(table, l.stride, codesT, out)
+		check("CodeBoundBatchStride")
+	}
+}
+
 // TestCodeBoundBatchMatchesScalar pins the bit-identical contract of the
-// batched code kernel against the per-candidate scalar formulation, for
-// both offset-table and strided-table forms, across tile boundaries.
+// batched code kernel — dispatched backend ≡ Go kernel ≡ per-candidate
+// scalar sum — for both entry points, over every group-of-eight remainder,
+// dimension counts around the engine's 16, and tables the assembly may and
+// may not take.
 func TestCodeBoundBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{0, 1, 3, 7, 8, 9, 100, codeTile - 1, codeTile, codeTile + 5} {
-		dims := 5
-		offs := []int{0, 16, 48, 64, 96}
-		rowLens := []int{16, 32, 16, 32, 8}
-		table := make([]float64, 104)
-		for i := range table {
-			table[i] = rng.NormFloat64()
+	var small []int
+	for n := 0; n <= 40; n++ {
+		small = append(small, n)
+	}
+	large := []int{4095, 4096, 4097, 20003}
+	for dims := 0; dims <= 17; dims++ {
+		sizes := small
+		if dims == 1 || dims >= 16 {
+			sizes = append(small[:len(small):len(small)], large...)
 		}
-		codesT := make([]uint8, dims*n)
-		for d := 0; d < dims; d++ {
-			for i := 0; i < n; i++ {
-				codesT[d*n+i] = uint8(rng.Intn(rowLens[d]))
+		for _, n := range sizes {
+			for _, l := range codeLayouts(rng, dims) {
+				checkCodeBound(t, rng, l, n)
 			}
 		}
-		out := make([]float64, n)
-		CodeBoundBatch(table, offs, codesT, out)
-		for i := 0; i < n; i++ {
-			var want float64
-			for d := 0; d < dims; d++ {
-				want += table[offs[d]+int(codesT[d*n+i])]
-			}
-			if !bitEq(out[i], want) {
-				t.Fatalf("n=%d out[%d] = %v, scalar %v", n, i, out[i], want)
-			}
-		}
+	}
+	// More dimensions than CodeBoundBatchStride keeps offsets for on its stack.
+	checkCodeBound(t, rng, codeLayouts(rng, maxStackDims+6)[0], 19)
+}
 
-		// Strided form over uniform 16-wide rows.
-		stable := make([]float64, dims*16)
-		for i := range stable {
-			stable[i] = rng.NormFloat64()
-		}
-		scodes := make([]uint8, dims*n)
-		for i := range scodes {
-			scodes[i] = uint8(rng.Intn(16))
-		}
-		CodeBoundBatchStride(stable, 16, scodes, out)
-		for i := 0; i < n; i++ {
-			var want float64
-			for d := 0; d < dims; d++ {
-				want += stable[d*16+int(scodes[d*n+i])]
-			}
-			if !bitEq(out[i], want) {
-				t.Fatalf("stride n=%d out[%d] = %v, scalar %v", n, i, out[i], want)
-			}
-		}
+// TestCodeBoundBatchUnsafeTablePanics pins the safety contract: a code byte
+// that addresses past the table panics on every backend (the dispatcher
+// refuses the assembly unless each row start leaves 256 entries) instead of
+// reading whatever lies behind the table.
+func TestCodeBoundBatchUnsafeTablePanics(t *testing.T) {
+	backing := make([]float64, 2*codeRowLen)
+	for _, tableLen := range []int{1, 16, 255} {
+		codesT := make([]uint8, 16)
+		codesT[11] = uint8(tableLen) // first index outside the one row
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("table of %d entries: code %d read outside it without panicking", tableLen, tableLen)
+				}
+			}()
+			CodeBoundBatch(backing[:tableLen], []int{0}, codesT, make([]float64, 16))
+		}()
 	}
 }
 
@@ -287,6 +363,74 @@ func FuzzSquaredDistEAOrderedBlocked(f *testing.F) {
 			if got := SquaredDistEAOrderedBlocked(q, c, starts, bound); !bitEq(got, ref) {
 				t.Fatalf("starts=%v bound=%v: dispatched %v, go %v", starts, bound, got, ref)
 			}
+		}
+	})
+}
+
+// FuzzCodeBoundBatch hands the fuzzer everything that addresses memory in
+// the code-bound kernel: the code bytes, the row offsets (16-bit, so also
+// negative and past the end) and the table length. The table is the front
+// of a longer array, so a backend that indexed past len(table) would return
+// what lies behind it instead of panicking. Required: the dispatched entry
+// points panic exactly when the bounds-checked Go kernel does, and agree
+// with it bitwise otherwise.
+func FuzzCodeBoundBatch(f *testing.F) {
+	seq := func(n, mod int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i * 7 % mod)
+		}
+		return b
+	}
+	f.Add(seq(2*21, 256), []byte{0, 0, 0, 1}, uint16(512))          // two full rows: the assembly's case
+	f.Add(seq(2*21, 16), []byte{0, 0, 16, 0}, uint16(32))           // short rows: Go kernel
+	f.Add(seq(19, 256), []byte{44, 1}, uint16(512))                 // codes reach past the table
+	f.Add(seq(3*9, 4), []byte{0, 0, 0xff, 0xff, 8, 0}, uint16(300)) // a negative offset
+	f.Fuzz(func(t *testing.T, codes, rawOffs []byte, tableLen uint16) {
+		dims := min(len(rawOffs)/2, 24)
+		offs := make([]int, dims)
+		for d := range offs {
+			offs[d] = int(int16(binary.LittleEndian.Uint16(rawOffs[2*d:])))
+		}
+		n := len(codes) % 23
+		if dims > 0 {
+			n = len(codes) / dims
+		}
+		codesT := codes[:dims*n]
+		backing := make([]float64, int(tableLen)+codeRowLen)
+		rng := rand.New(rand.NewSource(int64(tableLen)))
+		for i := range backing {
+			backing[i] = rng.NormFloat64()
+		}
+		table := backing[:tableLen:tableLen]
+
+		// score runs one formulation and reports whether it panicked.
+		score := func(run func(out []float64)) (out []float64, panicked bool) {
+			defer func() { panicked = recover() != nil }()
+			out = make([]float64, n)
+			run(out)
+			return out, false
+		}
+		agree := func(entry string, offs []int, run func(out []float64)) {
+			want, wantPanic := score(func(out []float64) { codeBoundGo(table, offs, codesT, out, 0) })
+			got, gotPanic := score(run)
+			if gotPanic != wantPanic {
+				t.Fatalf("%s offs=%v len(table)=%d n=%d: panicked=%v, Go kernel panicked=%v", entry, offs, tableLen, n, gotPanic, wantPanic)
+			}
+			for i := 0; !wantPanic && i < n; i++ {
+				if !bitEq(got[i], want[i]) {
+					t.Fatalf("%s offs=%v len(table)=%d n=%d: out[%d] = %v, Go kernel %v", entry, offs, tableLen, n, i, got[i], want[i])
+				}
+			}
+		}
+		agree("CodeBoundBatch", offs, func(out []float64) { CodeBoundBatch(table, offs, codesT, out) })
+		if dims > 0 && n > 0 {
+			stride := offs[dims-1]
+			strided := make([]int, dims)
+			for d := range strided {
+				strided[d] = d * stride
+			}
+			agree("CodeBoundBatchStride", strided, func(out []float64) { CodeBoundBatchStride(table, stride, codesT, out) })
 		}
 	})
 }

@@ -180,7 +180,7 @@ func TableLen(seg int) int { return seg << MaxBits }
 // MinDistTable fills table (length TableLen(len(queryPAA))) with the
 // per-segment, per-symbol contributions of MinDistFullCard:
 // table[i<<MaxBits+sym] = widths[i] · d(queryPAA[i], region(sym))². Batched
-// per-series bounds then reduce to one table gather per segment, which is
+// per-series bounds then reduce to one table lookup per segment, which is
 // how ADS+'s SIMS scores its whole in-memory summary array per query: the
 // table costs seg·2^MaxBits region computations once, instead of seg region
 // computations per series. The interior of each row is one vectorized
@@ -212,8 +212,9 @@ func (q *Quantizer) MinDistTable(queryPAA []float64, widths []float64, table []f
 // segment-major (transposed — segment j's symbols for all candidates are
 // contiguous at wordsT[j*n : (j+1)*n], see simd.Transpose8), and out[i]
 // receives the squared lower bound of candidate i. The layout lets the
-// kernel layer turn per-candidate table lookups into vector gathers; each
-// candidate still accumulates one add per segment in segment order, so
+// kernel layer fetch a segment's symbols for eight neighbouring candidates
+// in one load and keep their sums in registers; each candidate still
+// accumulates one add per segment in segment order, so
 // every out[i] is bit-identical to MinDistFullCard on the same inputs.
 func MinDistFullCardBatch(table []float64, wordsT []uint8, seg int, out []float64) {
 	n := len(out)

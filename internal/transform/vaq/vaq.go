@@ -244,11 +244,19 @@ func (q *Quantizer) LowerBound(queryFeat []float64, code []uint8) float64 {
 	return sum
 }
 
+// tablePad is the slack TableLen adds behind the last dimension's row, so
+// that every row start — including a narrow last one — leaves 256 entries
+// inside the table. That is the condition under which simd.CodeBoundBatch
+// may index rows with raw code bytes (its assembly backend); without it the
+// VA+file's ragged rows would always take the bounds-checked Go kernel.
+const tablePad = 255
+
 // TableLen returns the length of a LowerBoundTable: one entry per
 // (dimension, cell) pair, Σ_d 2^bits[d] in total (0-bit dimensions
-// contribute their single whole-line cell, whose entry is always 0).
+// contribute their single whole-line cell, whose entry is always 0), plus
+// tablePad entries that LowerBoundTable never writes and no code addresses.
 func (q *Quantizer) TableLen() int {
-	n := 0
+	n := tablePad
 	for _, b := range q.bits {
 		n += 1 << b
 	}
@@ -296,8 +304,9 @@ func (q *Quantizer) LowerBoundTable(queryFeat []float64, table []float64) {
 // dimension-major (transposed — dimension d's cells for all candidates are
 // contiguous at codesT[d*n : (d+1)*n], see simd.Transpose8), and out[i]
 // receives candidate i's squared lower bound. The layout lets the kernel
-// layer turn per-candidate table lookups into vector gathers; each
-// candidate still accumulates one add per dimension in dimension order
+// layer fetch a dimension's cells for eight neighbouring candidates in one
+// load and keep their sums in registers; each candidate still accumulates
+// one add per dimension in dimension order
 // (0-bit dimensions add their zero entry, which leaves the non-negative sum
 // bit-unchanged), so out[i] is bit-identical to LowerBound on the same
 // inputs.
