@@ -83,6 +83,20 @@ func TestServeIngest(t *testing.T) {
 	if st.Ingest == nil || st.Ingest.Appended != 2 || st.Ingest.WALLagSeries != 2 || st.Ingest.SyncPolicy != "always" {
 		t.Fatalf("statusz ingest block %+v, want 2 appended/lagged under policy always", st.Ingest)
 	}
+	// A checkpoint moves the lag into the checkpoint log: one record of the
+	// two series behind its 24-byte header (4 + 2 + 1 + 2×64×4 + 4 bytes).
+	if err := s.engine.Checkpoint(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	srec = httptest.NewRecorder()
+	h.ServeHTTP(srec, sreq)
+	st = engineStatuszResponse{}
+	if err := json.Unmarshal(srec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Ingest == nil || st.Ingest.WALLagSeries != 0 || st.Ingest.CheckpointRecords != 1 || st.Ingest.CheckpointBytes != 24+523 {
+		t.Fatalf("statusz ingest block after a checkpoint: %+v, want no lag and one 523-byte checkpoint record", st.Ingest)
+	}
 
 	// Bad input: wrong length and empty batch refuse with 400, nothing
 	// applied.

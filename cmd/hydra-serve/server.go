@@ -387,16 +387,19 @@ type engineStatuszResponse struct {
 
 // ingestStatsJSON is the wire form of hydra.IngestStats. WALLag* measure
 // how far the log has run ahead of the last checkpoint — the number a
-// checkpoint cron watches.
+// checkpoint cron watches; Checkpoint* measure the checkpoint log those
+// checkpoints append to, which only ever grows.
 type ingestStatsJSON struct {
-	Appended      int64  `json:"appended"`
-	Recovered     int64  `json:"recovered"`
-	WALLagRecords int64  `json:"wal_lag_records"`
-	WALLagSeries  int64  `json:"wal_lag_series"`
-	WALBytes      int64  `json:"wal_bytes"`
-	Syncs         int64  `json:"syncs"`
-	Checkpoints   int64  `json:"checkpoints"`
-	SyncPolicy    string `json:"sync_policy"`
+	Appended          int64  `json:"appended"`
+	Recovered         int64  `json:"recovered"`
+	WALLagRecords     int64  `json:"wal_lag_records"`
+	WALLagSeries      int64  `json:"wal_lag_series"`
+	WALBytes          int64  `json:"wal_bytes"`
+	CheckpointRecords int64  `json:"checkpoint_records"`
+	CheckpointBytes   int64  `json:"checkpoint_bytes"`
+	Syncs             int64  `json:"syncs"`
+	Checkpoints       int64  `json:"checkpoints"`
+	SyncPolicy        string `json:"sync_policy"`
 }
 
 // handleStatusz reports engine state and ingestion/WAL counters; unlike
@@ -416,14 +419,16 @@ func (s *server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	}
 	if st, ok := s.engine.IngestStats(); ok {
 		resp.Ingest = &ingestStatsJSON{
-			Appended:      st.Appended,
-			Recovered:     st.Recovered,
-			WALLagRecords: st.WALRecords,
-			WALLagSeries:  st.WALSeries,
-			WALBytes:      st.WALBytes,
-			Syncs:         st.Syncs,
-			Checkpoints:   st.Checkpoints,
-			SyncPolicy:    st.SyncPolicy,
+			Appended:          st.Appended,
+			Recovered:         st.Recovered,
+			WALLagRecords:     st.WALRecords,
+			WALLagSeries:      st.WALSeries,
+			WALBytes:          st.WALBytes,
+			CheckpointRecords: st.CheckpointRecords,
+			CheckpointBytes:   st.CheckpointBytes,
+			Syncs:             st.Syncs,
+			Checkpoints:       st.Checkpoints,
+			SyncPolicy:        st.SyncPolicy,
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -6,6 +6,7 @@ import (
 
 	"hydra/internal/core"
 	"hydra/internal/persist"
+	"hydra/internal/wal"
 )
 
 // The failure taxonomy of the public API. Every error an engine returns is
@@ -54,6 +55,17 @@ var (
 	// against a method without incremental-insert support. UCR-Suite, ADS+,
 	// iSAX2+ and DSTree ingest; the other methods are build-once.
 	ErrIngestUnsupported = core.ErrIngestUnsupported
+	// ErrIngestCorrupt: the ingest directory is damaged in a way that is not
+	// a torn tail — intact records lie beyond a damaged one in the
+	// checkpoint log or the write-ahead log, or the records leave a gap.
+	// Opening the engine fails and leaves both files as they were; dropping
+	// acked series to get past it is an operator's decision, never
+	// recovery's.
+	ErrIngestCorrupt = wal.ErrCorrupt
+	// ErrIngestMismatch: the ingest directory's checkpoint log was written
+	// over a different base collection (count or data fingerprint) than the
+	// configured dataset. The files are intact; the context is wrong.
+	ErrIngestMismatch = wal.ErrBinding
 )
 
 // IsCorruptSnapshot reports whether err means the snapshot file itself is

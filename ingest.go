@@ -1,7 +1,6 @@
 package hydra
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -10,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"hydra/internal/core"
-	"hydra/internal/persist"
 	"hydra/internal/series"
 	"hydra/internal/wal"
 )
@@ -19,36 +17,43 @@ import (
 const (
 	// walFileName is the write-ahead log.
 	walFileName = "ingest" + wal.Ext
-	// checkpointFileName is the checkpoint Engine.Checkpoint folds the log
-	// into (a persist container; see docs/FORMAT.md).
+	// checkpointFileName is the checkpoint log Engine.Checkpoint folds the
+	// write-ahead log into: the same frames behind a header bound to the
+	// base collection (see docs/FORMAT.md §6).
 	checkpointFileName = "ingest.ckpt"
-	// checkpointMethod is the method name stamped into the checkpoint's
-	// persist envelope, distinguishing it from index snapshots.
-	checkpointMethod = "ingest-checkpoint"
 )
 
 // ingestState is the durable-ingestion machinery attached to an engine by
 // WithIngestDir. It hangs off the Engine by pointer, so derived engines
-// (WithQueryOptions) share one ingest pipeline with their parent. The
-// RWMutex is the append/query exclusion: queries hold it for read (many at
-// once), Append and Checkpoint for write — an applied batch is visible to
-// queries atomically, never half-inserted.
+// (WithQueryOptions) share one ingest pipeline with their parent.
+//
+// Two locks, always taken in the order wmu then mu. wmu is the writer
+// lock: Append, Checkpoint and Close hold it for their whole duration, so
+// at most one of them runs and everything below except mu's own subject is
+// theirs alone. mu is the append/query exclusion and guards only the
+// collection extent and the method's index: queries hold it for read (many
+// at once), Append for write while it applies a batch — an applied batch is
+// visible to queries atomically, never half-inserted. Checkpoint never
+// takes mu: with wmu held nothing can grow the collection, so it reads the
+// series it folds beside running queries, and because a waiting Append
+// queues on wmu, not on mu, it does not make new queries queue behind it.
 type ingestState struct {
+	wmu      sync.Mutex
 	mu       sync.RWMutex
-	log      *wal.Log
+	log      *wal.Log // write-ahead log; nil once closed (written under wmu+mu)
+	ckpt     *wal.Log // checkpoint log, always SyncAlways
 	ingester core.Ingester
-	dir      string
-	// baseCount/baseFP identify the frozen base collection the engine was
-	// constructed over; a checkpoint binds to them so recovery can never
-	// apply a tail onto the wrong data.
-	baseCount int
-	baseFP    uint32
-	logMode   wal.SyncMode
+	logMode  wal.SyncMode
+	// folded is the collection extent the checkpoint log covers: series
+	// [baseCount, folded) are in it, [folded, Len) only in the write-ahead
+	// log. Guarded by wmu.
+	folded int
 	// poisoned, once set, permanently fails Append and Checkpoint on this
 	// engine: an acked log record could not be applied (or could not be
 	// rolled back), so the in-memory extent and the durable state have
 	// diverged — acking anything further would write records recovery must
 	// refuse. A restart re-runs recovery from consistent durable state.
+	// Guarded by wmu.
 	poisoned error
 
 	appended    atomic.Int64 // series appended via Append this process
@@ -57,9 +62,15 @@ type ingestState struct {
 }
 
 // enableIngest wires durable ingestion onto a freshly constructed engine:
-// hygiene sweeps, checkpoint replay, WAL recovery and replay, in that
-// order. Replay goes through exactly the same apply path as live appends,
-// so a recovered engine is bit-identical to one that never crashed.
+// both logs are read, the checkpoint log's records and then the write-ahead
+// log's are replayed through exactly the same apply path as live appends —
+// so a recovered engine is bit-identical to one that never crashed — and
+// only when every record has fitted onto the one before it are the files
+// touched (a torn tail truncated, a missing file created). Any failure up
+// to that point leaves the directory byte-identical: a checkpoint log bound
+// to another base, a legacy checkpoint, a gap, or damage in the middle of
+// either file is an error for an operator to look at, not something to
+// repair by dropping acked series.
 func (e *Engine) enableIngest(cfg *config) error {
 	ing, ok := e.m.(core.Ingester)
 	if !ok {
@@ -68,7 +79,8 @@ func (e *Engine) enableIngest(cfg *config) error {
 	if e.shardCount > 0 {
 		return fmt.Errorf("hydra: a sharded engine cannot ingest (append positions are collection-global)")
 	}
-	if e.coll.File.SeriesLen() == 0 {
+	sl := e.coll.File.SeriesLen()
+	if sl == 0 {
 		return fmt.Errorf("hydra: cannot ingest into an empty collection")
 	}
 	mode, interval, err := wal.ParseSyncPolicy(cfg.walSync)
@@ -79,107 +91,59 @@ func (e *Engine) enableIngest(cfg *config) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("hydra: creating ingest dir: %w", err)
 	}
-	// Startup hygiene: orphaned *.tmp files from a checkpoint that died
-	// between create and rename, and old quarantined snapshots.
-	persist.SweepTemp(dir, 0)
-	persist.SweepQuarantined(dir, 0, 0)
-
-	st := &ingestState{
-		ingester:  ing,
-		dir:       dir,
-		baseCount: e.coll.File.Len(),
-		baseFP:    core.Fingerprint(e.coll),
-	}
-	if err := e.replayCheckpoint(st); err != nil {
-		return err
-	}
-	log, recs, err := wal.Open(filepath.Join(dir, walFileName), e.coll.File.SeriesLen(), mode, interval)
+	st := &ingestState{ingester: ing, logMode: mode}
+	base := wal.Binding{BaseCount: uint64(e.coll.File.Len()), BaseFP: core.Fingerprint(e.coll)}
+	ckpt, folded, err := wal.Recover(filepath.Join(dir, checkpointFileName), sl, &base, wal.SyncAlways, 0)
 	if err != nil {
-		return fmt.Errorf("hydra: opening ingest log: %w", err)
+		return fmt.Errorf("hydra: reading ingest checkpoint: %w", err)
 	}
-	for _, r := range recs {
+	log, logged, err := wal.Recover(filepath.Join(dir, walFileName), sl, nil, mode, interval)
+	if err != nil {
+		return fmt.Errorf("hydra: reading ingest log: %w", err)
+	}
+	// A checkpoint record can be torn only while the write-ahead log still
+	// holds what it was folding — the log is truncated after the record's
+	// fsync — so a torn tail beside an empty log is series lost, not a crash.
+	if ckpt.Torn() && len(logged) == 0 {
+		return fmt.Errorf("hydra: ingest checkpoint ends in a damaged record the ingest log does not cover: %w", ErrIngestCorrupt)
+	}
+	for _, r := range folded {
 		if err := e.replayRecord(st, r); err != nil {
-			log.Close()
 			return err
 		}
 	}
-	st.log = log
-	st.logMode = mode
+	st.folded = e.coll.File.Len()
+	for _, r := range logged {
+		if err := e.replayRecord(st, r); err != nil {
+			return err
+		}
+	}
+	if err := ckpt.Repair(); err != nil {
+		return fmt.Errorf("hydra: opening ingest checkpoint: %w", err)
+	}
+	if err := log.Repair(); err != nil {
+		ckpt.Close()
+		return fmt.Errorf("hydra: opening ingest log: %w", err)
+	}
+	st.ckpt, st.log = ckpt, log
 	e.ing = st
 	return nil
 }
 
-// replayCheckpoint restores the tail a previous Checkpoint folded out of
-// the log: series appended after the base collection, applied through the
-// same insert path as live appends. A missing checkpoint is a fresh start.
-func (e *Engine) replayCheckpoint(st *ingestState) error {
-	path := filepath.Join(st.dir, checkpointFileName)
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("hydra: opening ingest checkpoint: %w", err)
-	}
-	defer f.Close()
-	dec, err := persist.NewDecoder(f)
-	if err != nil {
-		return fmt.Errorf("hydra: reading ingest checkpoint %s: %w", path, err)
-	}
-	if dec.Method() != checkpointMethod {
-		return fmt.Errorf("hydra: %s is a %q snapshot, not an ingest checkpoint", path, dec.Method())
-	}
-	r, err := dec.Section("meta")
-	if err != nil {
-		return fmt.Errorf("hydra: ingest checkpoint %s: %w", path, err)
-	}
-	baseCount := r.Int()
-	seriesLen := r.Int()
-	total := r.Int()
-	baseFP := r.U32()
-	if err := r.Close(); err != nil {
-		return fmt.Errorf("hydra: ingest checkpoint %s: %w", path, err)
-	}
-	if seriesLen != e.coll.File.SeriesLen() || baseCount != st.baseCount || baseFP != st.baseFP {
-		return fmt.Errorf("hydra: ingest checkpoint %s was taken over a different base collection (%d×%d fp %08x, have %d×%d fp %08x)",
-			path, baseCount, seriesLen, baseFP, st.baseCount, e.coll.File.SeriesLen(), st.baseFP)
-	}
-	tr, err := dec.Section("tail")
-	if err != nil {
-		return fmt.Errorf("hydra: ingest checkpoint %s: %w", path, err)
-	}
-	tail := tr.F32s()
-	if err := tr.Close(); err != nil {
-		return fmt.Errorf("hydra: ingest checkpoint %s: %w", path, err)
-	}
-	if len(tail) != (total-baseCount)*seriesLen {
-		return fmt.Errorf("hydra: ingest checkpoint %s: tail of %d values cannot hold series %d..%d",
-			path, len(tail), baseCount, total)
-	}
-	if len(tail) == 0 {
-		return nil
-	}
-	if err := e.applyValues(st, tail); err != nil {
-		return fmt.Errorf("hydra: replaying ingest checkpoint: %w", err)
-	}
-	st.recovered.Add(int64(len(tail) / seriesLen))
-	return nil
-}
-
-// replayRecord applies one recovered WAL record idempotently against the
-// current collection extent (the checkpoint watermark): fully covered
-// records are no-ops, a straddling record applies only its uncovered
-// suffix, and a record past the extent is a gap — structural corruption
-// recovery must not paper over.
+// replayRecord applies one recovered record — of the checkpoint log or the
+// write-ahead log — idempotently against the current collection extent:
+// fully covered records are no-ops, a straddling record applies only its
+// uncovered suffix, and a record past the extent is a gap — structural
+// corruption recovery must not paper over.
 func (e *Engine) replayRecord(st *ingestState, r wal.Record) error {
 	sl := e.coll.File.SeriesLen()
 	count := uint64(e.coll.File.Len())
 	n := uint64(len(r.Values) / sl)
 	switch {
 	case r.FirstSeq+n <= count:
-		return nil // already folded into the checkpoint
+		return nil // already applied from an earlier record
 	case r.FirstSeq > count:
-		return fmt.Errorf("hydra: ingest log gap: record at position %d, collection has %d", r.FirstSeq, count)
+		return fmt.Errorf("hydra: ingest log gap: record at position %d, collection has %d: %w", r.FirstSeq, count, ErrIngestCorrupt)
 	default:
 		skip := int(count-r.FirstSeq) * sl
 		if err := e.applyValues(st, r.Values[skip:]); err != nil {
@@ -217,13 +181,15 @@ func (e *Engine) applyValues(st *ingestState, values []float32) error {
 // poisoned — further Append/Checkpoint calls fail until a restart re-runs
 // recovery from the consistent durable state. Queries observe a batch
 // atomically — all of it or none — and queries already running finish on
-// the pre-append extent.
+// the pre-append extent: they are excluded only while the batch is applied,
+// not while it is logged and fsynced.
 //
 // Append requires WithIngestDir and a method with incremental-insert
 // support (UCR-Suite, ADS+, iSAX2+, DSTree); other methods return
-// ErrIngestUnsupported. Appends are serialized internally; the ctx is
-// checked once before logging (an append is not cancellable mid-flight —
-// it either acks or fails).
+// ErrIngestUnsupported. Appends are serialized with each other and with
+// Checkpoint (an Append issued during a checkpoint returns after it); the
+// ctx is checked once before logging (an append is not cancellable
+// mid-flight — it either acks or fails).
 func (e *Engine) Append(ctx context.Context, batch ...[]float32) error {
 	if _, ok := e.m.(core.Ingester); !ok {
 		return fmt.Errorf("hydra: method %s: %w", e.m.Name(), ErrIngestUnsupported)
@@ -252,8 +218,8 @@ func (e *Engine) Append(ctx context.Context, batch ...[]float32) error {
 		series.Series(values[i*sl : (i+1)*sl]).ZNormalize()
 	}
 
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	st.wmu.Lock()
+	defer st.wmu.Unlock()
 	if st.log == nil {
 		return fmt.Errorf("hydra: ingest log closed")
 	}
@@ -265,7 +231,10 @@ func (e *Engine) Append(ctx context.Context, batch ...[]float32) error {
 	if err := st.log.Append(firstSeq, values); err != nil {
 		return err
 	}
-	if err := e.applyValues(st, values); err != nil {
+	st.mu.Lock()
+	err := e.applyValues(st, values)
+	st.mu.Unlock()
+	if err != nil {
 		// The log ran ahead of a failed apply (a method invariant was
 		// violated). Un-log the record so recovery can never resurrect a
 		// batch whose Append errored, and poison ingestion: the arena may
@@ -282,17 +251,20 @@ func (e *Engine) Append(ctx context.Context, batch ...[]float32) error {
 	return nil
 }
 
-// Checkpoint folds everything the write-ahead log holds into a checkpoint
-// file (write-temp → fsync → rename → directory fsync, through
-// persist.WriteFileAtomicDurable) and truncates the log only after the
-// rename is durable — a crash or power cut at any point leaves either the
-// old checkpoint plus the full log, or the new checkpoint plus a shorter
-// log, both of which recover to the same engine. The directory fsync
-// matters: the log truncation is itself synced, so an undurable rename
-// followed by a durable truncation would silently lose every acked batch
-// the checkpoint was supposed to hold. Appends are blocked for the
-// duration; queries too (the checkpoint snapshots the tail under the same
-// exclusion as an apply).
+// Checkpoint folds the write-ahead log into the checkpoint log: it appends
+// one record holding only the series appended since the previous checkpoint
+// (several records when they exceed one record's bounds), fsyncs it, and
+// only then truncates the write-ahead log — so its cost follows what is
+// new, not how long the engine has been ingesting. A crash or power cut at
+// any point leaves either the old checkpoint log plus the full write-ahead
+// log, or the longer checkpoint log plus a write-ahead log that is full or
+// empty; replay is idempotent, so all of them recover to the same engine.
+// With nothing new to fold and an empty write-ahead log, Checkpoint writes
+// and fsyncs nothing.
+//
+// Queries are not blocked: Checkpoint holds only the writer lock, which
+// keeps the collection from growing while it reads the series it folds.
+// Appends wait for it.
 func (e *Engine) Checkpoint(ctx context.Context) error {
 	st := e.ing
 	if st == nil {
@@ -301,38 +273,27 @@ func (e *Engine) Checkpoint(ctx context.Context) error {
 	if err := core.Canceled(ctx); err != nil {
 		return err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	st.wmu.Lock()
+	defer st.wmu.Unlock()
 	if st.log == nil {
 		return fmt.Errorf("hydra: ingest log closed")
 	}
 	if st.poisoned != nil {
 		return st.poisoned
 	}
-	total := e.coll.File.Len()
-	sl := e.coll.File.SeriesLen()
-
-	enc := persist.NewEncoder(checkpointMethod)
-	w := enc.Section("meta")
-	w.Int(st.baseCount)
-	w.Int(sl)
-	w.Int(total)
-	w.U32(st.baseFP)
-	tail := make([]float32, 0, (total-st.baseCount)*sl)
-	for i := st.baseCount; i < total; i++ {
-		tail = append(tail, e.coll.File.Peek(i)...)
+	for total := e.coll.File.Len(); st.folded < total; {
+		hi := min(total, st.folded+st.ckpt.MaxBatch())
+		if err := st.ckpt.Append(uint64(st.folded), e.coll.File.PeekFlat(st.folded, hi)); err != nil {
+			return fmt.Errorf("hydra: writing ingest checkpoint: %w", err)
+		}
+		st.folded = hi
 	}
-	enc.Section("tail").F32s(tail)
-	var buf bytes.Buffer
-	if _, err := enc.WriteTo(&buf); err != nil {
-		return fmt.Errorf("hydra: encoding ingest checkpoint: %w", err)
-	}
-	if err := persist.WriteFileAtomicDurable(filepath.Join(st.dir, checkpointFileName), buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("hydra: writing ingest checkpoint: %w", err)
-	}
-	// Only now — with the rename durable — is the log redundant.
-	if err := st.log.Truncate(); err != nil {
-		return fmt.Errorf("hydra: truncating ingest log after checkpoint: %w", err)
+	// Only now — with every series it holds fsynced into the checkpoint
+	// log — is the write-ahead log redundant.
+	if st.log.Records() > 0 {
+		if err := st.log.Truncate(); err != nil {
+			return fmt.Errorf("hydra: truncating ingest log after checkpoint: %w", err)
+		}
 	}
 	st.checkpoints.Add(1)
 	return nil
@@ -357,6 +318,11 @@ type IngestStats struct {
 	// Checkpoints counts successful Checkpoint calls since the engine
 	// opened.
 	Checkpoints int64
+	// CheckpointRecords and CheckpointBytes measure the checkpoint log: the
+	// records it holds (one per checkpoint that had something to fold) and
+	// its file size.
+	CheckpointRecords int64
+	CheckpointBytes   int64
 	// SyncPolicy names the active fsync policy ("always", "interval",
 	// "off").
 	SyncPolicy string
@@ -382,12 +348,15 @@ func (e *Engine) IngestStats() (s IngestStats, ok bool) {
 		s.WALSeries = st.log.Series()
 		s.WALBytes = st.log.Size()
 		s.Syncs = st.log.Syncs()
+		s.CheckpointRecords = st.ckpt.Records()
+		s.CheckpointBytes = st.ckpt.Size()
 	}
 	return s, true
 }
 
 // Close releases the engine's durable-ingestion resources: the write-ahead
-// log is synced (under any policy but SyncOff) and its file handle closed.
+// log is synced (under any policy but SyncOff) and both logs' file handles
+// closed.
 // Engines without WithIngestDir hold memory only and Close is a nil no-op —
 // the historical "engines have no Close" contract still holds for them.
 // After Close, Append and Checkpoint fail; queries keep working. Close is
@@ -397,12 +366,17 @@ func (e *Engine) Close() error {
 	if st == nil {
 		return nil
 	}
+	st.wmu.Lock()
+	defer st.wmu.Unlock()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.log == nil {
 		return nil
 	}
 	err := st.log.Close()
+	if cerr := st.ckpt.Close(); err == nil {
+		err = cerr
+	}
 	st.log = nil
 	return err
 }

@@ -40,13 +40,18 @@ type Index struct {
 	c    *core.Collection
 	tree *isaxtree.Tree
 	// wordsT is the segment-major (transposed) copy of the tree's summary
-	// array: segment j's max-cardinality symbols for all series are
-	// contiguous at wordsT[j*n : (j+1)*n]. It is what the batched SIMS
-	// lower-bound kernel streams (one load fetches a segment's symbols for
-	// eight neighbouring series); the candidate-major original stays in the
-	// tree for insertion, splitting and persistence. Insert re-transposes
-	// into the same backing, so cap may exceed len.
-	wordsT []uint8
+	// array over the first m = len(wordsT)/Segments series: segment j's
+	// max-cardinality symbols are contiguous at wordsT[j*m : (j+1)*m]. It is
+	// what the batched SIMS lower-bound kernel streams (one load fetches a
+	// segment's symbols for eight neighbouring series); the candidate-major
+	// original stays in the tree for insertion, splitting and persistence.
+	// tailT is the same for the series appended since, [m, Len): Insert
+	// re-transposes only it, and folds it into wordsT once it passes
+	// 1/tailFoldDiv of m — so a batch costs the tail, not the collection,
+	// and the folds add up to a constant per appended series. A built or
+	// loaded index has an empty tail. Both reuse their backing, so cap may
+	// exceed len.
+	wordsT, tailT []uint8
 	// pool hands each in-flight query its reusable scratch buffers.
 	pool core.ScratchPool
 	// mu guards materialized — the only per-query mutable state of the
@@ -107,15 +112,21 @@ func (ix *Index) Build(c *core.Collection) error {
 	return nil
 }
 
+// tailFoldDiv sets when Insert folds the transposed tail into the dense
+// summary: when the tail holds more than 1/tailFoldDiv of the dense part. A
+// batch re-transposes the tail (at most m/tailFoldDiv series) and a fold
+// re-transposes everything once per m/tailFoldDiv appended series; 32
+// balances the two for batches of a few series over a few ten thousand.
+const tailFoldDiv = 32
+
 // Insert implements core.Ingester: each appended series is summarized and
-// placed in the tree, then the segment-major transposed summary is rebuilt
-// once for the whole batch — the step-2 batched kernel requires wordsT to
-// cover exactly File.Len() series, and rebuilding per batch (not per
-// series) keeps ingestion linear. The rebuild reuses wordsT's backing,
-// doubling it when full, so a steady stream of appends allocates O(log n)
-// times instead of a whole summary copy per batch under the lock that
-// excludes queries. Callers must exclude concurrent queries (the engine's
-// ingest lock does).
+// placed in the tree, then the transposed summary of the appended tail alone
+// is rebuilt for the batch — wordsT and tailT together must cover exactly
+// File.Len() series for the step-2 batched kernel. When the tail outgrows
+// its share it is folded: the whole summary is transposed into wordsT
+// (reusing its backing, doubling it when full) and the tail starts empty
+// again. Callers must exclude concurrent queries (the engine's ingest lock
+// does).
 func (ix *Index) Insert(ids []int) error {
 	if ix.c == nil {
 		return fmt.Errorf("ads: method not built")
@@ -127,13 +138,25 @@ func (ix *Index) Insert(ids []int) error {
 	// The summary write is the only I/O: Segments bytes per series, like
 	// the build's summarization pass.
 	ix.c.Counters.ChargeSeq(int64(len(ids)) * int64(ix.opts.Segments))
-	need := len(ix.tree.Words)
-	if cap(ix.wordsT) < need {
-		ix.wordsT = make([]uint8, need, max(need, 2*cap(ix.wordsT)))
+	words, seg := ix.tree.Words, ix.tree.Segments
+	if dense := len(ix.wordsT); (len(words)-dense)*tailFoldDiv <= dense {
+		ix.tailT = transposeInto(ix.tailT, words[dense:], seg)
+	} else {
+		ix.wordsT = transposeInto(ix.wordsT, words, seg)
+		ix.tailT = ix.tailT[:0]
 	}
-	ix.wordsT = ix.wordsT[:need]
-	simd.Transpose8(ix.tree.Words, ix.tree.Segments, ix.wordsT)
 	return nil
+}
+
+// transposeInto transposes the candidate-major words into dst's backing,
+// which at least doubles when it is too small.
+func transposeInto(dst, words []uint8, seg int) []uint8 {
+	if cap(dst) < len(words) {
+		dst = make([]uint8, len(words), max(len(words), 2*cap(dst)))
+	}
+	dst = dst[:len(words)]
+	simd.Transpose8(words, seg, dst)
+	return dst
 }
 
 // KNN implements core.Method (the SIMS algorithm). All per-query state
@@ -197,7 +220,11 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 		table := sc.Table(sax.TableLen(seg))
 		ix.tree.Quant.MinDistTable(qpaa, widths, table)
 		lbs = sc.LB(f.Len())
-		sax.MinDistFullCardBatch(table, ix.wordsT, seg, lbs)
+		dense := len(ix.wordsT) / seg
+		sax.MinDistFullCardBatch(table, ix.wordsT, seg, lbs[:dense])
+		if len(ix.tailT) > 0 {
+			sax.MinDistFullCardBatch(table, ix.tailT, seg, lbs[dense:])
+		}
 		qs.LBCalcs += int64(f.Len())
 	}
 
@@ -256,7 +283,7 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 func (ix *Index) TreeStats() stats.TreeStats {
 	ts := ix.tree.TreeStats(ix.c.File.SeriesBytes(), false)
 	// The transposed summary copy the SIMS batch kernel streams.
-	ts.MemBytes += int64(len(ix.wordsT))
+	ts.MemBytes += int64(len(ix.wordsT) + len(ix.tailT))
 	// Materialized leaf caches count toward the (adaptive) disk footprint.
 	ix.mu.Lock()
 	for n, ok := range ix.materialized {

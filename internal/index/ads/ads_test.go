@@ -3,6 +3,7 @@ package ads
 import (
 	"bytes"
 	"context"
+	"math"
 	"testing"
 
 	"hydra/internal/core"
@@ -111,16 +112,18 @@ func TestSummaryArrayComplete(t *testing.T) {
 	}
 }
 
-// TestInsertReusesTransposedSummary: appended batches re-transpose into the
-// existing wordsT backing (growing it by doubling, not once per batch), the
-// result is the transpose a fresh build would hold, and the reported memory
-// footprint counts the summaries in use, not the spare capacity.
+// TestInsertReusesTransposedSummary: an appended batch re-transposes only the
+// tail appended since the last fold, a fold re-transposes into the existing
+// wordsT backing (growing it by doubling, not once per fold), dense part and
+// tail are together the transpose a fresh build would hold, and the reported
+// memory footprint counts the summaries in use, not the spare capacity.
 func TestInsertReusesTransposedSummary(t *testing.T) {
 	all := dataset.RandomWalk(464, 64, 7)
 	ix, coll := build(t, dataset.FromFlat("head", all.Flat()[:400*64], 400, 64), 32)
-	grows := 0
+	seg := ix.Tree().Segments
+	grows, folds := 0, 0
 	for i := 400; i < all.Len(); i++ {
-		before := cap(ix.wordsT)
+		before, dense := cap(ix.wordsT), len(ix.wordsT)
 		id := coll.File.Append(all.Series[i])
 		if err := ix.Insert([]int{id}); err != nil {
 			t.Fatalf("Insert(%d): %v", id, err)
@@ -128,18 +131,87 @@ func TestInsertReusesTransposedSummary(t *testing.T) {
 		if cap(ix.wordsT) != before {
 			grows++
 		}
+		if len(ix.wordsT) != dense {
+			folds++
+			if len(ix.tailT) != 0 || len(ix.wordsT) != (i+1)*seg {
+				t.Fatalf("fold at %d series left %d dense and %d tail bytes", i+1, len(ix.wordsT), len(ix.tailT))
+			}
+		} else if tail := (i+1)*seg - dense; len(ix.tailT) != tail || tail*tailFoldDiv > dense {
+			t.Fatalf("at %d series: %d tail bytes beside %d dense (have %d in tailT)", i+1, tail, dense, len(ix.tailT))
+		}
 	}
 	if grows != 1 {
 		t.Errorf("wordsT backing reallocated %d times over 64 one-series batches, want 1 (doubling)", grows)
 	}
+	// 400 series hold a tail of 12; the 13th folds, and so on from 413.
+	if folds != 4 {
+		t.Errorf("%d folds over 64 one-series batches onto 400, want 4", folds)
+	}
 	tree := ix.Tree()
-	want := make([]uint8, len(tree.Words))
-	simd.Transpose8(tree.Words, tree.Segments, want)
-	if !bytes.Equal(ix.wordsT, want) {
-		t.Fatal("wordsT after Insert is not the transpose of the summary array")
+	dense := len(ix.wordsT)
+	want := make([]uint8, dense)
+	simd.Transpose8(tree.Words[:dense], seg, want)
+	wantTail := make([]uint8, len(tree.Words)-dense)
+	simd.Transpose8(tree.Words[dense:], seg, wantTail)
+	if !bytes.Equal(ix.wordsT, want) || !bytes.Equal(ix.tailT, wantTail) || len(wantTail) == 0 {
+		t.Fatal("wordsT and tailT after Insert are not the transposes of the summary array's two parts")
 	}
 	fresh, _ := build(t, all, 32)
 	if got, want := ix.TreeStats().MemBytes, fresh.TreeStats().MemBytes; got != want {
 		t.Errorf("MemBytes after appends = %d, fresh build over the same series = %d (cap(wordsT) = %d)", got, want, cap(ix.wordsT))
+	}
+}
+
+// TestTailAnswersMatchFreshBuild pins the two-part lower-bound pass: with
+// the appended tail at every size around the kernel's group of eight and
+// around the fold, an index answers bit-identically — ids, distances and
+// work counters — to one built fresh over the same series.
+func TestTailAnswersMatchFreshBuild(t *testing.T) {
+	const base, length = 400, 64
+	fold := base/tailFoldDiv + 1 // the smallest tail that folds
+	all := dataset.RandomWalk(base+fold+1, length, 11)
+	queries := dataset.SynthRand(6, length, 12).Queries
+	for _, tail := range []int{0, 1, 7, 8, 9, fold - 1, fold, fold + 1} {
+		n := base + tail
+		ix, coll := build(t, dataset.FromFlat("head", all.Flat()[:base*length], base, length), 32)
+		if tail > 0 {
+			first := coll.File.Append(all.Flat()[base*length : n*length])
+			ids := make([]int, tail)
+			for i := range ids {
+				ids[i] = first + i
+			}
+			if err := ix.Insert(ids); err != nil {
+				t.Fatalf("tail %d: Insert: %v", tail, err)
+			}
+		}
+		wantTail := tail
+		if tail >= fold {
+			wantTail = 0
+		}
+		if got := len(ix.tailT) / ix.Tree().Segments; got != wantTail {
+			t.Fatalf("tail %d: %d series in tailT, want %d", tail, got, wantTail)
+		}
+		fresh, freshColl := build(t, dataset.FromFlat("all", all.Flat()[:n*length], n, length), 32)
+		for qi, q := range queries {
+			got, gs, err := core.RunQuery(context.Background(), ix, coll, q, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, ws, err := core.RunQuery(context.Background(), fresh, freshColl, q, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("tail %d q%d: %d matches, fresh build %d", tail, qi, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+					t.Fatalf("tail %d q%d match %d: got %+v, fresh build %+v", tail, qi, i, got[i], want[i])
+				}
+			}
+			if gs.LBCalcs != ws.LBCalcs || gs.DistCalcs != ws.DistCalcs || gs.RawSeriesExamined != ws.RawSeriesExamined {
+				t.Fatalf("tail %d q%d: counters %+v, fresh build %+v", tail, qi, gs, ws)
+			}
+		}
 	}
 }

@@ -330,6 +330,17 @@ func (f *SeriesFile) FlatRange(lo, hi int) []float32 {
 // one sequential pass over the file) and by test oracles.
 func (f *SeriesFile) Peek(i int) series.Series { return f.at(i) }
 
+// PeekFlat returns the arena values of series [lo, hi) as one flat view
+// without charging any I/O — Peek for a range. The checkpoint path reads the
+// series it folds through it: they are already counted as written.
+func (f *SeriesFile) PeekFlat(lo, hi int) []float32 {
+	st := f.state.Load()
+	if lo < 0 || hi > st.count || lo > hi {
+		panic(fmt.Sprintf("storage: PeekFlat[%d,%d) out of bounds 0..%d", lo, hi, st.count))
+	}
+	return st.arena[lo*f.length : hi*f.length : hi*f.length]
+}
+
 // ChargeFullScan charges one sequential pass over the entire file, the way
 // bulk-loading index builders read their input.
 func (f *SeriesFile) ChargeFullScan() {

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -191,11 +192,11 @@ func TestWALAlienFiles(t *testing.T) {
 	}{
 		{"bad-magic", append([]byte("NOTWAL"), make([]byte, 6)...), ErrMagic},
 		{"bad-version", func() []byte {
-			h := header(sl)
+			h := header(sl, nil)
 			binary.LittleEndian.PutUint16(h[len(Magic):], 99)
 			return h
 		}(), ErrVersion},
-		{"bad-serieslen", header(sl + 1), ErrSeriesLen},
+		{"bad-serieslen", header(sl+1, nil), ErrSeriesLen},
 	}
 	for _, c := range cases {
 		path := filepath.Join(dir, c.name)
@@ -222,6 +223,10 @@ func TestWALAlienFiles(t *testing.T) {
 	l.Close()
 }
 
+// TestWALSequenceBreakStopsReplay: an intact frame that does not continue
+// the sequence (here a duplicated record) is structural corruption, not a
+// torn tail — the open fails typed and leaves the file alone, rather than
+// keeping a prefix and silently truncating the rest away.
 func TestWALSequenceBreakStopsReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
 	const sl = 4
@@ -231,20 +236,18 @@ func TestWALSequenceBreakStopsReplay(t *testing.T) {
 	l.Close()
 	data, _ := os.ReadFile(path)
 
-	// Re-append the second frame verbatim: a duplicated sequence number.
-	// Recovery must keep the contiguous prefix and drop the duplicate.
+	// Re-append the first frame verbatim: a duplicated sequence number.
 	off := int64(headerLen)
 	plen := binary.LittleEndian.Uint32(data[off:])
 	dup := append(append([]byte{}, data...), data[off:off+4+int64(plen)+4]...)
 	if err := os.WriteFile(path, dup, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, recs, err := Open(path, sl, SyncAlways, 0)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
+	if _, _, err := Open(path, sl, SyncAlways, 0); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open of a log with a duplicated record: %v, want ErrCorrupt", err)
 	}
-	if len(recs) != 2 || recs[0].FirstSeq != 0 || recs[1].FirstSeq != 2 {
-		t.Fatalf("recovered %d records (want the 2 contiguous ones)", len(recs))
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, dup) {
+		t.Fatal("failed open modified the file")
 	}
 }
 
@@ -405,56 +408,73 @@ func TestParseSyncPolicy(t *testing.T) {
 	}
 }
 
-// FuzzWALReplay feeds mutated WAL bytes into recovery and asserts the
-// contract: never a panic, never a record that fails validation (CRC,
-// shape, contiguity), always termination, and recovery is idempotent — a
-// second open of the repaired file yields byte-identical records.
+// FuzzWALReplay feeds mutated log bytes into recovery, with the plain and
+// the bound header, and asserts the contract: never a panic, never a record
+// that fails validation (CRC, shape, contiguity), always termination, a
+// failed open is typed and leaves the file byte-identical, and recovery is
+// idempotent — a second open of the repaired file yields byte-identical
+// records.
 func FuzzWALReplay(f *testing.F) {
 	const sl = 4
+	bind := &Binding{BaseCount: 6, BaseFP: 0xfeedbeef}
 	// Seed with a real three-record log plus targeted corruptions:
 	// truncation, a bitflip, a spliced record and a duplicated sequence
-	// number.
-	dir := f.TempDir()
-	seedPath := filepath.Join(dir, "seed.wal")
-	l, _, err := Open(seedPath, sl, SyncAlways, 0)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for i := uint64(0); i < 3; i++ {
-		if err := l.Append(i*2, seriesBatch(i*2, 2, sl)); err != nil {
-			f.Fatal(err)
-		}
-	}
-	l.Close()
-	seed, err := os.ReadFile(seedPath)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	f.Add(seed[:len(seed)-5])
+	// number — then the same under a bound header, and each kind of file
+	// opened as the other.
+	seed, _ := threeRecords(f, filepath.Join(f.TempDir(), "seed.wal"), sl, nil)
+	f.Add(seed, false)
+	f.Add(seed[:len(seed)-5], false)
 	flip := append([]byte{}, seed...)
 	flip[len(flip)/2] ^= 0x40
-	f.Add(flip)
+	f.Add(flip, false)
 	var off = int64(headerLen)
 	plen := binary.LittleEndian.Uint32(seed[off:])
 	frame := seed[off : off+4+int64(plen)+4]
-	f.Add(append(append([]byte{}, seed...), frame...)) // duplicated seq
-	f.Add(append(append([]byte{}, seed[:off]...), frame[4:]...))
-	f.Add([]byte{})
-	f.Add([]byte("HYDWAL"))
+	f.Add(append(append([]byte{}, seed...), frame...), false) // duplicated seq
+	f.Add(append(append([]byte{}, seed[:off]...), frame[4:]...), false)
+	f.Add([]byte{}, false)
+	f.Add([]byte("HYDWAL"), false)
+	bound, _ := threeRecords(f, filepath.Join(f.TempDir(), "seed.ckpt"), sl, bind)
+	f.Add(bound, true)
+	f.Add(bound[:len(bound)-5], true)
+	f.Add(bound[:headerLen+3], true) // torn inside the binding
+	flip = append([]byte{}, bound...)
+	flip[headerLen+2] ^= 0x01 // another base
+	f.Add(flip, true)
+	flip = append([]byte{}, bound...)
+	flip[len(flip)-3] ^= 0x40 // damage in the last frame only: a torn tail
+	f.Add(flip, true)
+	f.Add(seed, true)
+	f.Add(bound, false)
+	f.Add([]byte("HYDIDX\x01\x00legacy persist envelope"), true)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, bound bool) {
 		path := filepath.Join(t.TempDir(), "f.wal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		l1, recs, err := Open(path, sl, SyncAlways, 0)
+		var b *Binding
+		hdr := headerLen
+		if bound {
+			b, hdr = bind, headerLen+bindingLen
+		}
+		l1, recs, err := Recover(path, sl, b, SyncAlways, 0)
+		if after, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(after, data) {
+			t.Fatalf("Recover modified the file (read error %v)", rerr)
+		}
 		if err != nil {
-			// Structurally alien file: fine, as long as it is typed.
-			if !errors.Is(err, ErrMagic) && !errors.Is(err, ErrVersion) && !errors.Is(err, ErrSeriesLen) {
+			// Alien or damaged file: fine, as long as it is typed.
+			typed := false
+			for _, want := range []error{ErrMagic, ErrVersion, ErrSeriesLen, ErrBinding, ErrCorrupt} {
+				typed = typed || errors.Is(err, want)
+			}
+			if !typed {
 				t.Fatalf("untyped open error: %v", err)
 			}
 			return
+		}
+		if err := l1.Repair(); err != nil {
+			t.Fatalf("Repair: %v", err)
 		}
 		// Every recovered record must validate: shape and contiguity.
 		for i, r := range recs {
@@ -466,15 +486,28 @@ func FuzzWALReplay(f *testing.F) {
 				if r.FirstSeq != prev.FirstSeq+uint64(len(prev.Values)/sl) {
 					t.Fatalf("record %d breaks contiguity", i)
 				}
+			} else if bound && r.FirstSeq != bind.BaseCount {
+				t.Fatalf("bound log starts at %d, base has %d", r.FirstSeq, bind.BaseCount)
 			}
 		}
 		l1.Close()
-		// Idempotence: the repaired file recovers identically.
-		l2, recs2, err := Open(path, sl, SyncAlways, 0)
+		// Idempotence: the repaired file recovers identically, and no
+		// further repair is pending.
+		repaired, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l2, recs2, err := Recover(path, sl, b, SyncAlways, 0)
 		if err != nil {
 			t.Fatalf("reopen of repaired log failed: %v", err)
 		}
+		if err := l2.Repair(); err != nil {
+			t.Fatalf("second Repair: %v", err)
+		}
 		defer l2.Close()
+		if again, _ := os.ReadFile(path); !bytes.Equal(again, repaired) || l2.Size() != int64(len(repaired)) {
+			t.Fatalf("repaired log of %d bytes was repaired again (Size %d)", len(repaired), l2.Size())
+		}
 		if len(recs2) != len(recs) {
 			t.Fatalf("reopen recovered %d records, first pass %d", len(recs2), len(recs))
 		}
@@ -485,11 +518,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		// CRC integrity: any record the replay applied must carry a valid
 		// frame in the repaired file.
-		repaired, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		off := int64(headerLen)
+		off := int64(hdr)
 		for i := range recs2 {
 			plen := binary.LittleEndian.Uint32(repaired[off:])
 			payload := repaired[off+4 : off+4+int64(plen)]

@@ -201,9 +201,11 @@ func WithIndexDir(dir string) Option { return func(c *config) { c.indexDir = dir
 
 // WithIngestDir enables durable live ingestion: Engine.Append logs every
 // batch to a write-ahead log in dir before applying it, Engine.Checkpoint
-// folds the log into a checkpoint file there, and the constructors replay
-// checkpoint + log on startup, so an acked append survives kill -9 at any
-// byte boundary. The method must support incremental inserts (UCR-Suite,
+// folds the log into an append-only checkpoint log there, and the
+// constructors replay checkpoint log + write-ahead log on startup, so an
+// acked append survives kill -9 at any byte boundary. A directory written
+// over other data, or damaged beyond a torn tail, fails the constructor
+// (ErrIngestMismatch, ErrIngestCorrupt) and is left untouched. The method must support incremental inserts (UCR-Suite,
 // ADS+, iSAX2+, DSTree — see ErrIngestUnsupported) and the engine must not
 // be sharded. See ARCHITECTURE.md §10 for the durability contract.
 func WithIngestDir(dir string) Option { return func(c *config) { c.ingestDir = dir } }
