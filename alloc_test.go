@@ -18,9 +18,9 @@ import (
 const queryAllocBudget = 2.0
 
 // TestQueryAllocBudget pins the steady-state allocations per query of every
-// method whose full KNN path runs on pooled scratch. Methods whose query
-// setup still allocates (SFA and VA+file pay DFT feature extraction) are
-// tracked by BenchmarkQueryAllocs instead of gated here.
+// method whose full KNN path runs on pooled scratch — SFA and the VA+file
+// included, whose DFT feature extraction runs in the query's scratch (a
+// power-of-two series length transforms without allocating).
 func TestQueryAllocBudget(t *testing.T) {
 	if raceEnabled {
 		// The race detector's instrumentation allocates, and sync.Pool
@@ -30,7 +30,7 @@ func TestQueryAllocBudget(t *testing.T) {
 	}
 	ds := dataset.RandomWalk(2000, 256, 42)
 	queries := dataset.SynthRand(8, 256, 7).Queries
-	for _, name := range []string{"UCR-Suite", "ADS+", "iSAX2+", "DSTree"} {
+	for _, name := range []string{"UCR-Suite", "ADS+", "iSAX2+", "DSTree", "SFA", "VA+file"} {
 		t.Run(name, func(t *testing.T) {
 			m, err := core.New(name, core.Options{LeafSize: 64})
 			if err != nil {
@@ -59,6 +59,50 @@ func TestQueryAllocBudget(t *testing.T) {
 				t.Errorf("%s: %.2f allocs per steady-state query, budget %.0f", name, avg, queryAllocBudget)
 			}
 		})
+	}
+}
+
+// TestBuildWorkBudget is the construction-side gate: counts, not seconds, so
+// it holds on any host. It pins that the CPU-bound builds do each piece of
+// work once — the M-tree computes one samples × entries distance matrix per
+// split (820 distances per series when every promotion pair recomputed its
+// 2 × entries distances), and DSTree, SFA and the VA+file run out of build
+// scratch instead of allocating per insert, per tree level and per transform
+// (84, 10.5 and 5 allocations per series when they did).
+func TestBuildWorkBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budget is measured without the race detector")
+	}
+	ds := dataset.RandomWalk(4000, 128, 42)
+	build := func(name string) core.Method {
+		m, err := core.New(name, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Build(core.NewCollection(ds)); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	const distCeiling = 100 // 74 when recorded
+	calcs := build("M-tree").(interface{ BuildDistCalcs() int64 }).BuildDistCalcs()
+	if perSeries := float64(calcs) / float64(ds.Len()); perSeries > distCeiling {
+		t.Errorf("M-tree: %.1f construction distances per series, ceiling %d", perSeries, distCeiling)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		ceiling float64 // allocations per series
+	}{
+		{"DSTree", 3},  // 1.6 when recorded: node synopses and member lists
+		{"SFA", 3},     // 1.5: trie nodes
+		{"VA+file", 2}, // 1.0: vaq.Encode's code slice
+	} {
+		perSeries := testing.AllocsPerRun(2, func() { build(tc.name) }) / float64(ds.Len())
+		if perSeries > tc.ceiling {
+			t.Errorf("%s: %.2f allocations per series built, ceiling %.0f", tc.name, perSeries, tc.ceiling)
+		}
 	}
 }
 

@@ -191,23 +191,36 @@ func BenchmarkAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkMethods_Build measures raw index construction per method
-// (CPU only; simulated I/O is counted, not performed).
+// BenchmarkMethods_Build measures raw index construction per method (CPU
+// only; simulated I/O is counted, not performed) at two shapes: the small
+// one the other per-method benchmarks share, whose large leaves split a
+// quarter as often per series, and the benchmark's tree-exact shape —
+// 10 000 × 256 with default options — where split cost dominates.
 func BenchmarkMethods_Build(b *testing.B) {
-	ds := dataset.RandomWalk(4000, 128, 42)
-	for _, name := range core.Names() {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m, err := core.New(name, core.Options{LeafSize: 64})
-				if err != nil {
-					b.Fatal(err)
+	for _, shape := range []struct {
+		n, length int
+		opts      core.Options
+	}{
+		{4000, 128, core.Options{LeafSize: 64}},
+		{10000, 256, core.Options{}},
+	} {
+		ds := dataset.RandomWalk(shape.n, shape.length, 42)
+		for _, name := range core.Names() {
+			name := name
+			b.Run(fmt.Sprintf("%dx%d/%s", shape.n, shape.length, name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					m, err := core.New(name, shape.opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := m.Build(core.NewCollection(ds)); err != nil {
+						b.Fatal(err)
+					}
 				}
-				if err := m.Build(core.NewCollection(ds)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+				b.ReportMetric(float64(shape.n)*float64(b.N)/b.Elapsed().Seconds(), "series/s")
+			})
+		}
 	}
 }
 

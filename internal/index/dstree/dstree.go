@@ -11,8 +11,16 @@
 //
 // ranked by a quality-of-split heuristic that favours the largest reduction
 // of the node's summarization ranges. This data-adaptive clustering is what
-// makes DSTree queries fast and its index construction CPU-heavy, the
-// trade-off at the heart of the paper's findings.
+// makes DSTree queries fast and its construction the most CPU-heavy of the
+// summarization trees, the trade-off at the heart of the paper's findings.
+//
+// What construction costs: an insert computes the series' prefix sums once
+// and one synopsis per level it descends, in the index's build scratch. A
+// split of a leaf with m members under k segments computes the members'
+// (mean, std) on the refined basis (at most 2k segments) once, then scores
+// each of its at most 6k candidates by one pass of comparisons over those
+// values — candidates × refined segments × members comparisons, nothing
+// recomputed per candidate and nothing allocated but the two children.
 //
 // The lower/upper bounds use the per-segment reverse/forward triangle
 // inequalities (see package eapca).
@@ -27,6 +35,7 @@ import (
 	"hydra/internal/series"
 	"hydra/internal/simd"
 	"hydra/internal/stats"
+	"hydra/internal/storage"
 	"hydra/internal/transform/eapca"
 )
 
@@ -74,6 +83,8 @@ type Index struct {
 	// hOnly disables vertical splits (ablation of the paper's
 	// "data-adaptive partitioning" discussion, §5).
 	hOnly bool
+	// build is the working state of insert and split (see buildScratch).
+	build buildScratch
 }
 
 // New creates a DSTree.
@@ -190,10 +201,12 @@ func (nd *node) route(p eapca.Prefix) int {
 }
 
 func (ix *Index) insert(id int) {
-	p := eapca.NewPrefix(ix.c.File.Peek(id))
+	sc := &ix.build
+	raw := ix.c.File.Peek(id)
+	p := eapca.NewPrefixInto(raw, sc.floats(&sc.prefix, 2*(len(raw)+1)))
 	nd := ix.root
 	for {
-		nd.update(eapca.Compute(p, nd.ends))
+		nd.update(eapca.ComputeInto(p, nd.ends, sc.floats(&sc.syn, 2*len(nd.ends))))
 		if nd.isLeaf {
 			break
 		}
@@ -206,15 +219,72 @@ func (ix *Index) insert(id int) {
 	}
 }
 
+// buildScratch is the reusable working state of insert and split. Build is
+// single-threaded and Insert runs under the engine's writer lock, so one
+// scratch on the Index serves every insert; queries never touch it (their
+// buffers come from the scratch pool). Buffers grow on demand and are never
+// shrunk.
+type buildScratch struct {
+	prefix []float64 // insert: the series' prefix sums
+	syn    []float64 // insert/apply: one series' synopsis under one node's segmentation
+
+	// split: the overflowing leaf's members, by position in nd.members.
+	prefixBuf []float64      // backing of prefixes
+	prefixes  []eapca.Prefix // prefix sums of every member
+	// means and stds hold every member's (mean, std) on the split's refined
+	// basis, segment-major: segment j's values at [j*m, (j+1)*m).
+	means, stds []float64
+	// hMean and hStd hold the members' values on the one segment a
+	// horizontal candidate splits (a vertical candidate's sub-segment is a
+	// basis segment, so its values are read from means/stds directly).
+	hMean, hStd []float64
+	// side marks the members the candidate under evaluation sends to the
+	// right child; bestSide is the winner's copy.
+	side, bestSide []bool
+}
+
+// floats returns *buf resized to n values, growing it when needed.
+func (sc *buildScratch) floats(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// load computes the prefix sums of every member and their (mean, std) on
+// the basis segmentation.
+func (sc *buildScratch) load(f *storage.SeriesFile, members, basis []int) {
+	m, stride := len(members), 2*(f.SeriesLen()+1)
+	buf := sc.floats(&sc.prefixBuf, m*stride)
+	sc.prefixes = sc.prefixes[:0]
+	for i, id := range members {
+		sc.prefixes = append(sc.prefixes, eapca.NewPrefixInto(f.Peek(id), buf[i*stride:(i+1)*stride]))
+	}
+	means := sc.floats(&sc.means, len(basis)*m)
+	stds := sc.floats(&sc.stds, len(basis)*m)
+	lo := 0
+	for j, hi := range basis {
+		for i, p := range sc.prefixes {
+			means[j*m+i], stds[j*m+i] = p.MeanStd(lo, hi)
+		}
+		lo = hi
+	}
+	if cap(sc.side) < m {
+		sc.side, sc.bestSide = make([]bool, m), make([]bool, m)
+	}
+	sc.side, sc.bestSide = sc.side[:m], sc.bestSide[:m]
+}
+
 // candidate describes one possible split of a leaf.
 type candidate struct {
-	ends     []int // child segmentation
-	seg      int   // segment index in ends
-	on       splitKind
-	val      float64
-	quality  float64
-	leftIDs  []int
-	rightIDs []int
+	// vseg is the segment of the leaf's segmentation a vertical split
+	// halves, -1 for a horizontal split.
+	vseg    int
+	seg     int // split segment in the children's segmentation
+	on      splitKind
+	val     float64
+	quality float64
 }
 
 // split evaluates horizontal and vertical candidates and applies the best.
@@ -226,86 +296,123 @@ type candidate struct {
 // noise would measure as "perfectly tight" while hiding all within-segment
 // variance — exactly the degenerate behaviour the DSTree's QoS formulation
 // avoids by accounting for variance inside segments.
+//
+// The members' values on that basis are the same for every candidate, so
+// they are computed once (buildScratch.load); a candidate then costs one
+// comparison pass over them, and only the winner is materialized.
 func (ix *Index) split(nd *node) {
-	members := nd.members
-	prefixes := make([]eapca.Prefix, len(members))
-	for i, id := range members {
-		prefixes[i] = eapca.NewPrefix(ix.c.File.Peek(id))
-	}
-	evalEnds := refineAll(nd.ends)
+	sc := &ix.build
+	basis := refineAll(nd.ends)
+	sc.load(ix.c.File, nd.members, basis)
 
-	var best *candidate
-	consider := func(cand *candidate) {
-		if cand == nil {
+	var best candidate
+	found := false
+	ix.candidates(nd, func(cand candidate, vals []float64) {
+		var ok bool
+		if cand.val, cand.quality, ok = sc.evaluate(vals, basis); !ok {
 			return
 		}
-		if best == nil || cand.quality < best.quality {
-			best = cand
+		if !found || cand.quality < best.quality {
+			best, found = cand, true
+			copy(sc.bestSide, sc.side)
 		}
-	}
-
-	// Horizontal splits on the node's own segmentation.
-	for s := range nd.ends {
-		consider(ix.evaluate(nd.ends, s, splitMean, members, prefixes, evalEnds))
-		consider(ix.evaluate(nd.ends, s, splitStd, members, prefixes, evalEnds))
-	}
-	if ix.hOnly {
-		if best == nil {
-			return
-		}
-		ix.apply(nd, best)
-		return
-	}
-	// Vertical splits: subdivide each wide-enough segment, then split on
-	// either sub-segment.
-	for s := range nd.ends {
-		lo := 0
-		if s > 0 {
-			lo = nd.ends[s-1]
-		}
-		hi := nd.ends[s]
-		if hi-lo < 2 {
-			continue
-		}
-		mid := (lo + hi) / 2
-		refined := make([]int, 0, len(nd.ends)+1)
-		refined = append(refined, nd.ends[:s]...)
-		refined = append(refined, mid)
-		refined = append(refined, nd.ends[s:]...)
-		for _, sub := range []int{s, s + 1} {
-			consider(ix.evaluate(refined, sub, splitMean, members, prefixes, evalEnds))
-			consider(ix.evaluate(refined, sub, splitStd, members, prefixes, evalEnds))
-		}
-	}
-	if best == nil {
+	})
+	if !found {
 		return // indistinguishable members: oversized leaf allowed
 	}
 	ix.apply(nd, best)
 }
 
-// apply turns leaf nd into an internal node according to the chosen split.
-func (ix *Index) apply(nd *node, best *candidate) {
+// candidates calls yield for every candidate split of leaf nd, whose members
+// the scratch holds (buildScratch.load), together with the members' values
+// on the segment the candidate thresholds. The order is the ranking order:
+// of two candidates of equal quality the earlier one wins.
+func (ix *Index) candidates(nd *node, yield func(cand candidate, vals []float64)) {
+	sc := &ix.build
+	m := len(nd.members)
+
+	// Horizontal splits on the node's own segmentation.
+	hMean, hStd := sc.floats(&sc.hMean, m), sc.floats(&sc.hStd, m)
+	lo := 0
+	for s, hi := range nd.ends {
+		for i, p := range sc.prefixes {
+			hMean[i], hStd[i] = p.MeanStd(lo, hi)
+		}
+		yield(candidate{vseg: -1, seg: s, on: splitMean}, hMean)
+		yield(candidate{vseg: -1, seg: s, on: splitStd}, hStd)
+		lo = hi
+	}
+	if ix.hOnly {
+		return
+	}
+	// Vertical splits: subdivide each wide-enough segment, then split on
+	// either sub-segment — basis segments j and j+1, whose values load
+	// already holds.
+	lo, j := 0, 0
+	for s, hi := range nd.ends {
+		if hi-lo < 2 {
+			lo, j = hi, j+1
+			continue
+		}
+		for sub := 0; sub < 2; sub++ {
+			row := (j + sub) * m
+			yield(candidate{vseg: s, seg: s + sub, on: splitMean}, sc.means[row:row+m])
+			yield(candidate{vseg: s, seg: s + sub, on: splitStd}, sc.stds[row:row+m])
+		}
+		lo, j = hi, j+2
+	}
+}
+
+// apply turns leaf nd into an internal node according to the chosen split,
+// handing each member (with the prefix sums split already holds) to the
+// child sc.bestSide names, in member order.
+func (ix *Index) apply(nd *node, best candidate) {
+	sc := &ix.build
+	ends := childEnds(nd.ends, best.vseg)
+	members := nd.members
 	nd.isLeaf = false
 	nd.members = nil
 	nd.splitSeg = best.seg
 	nd.splitOn = best.on
 	nd.splitVal = best.val
 	ix.numLeaves--
-	for b, ids := range [][]int{best.leftIDs, best.rightIDs} {
-		child := newNode(best.ends, nd.depth+1)
-		nd.children[b] = child
+	for b := range nd.children {
+		nd.children[b] = newNode(ends, nd.depth+1)
 		ix.numNodes++
 		ix.numLeaves++
-		for _, id := range ids {
-			child.update(eapca.Compute(eapca.NewPrefix(ix.c.File.Peek(id)), child.ends))
-			child.members = append(child.members, id)
-		}
 	}
+	for i, id := range members {
+		child := nd.children[0]
+		if sc.bestSide[i] {
+			child = nd.children[1]
+		}
+		child.update(eapca.ComputeInto(sc.prefixes[i], ends, sc.floats(&sc.syn, 2*len(ends))))
+		child.members = append(child.members, id)
+	}
+	// The scratch is free again: a child that still overflows (possible
+	// only under an oversized, previously unsplittable leaf) reuses it.
 	for _, child := range nd.children {
 		if len(child.members) > ix.opts.LeafSize {
 			ix.split(child)
 		}
 	}
+}
+
+// childEnds returns the segmentation the children of a split inherit: a
+// copy of the leaf's, with segment vseg halved when the split is vertical
+// (vseg >= 0).
+func childEnds(ends []int, vseg int) []int {
+	out := make([]int, 0, len(ends)+1)
+	if vseg < 0 {
+		return append(out, ends...)
+	}
+	lo := 0
+	if vseg > 0 {
+		lo = ends[vseg-1]
+	}
+	out = append(out, ends[:vseg]...)
+	out = append(out, (lo+ends[vseg])/2)
+	return append(out, ends[vseg:]...)
 }
 
 // refineAll halves every segment of width >= 2, producing the common
@@ -323,97 +430,78 @@ func refineAll(ends []int) []int {
 	return out
 }
 
-// evaluate builds the candidate split of the given kind on segment seg of
-// segmentation ends, with the threshold at the middle of the members' value
-// range. Candidate quality is measured on evalEnds. Returns nil when the
-// split cannot separate the members.
-func (ix *Index) evaluate(ends []int, seg int, on splitKind, members []int, prefixes []eapca.Prefix, evalEnds []int) *candidate {
-	lo := 0
-	if seg > 0 {
-		lo = ends[seg-1]
-	}
-	hi := ends[seg]
-
-	vals := make([]float64, len(members))
-	min, max := math.Inf(1), math.Inf(-1)
-	for i := range members {
-		mean, std := prefixes[i].MeanStd(lo, hi)
-		v := mean
-		if on == splitStd {
-			v = std
-		}
-		vals[i] = v
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	if !(max > min) {
-		return nil
-	}
-	threshold := (min + max) / 2
-
-	cand := &candidate{ends: append([]int{}, ends...), seg: seg, on: on, val: threshold}
-	for i, id := range members {
-		if vals[i] <= threshold {
-			cand.leftIDs = append(cand.leftIDs, id)
-		} else {
-			cand.rightIDs = append(cand.rightIDs, id)
-		}
-	}
-	if len(cand.leftIDs) == 0 || len(cand.rightIDs) == 0 {
-		return nil
-	}
-
-	// Quality: member-weighted sum of the children's summarization ranges,
-	// measured on the common basis (smaller ranges = tighter bounds =
-	// better clustering).
-	var q float64
-	for _, side := range [][]int{cand.leftIDs, cand.rightIDs} {
-		q += float64(len(side)) * ix.rangeQoS(evalEnds, side, prefixes, members)
-	}
-	cand.quality = q / float64(len(members))
-	return cand
-}
-
-// rangeQoS measures how loosely a segmentation summarizes the given members:
+// evaluate scores the candidate that splits the members on vals (one value
+// per member) at the middle of their range: it returns that threshold and
+// the candidate's quality, and leaves the members' sides in sc.side. ok is
+// false when the split cannot separate the members.
+//
+// Quality is the member-weighted sum of the two children's summarization
+// ranges on the common basis (smaller ranges = tighter bounds = better
+// clustering), a child's range being
 // Σ_seg w·((maxMean−minMean)² + (maxStd−minStd)² + maxStd²). The maxStd²
 // term charges the variance remaining inside segments, which is what makes
-// vertical splits (finer segmentations) pay off.
-func (ix *Index) rangeQoS(ends []int, side []int, prefixes []eapca.Prefix, members []int) float64 {
-	pos := make(map[int]int, len(members))
-	for i, id := range members {
-		pos[id] = i
-	}
-	var total float64
-	lo := 0
-	for _, hi := range ends {
-		minM, maxM := math.Inf(1), math.Inf(-1)
-		minS, maxS := math.Inf(1), math.Inf(-1)
-		for _, id := range side {
-			mean, std := prefixes[pos[id]].MeanStd(lo, hi)
-			if mean < minM {
-				minM = mean
-			}
-			if mean > maxM {
-				maxM = mean
-			}
-			if std < minS {
-				minS = std
-			}
-			if std > maxS {
-				maxS = std
-			}
+// vertical splits (finer segmentations) pay off. Scoring is one pass of
+// comparisons over the basis values load computed: candidates × basis
+// segments × members, nothing recomputed.
+func (sc *buildScratch) evaluate(vals []float64, basis []int) (threshold, quality float64, ok bool) {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range vals {
+		if v < lo {
+			lo = v
 		}
-		w := float64(hi - lo)
-		dm := maxM - minM
-		ds := maxS - minS
-		total += w * (dm*dm + ds*ds + maxS*maxS)
-		lo = hi
+		if v > hi {
+			hi = v
+		}
 	}
-	return total
+	if !(hi > lo) {
+		return 0, 0, false
+	}
+	threshold = (lo + hi) / 2
+	m := len(vals)
+	side := sc.side[:m]
+	var count [2]int
+	for i, v := range vals {
+		side[i] = !(v <= threshold)
+		if side[i] {
+			count[1]++
+		}
+	}
+	count[0] = m - count[1]
+	if count[0] == 0 || count[1] == 0 {
+		return 0, 0, false
+	}
+
+	var total [2]float64
+	start := 0
+	for j, end := range basis {
+		means, stds := sc.means[j*m:(j+1)*m], sc.stds[j*m:(j+1)*m]
+		minM := [2]float64{math.Inf(1), math.Inf(1)}
+		maxM := [2]float64{math.Inf(-1), math.Inf(-1)}
+		minS, maxS := minM, maxM
+		for i, right := range side {
+			b := 0
+			if right {
+				b = 1
+			}
+			mean, std := means[i], stds[i]
+			minM[b] = min(minM[b], mean)
+			maxM[b] = max(maxM[b], mean)
+			minS[b] = min(minS[b], std)
+			maxS[b] = max(maxS[b], std)
+		}
+		w := float64(end - start)
+		for b := range total {
+			dm := maxM[b] - minM[b]
+			ds := maxS[b] - minS[b]
+			total[b] += w * (dm*dm + ds*ds + maxS[b]*maxS[b])
+		}
+		start = end
+	}
+	var q float64
+	for b := range total {
+		q += float64(count[b]) * total[b]
+	}
+	return threshold, q / float64(m), true
 }
 
 // lbWith returns the squared lower-bounding distance between the query (as

@@ -9,7 +9,11 @@
 // Node splits use mM_RAD promotion over a bounded sample of candidate pairs
 // (the original implementation's sampling strategy: "chooses the number of
 // initial samples based on the leaf size, minimum utilization, and dataset
-// size"), with generalized-hyperplane partitioning.
+// size"), with generalized-hyperplane partitioning. A split computes each
+// distance it needs once: one samples × entries matrix (samples <
+// 2·maxPromotionSamples, see promotionStep) scores every candidate pair and
+// partitions the node with the winning pair's rows, so promotion costs
+// samples × entries distances per split, not 2 × entries per pair.
 package mtree
 
 import (
@@ -27,8 +31,23 @@ func init() {
 	core.Register("M-tree", func(opts core.Options) core.Method { return New(opts) })
 }
 
-// maxPromotionSamples bounds the O(pairs²) split cost.
+// maxPromotionSamples is the target number of promotion candidates per
+// split, not a hard bound: candidates are taken every promotionStep entries,
+// and the integer step leaves between maxPromotionSamples and
+// 2·maxPromotionSamples−1 of them (17 at the default capacity's 17-entry
+// overflow, 23 at 23 entries, 12 again at 24). The rule is part of every
+// built tree, so it stays as it is.
 const maxPromotionSamples = 12
+
+// promotionStep returns the stride between promotion candidates in a node
+// of the given number of entries, and how many candidates that stride yields.
+func promotionStep(entries int) (step, samples int) {
+	step = 1
+	if entries > maxPromotionSamples {
+		step = entries / maxPromotionSamples
+	}
+	return step, (entries + step - 1) / step
+}
 
 type entry struct {
 	id           int     // object id (routing or data)
@@ -56,6 +75,11 @@ type Index struct {
 	// distCalcsBuild counts construction-time distance computations (the
 	// dominant cost of the M-tree).
 	distCalcsBuild int64
+	// promo is the split's samples × entries distance matrix, reused across
+	// splits (construction is single-threaded).
+	promo []float64
+	// pool lends each query the buffer of its early-abandoning order.
+	pool core.ScratchPool
 }
 
 // New creates an M-tree.
@@ -104,7 +128,9 @@ func (ix *Index) insert(id int) {
 	}
 	var path []pathStep
 	n := ix.root
-	parentObj := -1
+	// dp is the distance to the routing object chosen one level up — the
+	// new entry's distToParent once the descent reaches a leaf.
+	var dp float64
 	for !n.leaf {
 		best, bestKey := -1, math.Inf(1)
 		needsEnlarge := true
@@ -113,27 +139,22 @@ func (ix *Index) insert(id int) {
 			d := ix.dist(id, e.id)
 			if d <= e.radius {
 				if needsEnlarge || d < bestKey {
-					best, bestKey = i, d
+					best, bestKey, dp = i, d, d
 				}
 				needsEnlarge = false
 			} else if needsEnlarge {
 				enl := d - e.radius
 				if enl < bestKey {
-					best, bestKey = i, enl
+					best, bestKey, dp = i, enl, d
 				}
 			}
 		}
 		e := &n.entries[best]
-		if d := ix.dist(id, e.id); d > e.radius {
-			e.radius = d
+		if dp > e.radius {
+			e.radius = dp
 		}
 		path = append(path, pathStep{n: n, entryIdx: best})
-		parentObj = e.id
 		n = e.child
-	}
-	var dp float64
-	if parentObj >= 0 {
-		dp = ix.dist(id, parentObj)
 	}
 	n.entries = append(n.entries, entry{id: id, distToParent: dp})
 
@@ -153,60 +174,77 @@ func (ix *Index) insert(id int) {
 	}
 }
 
-// partitionRadii computes the two covering radii that would result from
-// promoting (o1, o2) and assigning each entry to the nearer object.
-func (ix *Index) partitionRadii(entries []entry, o1, o2 int) (r1, r2 float64) {
-	for _, e := range entries {
-		d1, d2 := ix.dist(e.id, o1), ix.dist(e.id, o2)
-		ext := e.radius // 0 for data entries
+// promotionRow returns row s of the split's distance matrix for a node of
+// the given number of entries.
+func (ix *Index) promotionRow(s, entries int) []float64 {
+	return ix.promo[s*entries : (s+1)*entries]
+}
+
+// pairRadii computes the two covering radii that would result from
+// promoting the objects whose distance rows are d1s and d2s and assigning
+// each entry to the nearer one.
+func pairRadii(entries []entry, d1s, d2s []float64) (r1, r2 float64) {
+	for e := range entries {
+		d1, d2 := d1s[e], d2s[e]
+		ext := entries[e].radius // 0 for data entries
 		if d1 <= d2 {
-			r1 = math.Max(r1, d1+ext)
+			r1 = max(r1, d1+ext)
 		} else {
-			r2 = math.Max(r2, d2+ext)
+			r2 = max(r2, d2+ext)
 		}
 	}
 	return r1, r2
+}
+
+// promote picks the routing objects of a split by mM_RAD over the sampled
+// pairs — the pair minimizing the larger of its two covering radii — and
+// returns their entry indices and distance rows. It fills the distance
+// matrix first: row s holds the distance from every entry to promotion
+// candidate s, which is entry s·step.
+func (ix *Index) promote(entries []entry) (i1, i2 int, d1s, d2s []float64) {
+	n := len(entries)
+	step, samples := promotionStep(n)
+	if cap(ix.promo) < samples*n {
+		ix.promo = make([]float64, samples*n)
+	}
+	for s := 0; s < samples; s++ {
+		row, o := ix.promotionRow(s, n), entries[s*step].id
+		for e := range entries {
+			row[e] = ix.dist(entries[e].id, o)
+		}
+	}
+	bestI, bestJ, bestRad := 0, 1, math.Inf(1)
+	for i := 0; i < samples; i++ {
+		for j := i + 1; j < samples; j++ {
+			r1, r2 := pairRadii(entries, ix.promotionRow(i, n), ix.promotionRow(j, n))
+			if m := max(r1, r2); m < bestRad {
+				bestI, bestJ, bestRad = i, j, m
+			}
+		}
+	}
+	return bestI * step, bestJ * step, ix.promotionRow(bestI, n), ix.promotionRow(bestJ, n)
 }
 
 // split partitions node n, replacing its parent entry with two routing
 // entries. Returns the parent if it now overflows, nil otherwise.
 func (ix *Index) split(n *node, parent *node, parentEntry int) *node {
 	entries := n.entries
-
-	// mM_RAD promotion over a bounded sample: pick the pair minimizing the
-	// larger of the two covering radii.
-	step := 1
-	if len(entries) > maxPromotionSamples {
-		step = len(entries) / maxPromotionSamples
-	}
-	bestI, bestJ, bestRad := 0, 1, math.Inf(1)
-	for i := 0; i < len(entries); i += step {
-		for j := i + step; j < len(entries); j += step {
-			r1, r2 := ix.partitionRadii(entries, entries[i].id, entries[j].id)
-			if m := math.Max(r1, r2); m < bestRad {
-				bestI, bestJ, bestRad = i, j, m
-			}
-		}
-	}
-	o1, o2 := entries[bestI].id, entries[bestJ].id
+	i1, i2, d1s, d2s := ix.promote(entries)
+	o1, o2 := entries[i1].id, entries[i2].id
 
 	left := &node{leaf: n.leaf, depth: n.depth, routingObj: o1}
 	right := &node{leaf: n.leaf, depth: n.depth, routingObj: o2}
 	var r1, r2 float64
-	for _, e := range entries {
-		d1, d2 := ix.dist(e.id, o1), ix.dist(e.id, o2)
-		ext := 0.0
-		if !n.leaf {
-			ext = e.radius
-		}
+	for i, e := range entries {
+		d1, d2 := d1s[i], d2s[i]
 		if d1 <= d2 {
 			e.distToParent = d1
 			left.entries = append(left.entries, e)
-			r1 = math.Max(r1, d1+ext)
+			r1 = max(r1, d1+e.radius)
 		} else {
 			e.distToParent = d2
 			right.entries = append(right.entries, e)
-			r2 = math.Max(r2, d2+ext)
+			r2 = max(r2, d2+e.radius)
 		}
 	}
 
@@ -266,11 +304,10 @@ func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match,
 	if len(q) != ix.c.File.SeriesLen() {
 		return nil, qs, fmt.Errorf("mtree: query length %d, collection length %d", len(q), ix.c.File.SeriesLen())
 	}
+	sc := ix.pool.Get()
+	defer ix.pool.Put(sc)
+	ord := sc.Order(q)
 	set := core.NewKNNSet(k)
-	distQ := func(id int) float64 {
-		qs.DistCalcs++
-		return series.Dist(q, ix.c.File.Peek(id))
-	}
 
 	h := &pq{}
 	heap.Push(h, pqItem{n: ix.root, lb: 0})
@@ -296,12 +333,18 @@ func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match,
 					continue
 				}
 			}
-			d := distQ(e.id)
+			qs.DistCalcs++
+			obj := ix.c.File.Peek(e.id)
 			if e.child == nil {
+				// Data entries are refined like every other exact path, so
+				// the reported distances carry the scan's bits; only routing
+				// objects need the full distance (the triangle inequality
+				// has no use for an abandoned partial sum).
 				qs.RawSeriesExamined++
-				set.Add(e.id, d*d)
+				set.Add(e.id, series.SquaredDistEAOrderedBlocked(q, obj, ord, set.Bound()))
 				continue
 			}
+			d := series.Dist(q, obj)
 			lb := d - e.radius
 			if lb < 0 {
 				lb = 0

@@ -160,8 +160,40 @@ func TestBuildDistCalcsTracked(t *testing.T) {
 	if ix.BuildDistCalcs() == 0 {
 		t.Errorf("construction distance computations not tracked")
 	}
+	// A split computes one samples × entries matrix, not 2 × entries
+	// distances per candidate pair (162 distances per series on this
+	// collection); the descent adds one per routing entry passed.
+	if perSeries := float64(ix.BuildDistCalcs()) / float64(ds.Len()); perSeries > 60 {
+		t.Errorf("%.1f construction distances per series, ceiling 60 (48 when recorded)", perSeries)
+	}
 	ts := ix.TreeStats()
 	if ts.LeafNodes == 0 || len(ts.FillFactors) != ts.LeafNodes {
 		t.Errorf("TreeStats inconsistent: %+v", ts)
+	}
+}
+
+// TestPromotionSampleCounts pins the sampling rule every built tree depends
+// on: maxPromotionSamples is a target, and the integer stride yields up to
+// 2·maxPromotionSamples−1 candidates — exactly the entries the historical
+// loop "for i := 0; i < len; i += step" visits.
+func TestPromotionSampleCounts(t *testing.T) {
+	for _, tc := range []struct{ entries, step, samples int }{
+		{2, 1, 2}, {12, 1, 12}, {13, 1, 13}, {17, 1, 17}, {23, 1, 23},
+		{24, 2, 12}, {25, 2, 13}, {48, 4, 12},
+	} {
+		step, samples := promotionStep(tc.entries)
+		if step != tc.step || samples != tc.samples {
+			t.Errorf("%d entries: step %d samples %d, want %d and %d", tc.entries, step, samples, tc.step, tc.samples)
+		}
+		visited := 0
+		for i := 0; i < tc.entries; i += step {
+			visited++
+		}
+		if visited != samples {
+			t.Errorf("%d entries: the stride visits %d candidates, promotionStep says %d", tc.entries, visited, samples)
+		}
+		if samples > 2*maxPromotionSamples-1 {
+			t.Errorf("%d entries: %d candidates exceed 2·maxPromotionSamples−1", tc.entries, samples)
+		}
 	}
 }

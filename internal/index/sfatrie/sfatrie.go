@@ -100,8 +100,11 @@ func (ix *Index) Build(c *core.Collection) error {
 	if ix.opts.SFAEquiWidth {
 		binning = sfa.EquiWidth
 	}
+	// One pass computes every series' features; the MCB breakpoints are
+	// learned from the sampled rows of that same array.
 	c.File.ChargeFullScan()
-	t, err := sfa.Train(c.Data.Series, c.File.SeriesLen(), sfa.Options{
+	n := c.File.Len()
+	t, feats, err := sfa.TrainAll(n, c.File.Peek, c.File.SeriesLen(), sfa.Options{
 		Dims:       ix.opts.Segments,
 		Alphabet:   ix.opts.SFAAlphabet,
 		Binning:    binning,
@@ -110,15 +113,12 @@ func (ix *Index) Build(c *core.Collection) error {
 	if err != nil {
 		return fmt.Errorf("sfatrie: %w", err)
 	}
-	ix.xform = t
+	ix.xform, ix.feats = t, feats
 
-	n := c.File.Len()
 	d := t.Dims()
-	ix.feats = make([]float64, n*d)
 	ix.words = make([]uint8, n*d)
 	for i := 0; i < n; i++ {
-		copy(ix.feat(i), t.Features(c.File.Peek(i)))
-		copy(ix.word(i), t.Word(ix.feat(i)))
+		t.WordInto(ix.feat(i), ix.word(i))
 	}
 
 	ix.root = &node{children: map[uint8]*node{}}
@@ -252,8 +252,8 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 	}
 	sc := ix.pool.Get()
 	defer ix.pool.Put(sc)
-	qf := ix.xform.Features(q)
-	qw := ix.xform.Word(qf)
+	qf := ix.xform.FeaturesInto(q, sc.Summary(ix.xform.Dims()), sc.Complex(len(q)))
+	qw := ix.xform.WordInto(qf, sc.Word(len(qf)))
 	ord := sc.Order(q)
 	set := sc.KNN(k)
 	pr := core.NewQueryPruner(ix.c, q, spec, &qs)

@@ -81,9 +81,12 @@ func (ix *Index) Build(c *core.Collection) error {
 
 	// One sequential pass over the raw file to compute features.
 	c.File.ChargeFullScan()
+	d := ix.xform.Dims()
+	flat := make([]float64, c.File.Len()*d)
+	buf := make([]complex128, n)
 	feats := make([][]float64, c.File.Len())
-	for i := 0; i < c.File.Len(); i++ {
-		feats[i] = ix.xform.Apply(c.File.Peek(i))
+	for i := range feats {
+		feats[i] = ix.xform.ApplyInto(c.File.Peek(i), flat[i*d:(i+1)*d:(i+1)*d], buf)
 	}
 
 	// Train on a sample (all, if SampleSize is 0 or larger than N).
@@ -155,7 +158,7 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 	}
 	sc := ix.pool.Get()
 	defer ix.pool.Put(sc)
-	qf := ix.xform.Apply(q)
+	qf := ix.xform.ApplyInto(q, sc.Summary(ix.xform.Dims()), sc.Complex(len(q)))
 	ord := sc.Order(q)
 	pr := core.NewQueryPruner(ix.c, q, spec, &qs)
 

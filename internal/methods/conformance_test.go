@@ -105,6 +105,48 @@ func TestExactnessAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// TestRefinedAnswersBitIdenticalToScan: every method that refines candidates
+// on raw series runs the one reordered early-abandoning kernel, so its
+// answers carry the UCR-Suite scan's IDs and distance bits — the M-tree
+// included, which used to square a square root over a plain-order sum.
+// (core.BruteForceKNN sums in series order and differs from all of them in
+// the last place; MASS derives distances from a convolution.)
+func TestRefinedAnswersBitIdenticalToScan(t *testing.T) {
+	ds := dataset.RandomWalk(400, 128, 17)
+	queries := append(
+		dataset.SynthRand(6, 128, 18).Queries,
+		dataset.Ctrl(ds, 6, 1.0, 19).Queries...,
+	)
+	built := buildAll(t, ds, core.Options{LeafSize: 16})
+	scan := built["UCR-Suite"].m
+	for name, bm := range built {
+		if name == "MASS" {
+			continue
+		}
+		for qi, q := range queries {
+			for _, k := range []int{1, 10} {
+				want, _, err := scan.KNN(context.Background(), q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := bm.m.KNN(context.Background(), q, k)
+				if err != nil {
+					t.Fatalf("%s query %d k=%d: %v", name, qi, k, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s query %d k=%d: %d matches, scan has %d", name, qi, k, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+						t.Errorf("%s query %d k=%d match %d: (%d, %x), scan (%d, %x)", name, qi, k, i,
+							got[i].ID, math.Float64bits(got[i].Dist), want[i].ID, math.Float64bits(want[i].Dist))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestKLargerThanCollection checks the degenerate case k >= N.
 func TestKLargerThanCollection(t *testing.T) {
 	ds := dataset.RandomWalk(10, 32, 1)

@@ -51,7 +51,10 @@ func TestParallelBuilds(t *testing.T) {
 // -race) and return the same matches as serial execution. This is the
 // regression test for the shared SeriesFile cursor (now atomic) and for
 // ADS+'s adaptive materialization map (now mutex-guarded) — TestParallelBuilds
-// above only covers separate collections.
+// above only covers separate collections. It also pins that SFA and the
+// VA+file keep no DFT workspace on their shared transform: the workers start
+// at different queries, so a buffer on the transform would hold another
+// query's spectrum (wrong answers here, a reported race under -race).
 func TestConcurrentQueriesOneCollection(t *testing.T) {
 	ds := dataset.RandomWalk(300, 64, 81)
 	queries := dataset.SynthRand(6, 64, 82).Queries
@@ -85,10 +88,11 @@ func TestConcurrentQueriesOneCollection(t *testing.T) {
 			errCh := make(chan error, workers*len(queries))
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
-				go func() {
+				go func(first int) {
 					defer wg.Done()
-					for qi, q := range queries {
-						got, _, err := m.KNN(context.Background(), q, k)
+					for n := range queries {
+						qi := (first + n) % len(queries)
+						got, _, err := m.KNN(context.Background(), queries[qi], k)
 						if err != nil {
 							errCh <- err
 							return
@@ -101,7 +105,7 @@ func TestConcurrentQueriesOneCollection(t *testing.T) {
 							}
 						}
 					}
-				}()
+				}(w)
 			}
 			wg.Wait()
 			close(errCh)

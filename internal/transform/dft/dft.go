@@ -10,6 +10,13 @@
 // study, so it is ~0, and dropping dimensions can only lower the bound.
 //
 // Both SFA and the (DFT-modified) VA+file build on these features.
+//
+// A Transform is immutable after New and safe for concurrent use: it owns no
+// workspace. ApplyInto runs in buffers the caller brings — a build loop
+// reuses one for the whole collection, a query takes its pooled core.Scratch
+// — and, features being the first few coefficients only, asks package fft
+// for just that prefix of the spectrum (one pruned, table-driven transform
+// per series, no allocation on power-of-two lengths).
 package dft
 
 import (
@@ -48,30 +55,38 @@ func (t *Transform) Dims() int { return t.dims }
 // SeriesLen returns the expected input length.
 func (t *Transform) SeriesLen() int { return t.n }
 
-// Apply returns the scaled feature vector of s.
+// Apply returns the scaled feature vector of s in a new slice.
 func (t *Transform) Apply(s series.Series) []float64 {
+	return t.ApplyInto(s, make([]float64, t.dims), make([]complex128, t.n))
+}
+
+// ApplyInto writes the scaled feature vector of s to out[:Dims()] and
+// returns it, using buf (at least SeriesLen() long, contents overwritten) as
+// the transform's workspace.
+func (t *Transform) ApplyInto(s series.Series, out []float64, buf []complex128) []float64 {
 	if len(s) != t.n {
 		panic("dft: series length mismatch")
 	}
-	x := make([]float64, t.n)
+	X := buf[:t.n]
 	for i, v := range s {
-		x[i] = float64(v)
+		X[i] = complex(float64(v), 0)
 	}
-	X := fft.FFTReal(x)
-	out := make([]float64, t.dims)
-	for d := 0; d < t.dims; d++ {
-		k := d/2 + 1 // complex coefficient index, skipping DC
-		var raw float64
-		if d%2 == 0 {
-			raw = real(X[k])
-		} else {
+	// Feature d reads coefficient k = d/2+1 (DC is skipped), so the last
+	// one wanted is (dims-1)/2+1.
+	fft.Forward(X, (t.dims-1)/2+2)
+	// Nyquist (k == n/2 for even n) appears once in Parseval's sum; all
+	// other non-DC coefficients appear twice (conjugate symmetry).
+	twice, once := math.Sqrt(2/float64(t.n)), math.Sqrt(1/float64(t.n))
+	out = out[:t.dims]
+	for d := range out {
+		k := d/2 + 1
+		raw := real(X[k])
+		if d%2 == 1 {
 			raw = imag(X[k])
 		}
-		// Nyquist (k == n/2 for even n) appears once in Parseval's sum; all
-		// other non-DC coefficients appear twice (conjugate symmetry).
-		scale := math.Sqrt(2 / float64(t.n))
+		scale := twice
 		if 2*k == t.n {
-			scale = math.Sqrt(1 / float64(t.n))
+			scale = once
 		}
 		out[d] = raw * scale
 	}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"hydra/internal/series"
+	"hydra/internal/transform/fft"
 )
 
 func randNorm(rng *rand.Rand, n int) series.Series {
@@ -87,5 +88,82 @@ func TestFeatureScalingMonotone(t *testing.T) {
 			t.Fatalf("bound shrank when adding dims: %g -> %g at %d", prev, lb, dims)
 		}
 		prev = lb
+	}
+}
+
+// applyReference is Apply as it was before ApplyInto: the whole spectrum
+// from fft.FFTReal, the scale recomputed per feature.
+func applyReference(n, dims int, s series.Series) []float64 {
+	x := make([]float64, n)
+	for i, v := range s {
+		x[i] = float64(v)
+	}
+	X := fft.FFTReal(x)
+	out := make([]float64, dims)
+	for d := 0; d < dims; d++ {
+		k := d/2 + 1
+		var raw float64
+		if d%2 == 0 {
+			raw = real(X[k])
+		} else {
+			raw = imag(X[k])
+		}
+		scale := math.Sqrt(2 / float64(n))
+		if 2*k == n {
+			scale = math.Sqrt(1 / float64(n))
+		}
+		out[d] = raw * scale
+	}
+	return out
+}
+
+// TestApplyIntoBitIdentical: the pruned, buffer-reusing transform returns
+// the bits of the full one — even and odd dims, all dims (which reaches the
+// Nyquist coefficient on even n), a Bluestein length — with the same buffers
+// reused across series, as a build loop does.
+func TestApplyIntoBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, tc := range []struct{ n, dims int }{
+		{256, 16}, {256, 15}, {256, 1}, {256, 2}, {64, 63}, {16, 15}, {2, 1},
+		{96, 16}, {96, 95}, {97, 96},
+	} {
+		tr := New(tc.n, tc.dims)
+		out := make([]float64, tr.Dims())
+		buf := make([]complex128, tc.n+3) // longer than needed is allowed
+		for rep := 0; rep < 20; rep++ {
+			s := randNorm(rng, tc.n)
+			want := applyReference(tc.n, tr.Dims(), s)
+			got := tr.ApplyInto(s, out, buf)
+			for d := range want {
+				if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
+					t.Fatalf("n=%d dims=%d feature %d: %v, reference %v", tc.n, tc.dims, d, got[d], want[d])
+				}
+			}
+			if alloc := tr.Apply(s); math.Float64bits(alloc[0]) != math.Float64bits(want[0]) {
+				t.Fatalf("n=%d dims=%d: Apply and ApplyInto disagree", tc.n, tc.dims)
+			}
+		}
+	}
+}
+
+// TestApplyIntoAllocationFree: on a power-of-two length the transform runs
+// entirely in the caller's buffers.
+func TestApplyIntoAllocationFree(t *testing.T) {
+	tr := New(256, 16)
+	s := randNorm(rand.New(rand.NewSource(6)), 256)
+	out, buf := make([]float64, 16), make([]complex128, 256)
+	tr.ApplyInto(s, out, buf) // grows the shared twiddle table
+	if avg := testing.AllocsPerRun(50, func() { tr.ApplyInto(s, out, buf) }); avg != 0 {
+		t.Errorf("ApplyInto allocates %.1f times per call", avg)
+	}
+}
+
+func BenchmarkApplyInto(b *testing.B) {
+	tr := New(256, 16)
+	s := randNorm(rand.New(rand.NewSource(6)), 256)
+	out, buf := make([]float64, 16), make([]complex128, 256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.ApplyInto(s, out, buf)
 	}
 }

@@ -72,7 +72,15 @@ type Synopsis struct {
 // Compute returns the EAPCA of the series with prefix sums p under the
 // segmentation given by exclusive segment end offsets.
 func Compute(p Prefix, ends []int) Synopsis {
-	syn := Synopsis{Mean: make([]float64, len(ends)), Std: make([]float64, len(ends))}
+	return ComputeInto(p, ends, make([]float64, 2*len(ends)))
+}
+
+// ComputeInto is Compute inside buf, which must have length at least
+// 2*len(ends) — the allocation-free variant for the DSTree's build scratch.
+// The two halves of buf become the Mean and Std arrays.
+func ComputeInto(p Prefix, ends []int, buf []float64) Synopsis {
+	k := len(ends)
+	syn := Synopsis{Mean: buf[:k:k], Std: buf[k : 2*k : 2*k]}
 	lo := 0
 	for i, hi := range ends {
 		syn.Mean[i], syn.Std[i] = p.MeanStd(lo, hi)

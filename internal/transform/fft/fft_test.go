@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -160,4 +161,128 @@ func TestFFTReal(t *testing.T) {
 	if cmplx.Abs(X[1]-cmplx.Conj(X[3])) > 1e-12 {
 		t.Errorf("conjugate symmetry violated: %v vs %v", X[1], X[3])
 	}
+}
+
+// radix2Recurrence is the transform as it was before the twiddle table: the
+// factor of each butterfly is carried as a running product inside the loop.
+// It is the reference the table-driven radix2 must match bit for bit.
+func radix2Recurrence(a []complex128, inverse bool) {
+	n := len(a)
+	for i, j := 1, 0; i < n; i++ {
+		bit := n >> 1
+		for ; j&bit != 0; bit >>= 1 {
+			j ^= bit
+		}
+		j ^= bit
+		if i < j {
+			a[i], a[j] = a[j], a[i]
+		}
+	}
+	for length := 2; length <= n; length <<= 1 {
+		ang := 2 * math.Pi / float64(length)
+		if !inverse {
+			ang = -ang
+		}
+		wl := cmplx.Exp(complex(0, ang))
+		for i := 0; i < n; i += length {
+			w := complex(1, 0)
+			half := length >> 1
+			for j := 0; j < half; j++ {
+				u := a[i+j]
+				v := a[i+j+half] * w
+				a[i+j] = u + v
+				a[i+j+half] = u - v
+				w *= wl
+			}
+		}
+	}
+}
+
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}
+
+// TestRadix2TableBitIdentical: reading the twiddles from the table and
+// skipping the butterflies beyond keep changes no bit of any kept output,
+// forward or inverse, at every power-of-two size — visited largest first and
+// then smallest first, so both a freshly grown table and a larger table
+// serving a smaller transform are covered.
+func TestRadix2TableBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var sizes []int
+	for n := 4096; n >= 2; n >>= 1 {
+		sizes = append(sizes, n)
+	}
+	for n := 2; n <= 4096; n <<= 1 {
+		sizes = append(sizes, n)
+	}
+	const dims = 16
+	for _, n := range sizes {
+		x := randComplex(rng, n)
+		for _, inverse := range []bool{false, true} {
+			want := append([]complex128(nil), x...)
+			radix2Recurrence(want, inverse)
+			for _, keep := range []int{1, 2, dims/2 + 1, n} {
+				if keep > n {
+					continue
+				}
+				got := append([]complex128(nil), x...)
+				radix2(got, inverse, keep)
+				for k := 0; k < keep; k++ {
+					if !sameBits(got[k], want[k]) {
+						t.Fatalf("n=%d inverse=%v keep=%d: X[%d] = %v, recurrence gives %v", n, inverse, keep, k, got[k], want[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestForwardMatchesFFT pins Forward's contract on both paths: the kept
+// prefix equals FFT's bit for bit on a power-of-two length and on a
+// Bluestein length.
+func TestForwardMatchesFFT(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{1, 2, 96, 256} {
+		x := randComplex(rng, n)
+		want := FFT(x)
+		for _, keep := range []int{1, n/2 + 1, n} {
+			got := append([]complex128(nil), x...)
+			Forward(got, keep)
+			for k := 0; k < keep; k++ {
+				if !sameBits(got[k], want[k]) {
+					t.Fatalf("n=%d keep=%d: X[%d] = %v, FFT gives %v", n, keep, k, got[k], want[k])
+				}
+			}
+		}
+	}
+}
+
+// TestTwiddleTableConcurrentGrowth grows the shared table from many
+// goroutines at once (run under -race): every transform must still match
+// the recurrence.
+func TestTwiddleTableConcurrentGrowth(t *testing.T) {
+	twiddleTable.Store(nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for n := 2; n <= 2048; n <<= 1 {
+				x := randComplex(rng, n)
+				want := append([]complex128(nil), x...)
+				radix2Recurrence(want, false)
+				radix2(x, false, n)
+				for k := range x {
+					if !sameBits(x[k], want[k]) {
+						t.Errorf("goroutine %d n=%d: X[%d] differs", g, n, k)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -67,34 +67,45 @@ type Transform struct {
 // Train learns MCB breakpoints from (a sample of) the collection and returns
 // the transform.
 func Train(data []series.Series, seriesLen int, opts Options) (*Transform, error) {
+	t, _, err := TrainAll(len(data), func(i int) series.Series { return data[i] }, seriesLen, opts)
+	return t, err
+}
+
+// TrainAll is Train for an index that keeps every series' Fourier features:
+// it transforms each of the n series once (at(i) is series i), returns the
+// features back-to-back (Dims() values per series) beside the transform, and
+// learns the breakpoints from the sampled rows of that array, so no series
+// is transformed a second time to be indexed.
+func TrainAll(n int, at func(i int) series.Series, seriesLen int, opts Options) (*Transform, []float64, error) {
 	opts.setDefaults()
-	if len(data) == 0 {
-		return nil, fmt.Errorf("sfa: empty training collection")
+	if n == 0 {
+		return nil, nil, fmt.Errorf("sfa: empty training collection")
 	}
 	t := &Transform{
 		dft:      dft.New(seriesLen, opts.Dims),
 		alphabet: opts.Alphabet,
 		binning:  opts.Binning,
 	}
-	n := len(data)
+	dims := t.dft.Dims()
+	feats := make([]float64, n*dims)
+	buf := make([]complex128, seriesLen)
+	for i := 0; i < n; i++ {
+		t.dft.ApplyInto(at(i), feats[i*dims:(i+1)*dims], buf)
+	}
 	step := 1
 	if opts.SampleSize > 0 && n > opts.SampleSize {
 		step = n / opts.SampleSize
 	}
-	var sample [][]float64
-	for i := 0; i < n; i += step {
-		sample = append(sample, t.dft.Apply(data[i]))
-	}
-	dims := t.dft.Dims()
 	t.bps = make([][]float64, dims)
-	col := make([]float64, len(sample))
+	col := make([]float64, 0, (n+step-1)/step)
 	for d := 0; d < dims; d++ {
-		for i, f := range sample {
-			col[i] = f[d]
+		col = col[:0]
+		for i := 0; i < n; i += step {
+			col = append(col, feats[i*dims+d])
 		}
 		t.bps[d] = computeBreakpoints(col, opts.Alphabet, opts.Binning)
 	}
-	return t, nil
+	return t, feats, nil
 }
 
 func computeBreakpoints(col []float64, a int, b Binning) []float64 {
@@ -176,6 +187,13 @@ func (t *Transform) Alphabet() int { return t.alphabet }
 // discretized).
 func (t *Transform) Features(s series.Series) []float64 { return t.dft.Apply(s) }
 
+// FeaturesInto is Features in the caller's buffers: the features are written
+// to out[:Dims()], buf (at least SeriesLen() long) is the DFT workspace. The
+// transform itself holds no scratch, so concurrent queries each bring theirs.
+func (t *Transform) FeaturesInto(s series.Series, out []float64, buf []complex128) []float64 {
+	return t.dft.ApplyInto(s, out, buf)
+}
+
 // Symbol returns the symbol of value v in dimension d.
 func (t *Transform) Symbol(d int, v float64) uint8 {
 	idx := sort.SearchFloat64s(t.bps[d], v)
@@ -187,7 +205,13 @@ func (t *Transform) Symbol(d int, v float64) uint8 {
 
 // Word returns the SFA word of a feature vector.
 func (t *Transform) Word(feat []float64) []uint8 {
-	w := make([]uint8, len(feat))
+	return t.WordInto(feat, make([]uint8, len(feat)))
+}
+
+// WordInto writes the SFA word of a feature vector to w[:len(feat)] and
+// returns it.
+func (t *Transform) WordInto(feat []float64, w []uint8) []uint8 {
+	w = w[:len(feat)]
 	for d, v := range feat {
 		w[d] = t.Symbol(d, v)
 	}
