@@ -20,7 +20,9 @@ const queryAllocBudget = 2.0
 // TestQueryAllocBudget pins the steady-state allocations per query of every
 // method whose full KNN path runs on pooled scratch — SFA and the VA+file
 // included, whose DFT feature extraction runs in the query's scratch (a
-// power-of-two series length transforms without allocating).
+// power-of-two series length transforms without allocating), and the M-tree,
+// whose (node, parent distance) visits sit unboxed in the scratch's typed
+// heap.
 func TestQueryAllocBudget(t *testing.T) {
 	if raceEnabled {
 		// The race detector's instrumentation allocates, and sync.Pool
@@ -30,7 +32,7 @@ func TestQueryAllocBudget(t *testing.T) {
 	}
 	ds := dataset.RandomWalk(2000, 256, 42)
 	queries := dataset.SynthRand(8, 256, 7).Queries
-	for _, name := range []string{"UCR-Suite", "ADS+", "iSAX2+", "DSTree", "SFA", "VA+file"} {
+	for _, name := range []string{"UCR-Suite", "ADS+", "iSAX2+", "DSTree", "SFA", "VA+file", "M-tree"} {
 		t.Run(name, func(t *testing.T) {
 			m, err := core.New(name, core.Options{LeafSize: 64})
 			if err != nil {

@@ -29,7 +29,7 @@ type Scratch struct {
 	cbuf    []complex128
 	queue   BoundQueue
 	set     KNNSet
-	heap    BoundHeap
+	heap    any // *BoundHeap[T] for the owning index's payload type, see HeapOf
 }
 
 // Order returns the block-granular reordered-early-abandoning order for q,
@@ -91,56 +91,138 @@ func (s *Scratch) Complex(n int) []complex128 {
 // matches are safe to keep.
 func (s *Scratch) KNN(k int) *KNNSet { s.set.Reset(k); return &s.set }
 
-// Heap returns the scratch's node priority queue, reset to empty.
-func (s *Scratch) Heap() *BoundHeap { s.heap.Reset(); return &s.heap }
+// HeapOf returns the scratch's node priority queue for payload type T, reset
+// to empty. A Scratch belongs to one index's pool, so T is the same on every
+// call and the typed heap is allocated once, on the scratch's first query.
+func HeapOf[T any](s *Scratch) *BoundHeap[T] {
+	h, ok := s.heap.(*BoundHeap[T])
+	if !ok {
+		h = new(BoundHeap[T])
+		s.heap = h
+	}
+	h.Reset()
+	return h
+}
 
-// QueueByBound returns the ids 0..len(lbs)-1 as a lazy min-queue over
-// (lbs[id] ascending, id ascending) — the candidate visit order of
-// filter-file methods, which pop a few hundred of many thousand candidates
-// before the bound ends the query. Building the queue is O(n); each Pop is
-// O(log n). The queue reads lbs on every Pop and is scratch-owned: both it
-// and lbs must stay untouched until the caller is done popping, and the
-// next QueueByBound call invalidates it.
-func (s *Scratch) QueueByBound(lbs []float64) *BoundQueue {
-	n := len(lbs)
-	if cap(s.queue.ids) < n {
-		s.queue.ids = make([]int, n)
-	}
+// maxSelect caps how many leading candidates a BoundQueue finds by insertion
+// (O(maxSelect) per accepted id); a larger k only means the queue behind them
+// is built before the result set is full, over every id.
+const maxSelect = 64
+
+// QueueByBound returns the ids 0..len(lbs)-1 as a lazy queue in ascending
+// (lbs[id], id) order — the candidate visit order of the filter-file
+// methods. The first min(k, maxSelect) ids of that order are picked in one
+// pass over lbs; the heap behind them is built only when Next is asked for
+// more, and then only over the ids the query's bound has not already ruled
+// out (see Next). The queue reads lbs on every Next and is scratch-owned:
+// both it and lbs must stay untouched until the caller is done, and the next
+// QueueByBound call invalidates it.
+func (s *Scratch) QueueByBound(lbs []float64, k int) *BoundQueue {
 	q := &s.queue
-	q.ids, q.lb = q.ids[:n], lbs
-	for i := range q.ids {
-		q.ids[i] = i
+	q.lb, q.next, q.heaped, q.queued = lbs, 0, false, 0
+	q.ids = q.ids[:0]
+	k = min(k, maxSelect, len(lbs))
+	if cap(q.first) < k {
+		q.first = make([]int, 0, maxSelect)
 	}
-	for i := n/2 - 1; i >= 0; i-- {
-		q.down(i)
+	first := q.first[:0]
+	if k > 0 {
+		for id, lb := range lbs {
+			m := len(first)
+			if m == k {
+				// ids ascend, so an equal bound is a larger key.
+				if !(lb < lbs[first[m-1]]) {
+					continue
+				}
+				m--
+			}
+			first = first[:m+1]
+			for ; m > 0 && lbs[first[m-1]] > lb; m-- {
+				first[m] = first[m-1]
+			}
+			first[m] = id
+		}
 	}
+	q.first = first
 	return q
 }
 
-// BoundQueue is a binary min-heap of candidate ids keyed by (lower bound,
-// id). The key is a total order, so the pop sequence is the one sorted
-// permutation of the ids whatever the heap's internal arrangement.
+// BoundQueue yields candidate ids in ascending (lower bound, id) order. The
+// key is a total order, so the sequence is the one sorted permutation of the
+// ids whatever the queue's internal arrangement — cut at the first id the
+// query's pruner rules out.
 type BoundQueue struct {
-	ids []int
-	lb  []float64
+	first  []int // the leading ids, ascending; first[next:] not yet yielded
+	next   int
+	ids    []int // binary min-heap of the ids behind first, once heaped
+	heaped bool
+	queued int // len(ids) when it was heaped
+	lb     []float64
 }
 
-// Pop removes and returns the id with the smallest (bound, id) key.
-// Precondition: fewer ids popped so far than the queue was built over.
-func (q *BoundQueue) Pop() int {
-	top := q.ids[0]
-	n := len(q.ids) - 1
-	q.ids[0] = q.ids[n]
-	q.ids = q.ids[:n]
-	q.down(0)
-	return top
+// Next returns the next id in ascending (bound, id) order, or false when
+// that id is pruned by pr against bound — the caller's current k-th best
+// squared distance, which must never grow between calls — or no id is left.
+// Every later id has a bound at least as large and the query's bound only
+// falls, so false ends the visit.
+//
+// The first time the leading ids run out, the rest are queued: only those pr
+// does not prune against bound. The ids left out sort after every id kept
+// (their bounds are larger), and any of them would be pruned when its turn
+// came, so the yielded sequence is the one a heap over all ids would give.
+func (q *BoundQueue) Next(pr *Pruner, bound float64) (int, bool) {
+	var id int
+	if q.next < len(q.first) {
+		id = q.first[q.next]
+		q.next++
+	} else {
+		if !q.heaped {
+			q.build(pr, bound)
+		}
+		n := len(q.ids) - 1
+		if n < 0 {
+			return 0, false
+		}
+		id = q.ids[0]
+		q.ids[0] = q.ids[n]
+		q.ids = q.ids[:n]
+		q.down(0)
+	}
+	return id, !pr.Prune(q.lb[id], bound)
+}
+
+// Queued returns how many ids the heap behind the leading ones was built
+// over: 0 until Next runs out of leading ids.
+func (q *BoundQueue) Queued() int { return q.queued }
+
+// build heapifies the ids behind the leading ones that pr does not prune
+// against bound. Building is O(len(lbs)) compares plus O(kept); each Next
+// after it is O(log kept).
+func (q *BoundQueue) build(pr *Pruner, bound float64) {
+	q.heaped = true
+	ids := q.ids[:0]
+	// Everything up to the last leading id's key has been yielded.
+	lastLB, lastID := 0.0, -1
+	if m := len(q.first); m > 0 {
+		lastID = q.first[m-1]
+		lastLB = q.lb[lastID]
+	}
+	for id, lb := range q.lb {
+		if pr.Prune(lb, bound) || lastID >= 0 && (lb < lastLB || lb == lastLB && id <= lastID) {
+			continue
+		}
+		ids = append(ids, id)
+	}
+	q.ids, q.queued = ids, len(ids)
+	for i := len(ids)/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
 }
 
 // down sifts the id at heap position i into place. The moving id is held
 // in locals and written once, so a level costs one store, not a swap. Which
 // child is smaller is a coin flip on unsorted bounds, so the choice is added
-// to the child index as 0 or 1 instead of branched on: that alone took a
-// quarter off the O(n) build.
+// to the child index as 0 or 1 instead of branched on.
 func (q *BoundQueue) down(i int) {
 	ids, lb := q.ids, q.lb
 	n := len(ids)
@@ -204,45 +286,46 @@ func (sp *ScratchPool) Get() *Scratch {
 // Put returns s to the pool. s must not be used afterwards.
 func (sp *ScratchPool) Put(s *Scratch) { sp.p.Put(s) }
 
-// BoundHeap is a min-heap of (node, lower bound) pairs for best-first index
-// traversals, replacing the per-package container/heap boilerplate with one
-// allocation-free implementation: the backing array lives in a Scratch and
-// node pointers are stored in interface words without boxing. The sift
-// procedures mirror container/heap exactly, so pop order (including the
-// order of equal bounds) matches the former per-package heaps.
-type BoundHeap struct {
-	items []boundItem
+// BoundHeap is a min-heap of (payload, lower bound) pairs for best-first index
+// traversals — the one priority queue of every tree. It is generic over the
+// payload, so node pointers and the M-tree's (node, parent distance) visits
+// are stored unboxed and a query allocates nothing for it: the backing array
+// lives in a Scratch (see HeapOf). The sift procedures mirror container/heap
+// exactly, so pop order (including the order of equal bounds) matches the
+// per-package container/heap queues it replaced.
+type BoundHeap[T any] struct {
+	items []boundItem[T]
 }
 
-type boundItem struct {
-	lb   float64
-	node any // always a node pointer; pointers store into any without allocating
+type boundItem[T any] struct {
+	lb float64
+	v  T
 }
 
 // Reset empties the heap, keeping its backing.
-func (h *BoundHeap) Reset() { h.items = h.items[:0] }
+func (h *BoundHeap[T]) Reset() { h.items = h.items[:0] }
 
-// Len returns the number of queued nodes.
-func (h *BoundHeap) Len() int { return len(h.items) }
+// Len returns the number of queued payloads.
+func (h *BoundHeap[T]) Len() int { return len(h.items) }
 
-// Push queues node with the given lower bound.
-func (h *BoundHeap) Push(lb float64, node any) {
-	h.items = append(h.items, boundItem{lb: lb, node: node})
+// Push queues v with the given lower bound.
+func (h *BoundHeap[T]) Push(lb float64, v T) {
+	h.items = append(h.items, boundItem[T]{lb: lb, v: v})
 	h.up(len(h.items) - 1)
 }
 
-// PopMin removes and returns the queued node with the smallest bound.
-func (h *BoundHeap) PopMin() (float64, any) {
+// PopMin removes and returns the queued payload with the smallest bound.
+func (h *BoundHeap[T]) PopMin() (float64, T) {
 	n := len(h.items) - 1
 	h.items[0], h.items[n] = h.items[n], h.items[0]
 	h.down(0, n)
 	it := h.items[n]
-	h.items[n] = boundItem{} // drop the node reference
+	h.items[n] = boundItem[T]{} // drop the payload's references
 	h.items = h.items[:n]
-	return it.lb, it.node
+	return it.lb, it.v
 }
 
-func (h *BoundHeap) up(j int) {
+func (h *BoundHeap[T]) up(j int) {
 	for {
 		i := (j - 1) / 2
 		if i == j || h.items[i].lb <= h.items[j].lb {
@@ -253,7 +336,7 @@ func (h *BoundHeap) up(j int) {
 	}
 }
 
-func (h *BoundHeap) down(i0, n int) {
+func (h *BoundHeap[T]) down(i0, n int) {
 	i := i0
 	for {
 		j1 := 2*i + 1

@@ -35,7 +35,7 @@ func (p *refPQ) Pop() any          { old := *p; n := len(old); it := old[n-1]; *
 func TestBoundHeapMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
-		var h BoundHeap
+		var h BoundHeap[*int]
 		ref := &refPQ{}
 		ids := make([]int, 0, 400)
 		for op := 0; op < 400; op++ {
@@ -47,9 +47,9 @@ func TestBoundHeapMatchesContainerHeap(t *testing.T) {
 			} else {
 				lb, node := h.PopMin()
 				want := heap.Pop(ref).(refItem)
-				if lb != want.lb || *(node.(*int)) != want.id {
+				if lb != want.lb || *node != want.id {
 					t.Fatalf("trial %d op %d: popped (%g, %d), container/heap (%g, %d)",
-						trial, op, lb, *(node.(*int)), want.lb, want.id)
+						trial, op, lb, *node, want.lb, want.id)
 				}
 			}
 		}
@@ -57,37 +57,70 @@ func TestBoundHeapMatchesContainerHeap(t *testing.T) {
 }
 
 // TestQueueByBoundPopsSortedOrder is the contract the VA+file's lazy visit
-// order rests on: popping the queue dry yields exactly the permutation
-// sort.Slice over (lb, id) yields — with heavy ties, +Inf bounds (ADS+-style
-// exclusions) and the degenerate sizes — and one Scratch can be re-queued
-// over a different bound array of any size afterwards.
+// order rests on: whatever k the leading ids were picked for, whichever
+// pruner (exact or ε-relaxed) cuts the queue and however the caller's bound
+// falls between calls, Next yields exactly the prefix of the permutation
+// sort.Slice over (lb, id) yields that ends before the first id the pruner
+// rules out — with heavy ties, +Inf bounds (ADS+-style exclusions) and the
+// degenerate sizes — and one Scratch can be re-queued over a different bound
+// array of any size afterwards. The heap behind the leading ids must hold no
+// id the bound had already ruled out when it was built.
 func TestQueueByBoundPopsSortedOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var sc Scratch
 	for _, n := range []int{0, 1, 2, 3, 7, 10000, 64, 1001, 5} {
 		for _, distinct := range []int{1, 4, n + 1} {
-			lbs := make([]float64, n)
-			for i := range lbs {
-				lbs[i] = float64(rng.Intn(distinct))
-				if rng.Intn(10) == 0 {
-					lbs[i] = math.Inf(1)
-				}
-			}
-			want := make([]int, n)
-			for i := range want {
-				want[i] = i
-			}
-			sort.Slice(want, func(a, b int) bool {
-				if lbs[want[a]] != lbs[want[b]] {
-					return lbs[want[a]] < lbs[want[b]]
-				}
-				return want[a] < want[b]
-			})
-			q := sc.QueueByBound(lbs)
-			for pos, id := range want {
-				if got := q.Pop(); got != id {
-					t.Fatalf("n=%d distinct=%d: pop %d = id %d (lb %g), sorted order has id %d (lb %g)",
-						n, distinct, pos, got, lbs[got], id, lbs[id])
+			for _, k := range []int{0, 1, 3, maxSelect, 2 * maxSelect} {
+				for _, eps := range []float64{0, 1} {
+					lbs := make([]float64, n)
+					for i := range lbs {
+						lbs[i] = float64(rng.Intn(distinct))
+						if rng.Intn(10) == 0 {
+							lbs[i] = math.Inf(1)
+						}
+					}
+					want := make([]int, n)
+					for i := range want {
+						want[i] = i
+					}
+					sort.Slice(want, func(a, b int) bool {
+						if lbs[want[a]] != lbs[want[b]] {
+							return lbs[want[a]] < lbs[want[b]]
+						}
+						return want[a] < want[b]
+					})
+					pr := NewPruner(ApproxSpec{Mode: ModeDeltaEps, Epsilon: eps}, 0)
+					// The bound falls from +Inf towards a random cut of the
+					// bound range as ids are yielded, like a filling KNNSet's.
+					bound, floor := math.Inf(1), rng.Float64()*float64(distinct)*pr.factor
+					q := sc.QueueByBound(lbs, k)
+					for pos := 0; ; pos++ {
+						got, ok := q.Next(&pr, bound)
+						if pos == n || pr.Prune(lbs[want[pos]], bound) {
+							if ok {
+								t.Fatalf("n=%d distinct=%d k=%d eps=%g: pop %d yields id %d (lb %g) past the end or the bound %g",
+									n, distinct, k, eps, pos, got, lbs[got], bound)
+							}
+							break
+						}
+						if !ok || got != want[pos] {
+							t.Fatalf("n=%d distinct=%d k=%d eps=%g: pop %d = (%d, %v), sorted order has id %d (lb %g, bound %g)",
+								n, distinct, k, eps, pos, got, ok, want[pos], lbs[want[pos]], bound)
+						}
+						if pos == min(k, maxSelect) { // this call built the heap
+							for _, id := range q.ids {
+								if pr.Prune(lbs[id], bound) {
+									t.Fatalf("n=%d k=%d: id %d (lb %g) queued although the bound %g rules it out", n, k, id, lbs[id], bound)
+								}
+							}
+						}
+						if pos >= k/2 && rng.Intn(2) == 0 {
+							bound = math.Min(bound, floor+(bound-floor)*rng.Float64())
+							if math.IsInf(bound, 1) {
+								bound = 2 * float64(distinct) * pr.factor
+							}
+						}
+					}
 				}
 			}
 		}

@@ -5,7 +5,8 @@
 // SALD, Deep1B), whose originals are multi-hundred-GB archives that cannot be
 // shipped here. Each stand-in mimics the statistical character that made its
 // original easy or hard to summarize, which is what drives the paper's
-// dataset-dependent results (see DESIGN.md §1 for the substitution table).
+// dataset-dependent results (each generator's doc comment names the property
+// it reproduces).
 package dataset
 
 import (

@@ -2,7 +2,8 @@
 // parametrization, evaluation of individual methods, and comparison of the
 // best methods. Every figure and table of the evaluation section has a
 // corresponding exported function here that regenerates it as a Report (the
-// per-experiment index lives in DESIGN.md §3).
+// per-experiment index is `hydra-bench -list`; README.md, "Reproduce a
+// figure").
 //
 // Times reported are total times = measured CPU time + simulated I/O time on
 // the configured device profile; disk-access counts, pruning ratios and TLB
@@ -105,7 +106,8 @@ func (c Config) numSeries(gb float64, length int) int {
 // preserve the paper's effective Synth-Rand difficulty, scaled runs draw
 // queries from the collection with calibrated noise (CalibNoise ≈ 0.15
 // lands pruning ratios in the paper's Synth-Rand range, ~0.995-0.9999).
-// This substitution is documented in DESIGN.md §1 and EXPERIMENTS.md.
+// The substitution is this function's alone: Scale >= 1 runs the paper's
+// generator unchanged.
 func (c Config) synthRand(ds *dataset.Dataset, seed int64) *dataset.Workload {
 	if c.Scale >= 1 {
 		return dataset.SynthRand(c.NumQueries, ds.SeriesLen(), seed)

@@ -15,6 +15,15 @@ var pruningMethods = []string{"ADS+", "iSAX2+", "DSTree", "SFA", "VA+file"}
 // Fig9Pruning reproduces Figure 9: per-method pruning ratio over the
 // Synth-Rand, Synth-Ctrl and the four (simulated) real controlled workloads
 // plus Deep-Orig, all on 100GB-eq collections.
+//
+// The iSAX2+ and SFA ratios include member-level pruning: inside a leaf the
+// traversal reads, a raw series is examined only if its own stored summary
+// (full-cardinality SAX word, DFT features) does not rule it out
+// (core.Refiner) — the second-level step of ParIS+/MESSI, not the 2018
+// paper's whole-leaf scan, whose ratio counted every member of a read leaf.
+// Both therefore sit nearer ADS+ and the VA+file, which always filtered per
+// series, than they do in the paper's figure; DSTree still scans its leaves
+// whole.
 func Fig9Pruning(cfg Config) (*Report, error) {
 	r := &Report{
 		ID:     "fig9",

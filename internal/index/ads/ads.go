@@ -234,12 +234,10 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 	// from step 3 exactly like the former visited set.
 	if leaf := ix.tree.ApproxLeaf(qword); leaf != nil {
 		ix.chargeAdaptiveLeaf(leaf)
-		for _, id := range leaf.Members {
-			d := series.SquaredDistEAOrderedBlocked(q, f.Peek(id), ord, set.Bound())
-			qs.DistCalcs++
-			qs.RawSeriesExamined++
-			set.Add(id, d)
-			if lbs != nil {
+		rf := core.NewRefiner(ix.c, q, ord, set)
+		rf.Members(leaf.Members, nil, &qs)
+		if lbs != nil {
+			for _, id := range leaf.Members {
 				lbs[id] = math.Inf(1)
 			}
 		}

@@ -71,25 +71,14 @@ func (ix *FullIndex) KNN(ctx context.Context, q series.Series, k int) ([]core.Ma
 	}
 	ord := series.NewOrder(q)
 	set := core.NewKNNSet(k)
+	rf := core.NewRefiner(ix.c, q, ord, set)
 
 	approx := ix.tree.ApproxLeaf(qword)
-	visit := func(n *isaxtree.Node) {
-		if len(n.Members) == 0 {
-			return
-		}
-		f.ChargeLeafRead(len(n.Members))
-		for _, id := range n.Members {
-			d := series.SquaredDistEAOrderedBlocked(q, f.Peek(id), ord, set.Bound())
-			qs.DistCalcs++
-			qs.RawSeriesExamined++
-			set.Add(id, d)
-		}
-	}
 	if approx != nil {
-		visit(approx)
+		rf.Leaf(approx.Members, nil, &qs)
 	}
 
-	h := &core.BoundHeap{}
+	var h core.BoundHeap[*isaxtree.Node]
 	for _, n := range ix.tree.Root {
 		lb := ix.tree.MinDist(qpaa, n)
 		qs.LBCalcs++
@@ -99,14 +88,13 @@ func (ix *FullIndex) KNN(ctx context.Context, q series.Series, k int) ([]core.Ma
 		if err := core.Canceled(ctx); err != nil {
 			return nil, qs, err
 		}
-		lb, it := h.PopMin()
+		lb, n := h.PopMin()
 		if lb >= set.Bound() {
 			break
 		}
-		n := it.(*isaxtree.Node)
 		if n.IsLeaf {
 			if n != approx {
-				visit(n)
+				rf.Leaf(n.Members, nil, &qs)
 			}
 			continue
 		}

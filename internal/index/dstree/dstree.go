@@ -607,33 +607,33 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 	ord := sc.Order(q)
 	set := sc.KNN(k)
 	pr := core.NewQueryPruner(ix.c, q, spec, &qs)
+	rf := core.NewRefiner(ix.c, q, ord, set)
 
 	// ng-approximate descent.
 	approx := ix.root
 	for !approx.isLeaf {
 		approx = approx.children[approx.route(qp)]
 	}
-	ix.visitLeaf(approx, q, ord, set, &qs)
+	rf.Leaf(approx.members, nil, &qs)
 	if pr.Visit() || pr.StopSatisfied(set.Bound()) || spec.Mode == core.ModeNG {
 		pr.Finish(&qs)
 		return set.Results(), qs, nil
 	}
 
 	// Exact best-first traversal.
-	h := sc.Heap()
+	h := core.HeapOf[*node](sc)
 	h.Push(0, ix.root)
 	for h.Len() > 0 {
 		if err := core.Canceled(ctx); err != nil {
 			return nil, qs, err
 		}
-		l, it := h.PopMin()
+		l, n := h.PopMin()
 		if pr.Prune(l, set.Bound()) {
 			break
 		}
-		n := it.(*node)
 		if n.isLeaf {
 			if n != approx {
-				ix.visitLeaf(n, q, ord, set, &qs)
+				rf.Leaf(n.members, nil, &qs)
 			}
 			if pr.Visit() || pr.StopSatisfied(set.Bound()) {
 				break
@@ -654,19 +654,6 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 	}
 	pr.Finish(&qs)
 	return set.Results(), qs, nil
-}
-
-func (ix *Index) visitLeaf(n *node, q series.Series, ord series.Order, set *core.KNNSet, qs *stats.QueryStats) {
-	if len(n.members) == 0 {
-		return
-	}
-	ix.c.File.ChargeLeafRead(len(n.members))
-	for _, id := range n.members {
-		d := series.SquaredDistEAOrderedBlocked(q, ix.c.File.Peek(id), ord, set.Bound())
-		qs.DistCalcs++
-		qs.RawSeriesExamined++
-		set.Add(id, d)
-	}
 }
 
 func (ix *Index) leaves() []*node {

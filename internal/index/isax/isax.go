@@ -20,6 +20,7 @@ import (
 	"hydra/internal/index/isaxtree"
 	"hydra/internal/series"
 	"hydra/internal/stats"
+	"hydra/internal/transform/sax"
 )
 
 func init() {
@@ -119,11 +120,12 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 	ord := sc.Order(q)
 	set := sc.KNN(k)
 	pr := core.NewQueryPruner(ix.c, q, spec, &qs)
+	rf := core.NewRefiner(ix.c, q, ord, set)
 
 	// ng-approximate step.
 	approx := ix.tree.ApproxLeaf(qword)
 	if approx != nil {
-		ix.visitLeaf(approx, q, ord, set, &qs)
+		rf.Leaf(approx.Members, nil, &qs)
 		if pr.Visit() || pr.StopSatisfied(set.Bound()) {
 			pr.Finish(&qs)
 			return set.Results(), qs, nil
@@ -135,24 +137,36 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 	}
 
 	// Exact step: best-first over the root children and their subtrees.
-	h := sc.Heap()
+	// Leaves are filtered a second time per member, against the
+	// full-cardinality words the tree keeps from the build: one table of
+	// (segment, symbol) contributions per query — built here, after the ng
+	// return, so ng queries never pay for it — turns a member's bound into
+	// Segments lookups.
+	seg, words := ix.tree.Segments, ix.tree.Words
+	table := sc.Table(sax.TableLen(seg))
+	ix.tree.Quant.MinDistTable(qpaa, ix.tree.PAA.Widths(), table)
+	member := func(id int) float64 {
+		return sax.MinDistFullCardTable(table, words[id*seg:(id+1)*seg])
+	}
+	h := core.HeapOf[*isaxtree.Node](sc)
 	for _, n := range ix.tree.Root {
 		lb := ix.tree.MinDist(qpaa, n)
 		qs.LBCalcs++
-		h.Push(lb, n)
+		if !pr.Prune(lb, set.Bound()) {
+			h.Push(lb, n)
+		}
 	}
 	for h.Len() > 0 {
 		if err := core.Canceled(ctx); err != nil {
 			return nil, qs, err
 		}
-		lb, it := h.PopMin()
+		lb, n := h.PopMin()
 		if pr.Prune(lb, set.Bound()) {
 			break
 		}
-		n := it.(*isaxtree.Node)
 		if n.IsLeaf {
 			if n != approx {
-				ix.visitLeaf(n, q, ord, set, &qs)
+				rf.Leaf(n.Members, member, &qs)
 			}
 			if pr.Visit() || pr.StopSatisfied(set.Bound()) {
 				break
@@ -172,16 +186,6 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 	}
 	pr.Finish(&qs)
 	return set.Results(), qs, nil
-}
-
-func (ix *Index) visitLeaf(n *isaxtree.Node, q series.Series, ord series.Order, set *core.KNNSet, qs *stats.QueryStats) {
-	ix.c.File.ChargeLeafRead(len(n.Members))
-	for _, id := range n.Members {
-		d := series.SquaredDistEAOrderedBlocked(q, ix.c.File.Peek(id), ord, set.Bound())
-		qs.DistCalcs++
-		qs.RawSeriesExamined++
-		set.Add(id, d)
-	}
 }
 
 // TreeStats implements core.TreeIndex.

@@ -1,0 +1,165 @@
+package isax
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"hydra/internal/core"
+	"hydra/internal/dataset"
+	"hydra/internal/index/difftest"
+	"hydra/internal/index/isaxtree"
+	"hydra/internal/series"
+	"hydra/internal/stats"
+)
+
+// referenceSearch is the search this package ran before leaves were filtered
+// per member, kept as the reference the new one is compared against: every
+// root child is pushed whatever the ng step's bound, and a visited leaf
+// compares every member's raw series to the query.
+func (ix *Index) referenceSearch(ctx context.Context, q series.Series, k int, spec core.ApproxSpec) ([]core.Match, stats.QueryStats, error) {
+	var qs stats.QueryStats
+	qpaa := ix.tree.PAA.Apply(q)
+	qword := make([]uint8, len(qpaa))
+	for i, v := range qpaa {
+		qword[i] = ix.tree.Quant.Symbol(v)
+	}
+	ord := series.NewOrder(q)
+	set := core.NewKNNSet(k)
+	pr := core.NewQueryPruner(ix.c, q, spec, &qs)
+
+	approx := ix.tree.ApproxLeaf(qword)
+	if approx != nil {
+		ix.referenceVisitLeaf(approx, q, ord, set, &qs)
+		if pr.Visit() || pr.StopSatisfied(set.Bound()) {
+			pr.Finish(&qs)
+			return set.Results(), qs, nil
+		}
+	}
+	if spec.Mode == core.ModeNG {
+		pr.Finish(&qs)
+		return set.Results(), qs, nil
+	}
+
+	var h core.BoundHeap[*isaxtree.Node]
+	for _, n := range ix.tree.Root {
+		lb := ix.tree.MinDist(qpaa, n)
+		qs.LBCalcs++
+		h.Push(lb, n)
+	}
+	for h.Len() > 0 {
+		if err := core.Canceled(ctx); err != nil {
+			return nil, qs, err
+		}
+		lb, n := h.PopMin()
+		if pr.Prune(lb, set.Bound()) {
+			break
+		}
+		if n.IsLeaf {
+			if n != approx {
+				ix.referenceVisitLeaf(n, q, ord, set, &qs)
+			}
+			if pr.Visit() || pr.StopSatisfied(set.Bound()) {
+				break
+			}
+			continue
+		}
+		for _, child := range n.Children {
+			lb := ix.tree.MinDist(qpaa, child)
+			qs.LBCalcs++
+			if !pr.Prune(lb, set.Bound()) {
+				h.Push(lb, child)
+			}
+		}
+		if pr.Visit() {
+			break
+		}
+	}
+	pr.Finish(&qs)
+	return set.Results(), qs, nil
+}
+
+func (ix *Index) referenceVisitLeaf(n *isaxtree.Node, q series.Series, ord series.Order, set *core.KNNSet, qs *stats.QueryStats) {
+	ix.c.File.ChargeLeafRead(len(n.Members))
+	for _, id := range n.Members {
+		d := series.SquaredDistEAOrderedBlocked(q, ix.c.File.Peek(id), ord, set.Bound())
+		qs.DistCalcs++
+		qs.RawSeriesExamined++
+		set.Add(id, d)
+	}
+}
+
+// TestMemberFilterNeverChangesAnswers: in every mode, on every kind of
+// query, the member-filtered search returns the reference search's answers —
+// same IDs, Float64bits-equal distances — after the same traversal (nodes
+// visited, early-stop cause), having compared no more raw series than it.
+//
+// The constant query (last of the mix) puts the query's PAA on every root
+// region's edge: all root bounds tie at 0. The root is a map, so the order
+// those ties pop in — and with it the traversal's work and any early-stopped
+// answer — is no function of the query, before this filter or after it; only
+// the answers of the modes that do not depend on that order (exact, ng) are
+// compared for it.
+func TestMemberFilterNeverChangesAnswers(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(1); seed <= 3; seed++ {
+		ds := dataset.RandomWalk(3000, 128, seed)
+		ix, _ := build(t, ds, 24)
+		queries := difftest.Queries(ds, seed)
+		for mode, spec := range difftest.Modes {
+			for qi, q := range queries {
+				tied := qi == len(queries)-1
+				if tied && spec.Mode != core.ModeExact && spec.Mode != core.ModeNG {
+					continue
+				}
+				for _, k := range []int{1, 5} {
+					at := fmt.Sprintf("seed %d %s query %d k=%d", seed, mode, qi, k)
+					got, gotQS, err := ix.KNNApprox(ctx, q, k, spec)
+					if err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					want, wantQS, err := ix.referenceSearch(ctx, q, k, spec)
+					if err != nil {
+						t.Fatalf("%s: reference: %v", at, err)
+					}
+					difftest.SameAnswers(t, at, got, want)
+					if tied {
+						continue
+					}
+					if gotQS.NodesVisited != wantQS.NodesVisited || gotQS.EarlyStop != wantQS.EarlyStop {
+						t.Errorf("%s: %d nodes, stop %q; reference %d, %q", at,
+							gotQS.NodesVisited, gotQS.EarlyStop, wantQS.NodesVisited, wantQS.EarlyStop)
+					}
+					if gotQS.RawSeriesExamined > wantQS.RawSeriesExamined {
+						t.Errorf("%s: examined %d raw series, reference %d", at, gotQS.RawSeriesExamined, wantQS.RawSeriesExamined)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRefineWorkBudget is the count-based gate on the member filter: on a
+// fixed seed, exact queries compare at most a quarter of the raw series the
+// reference leaf loop compares (1/24 when recorded).
+func TestRefineWorkBudget(t *testing.T) {
+	ds := dataset.RandomWalk(10000, 256, 42)
+	ix, _ := build(t, ds, 0)
+	var got, want int64
+	for _, q := range dataset.SynthRand(20, 256, 7).Queries {
+		_, gotQS, err := ix.KNN(context.Background(), q, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, wantQS, err := ix.referenceSearch(context.Background(), q, 1, core.ApproxSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got += gotQS.RawSeriesExamined
+		want += wantQS.RawSeriesExamined
+	}
+	t.Logf("examined %d raw series, reference %d (1/%.1f)", got, want, float64(want)/float64(got))
+	if 4*got > want {
+		t.Errorf("examined %d raw series, more than a quarter of the reference's %d", got, want)
+	}
+}

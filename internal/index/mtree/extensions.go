@@ -1,7 +1,6 @@
 package mtree
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -34,15 +33,15 @@ func (ix *Index) EpsKNN(ctx context.Context, q series.Series, k int, eps float64
 		return series.Dist(q, ix.c.File.Peek(id))
 	}
 
-	h := &pq{}
-	heap.Push(h, pqItem{n: ix.root, lb: 0})
+	var h core.BoundHeap[visit]
+	h.Push(0, visit{n: ix.root})
 	for h.Len() > 0 {
 		if err := core.Canceled(ctx); err != nil {
 			return nil, qs, err
 		}
-		it := heap.Pop(h).(pqItem)
+		lb, it := h.PopMin()
 		bound := math.Sqrt(set.Bound()) * shrink
-		if it.lb >= bound {
+		if lb >= bound {
 			break
 		}
 		for _, e := range it.n.entries {
@@ -67,7 +66,7 @@ func (ix *Index) EpsKNN(ctx context.Context, q series.Series, k int, eps float64
 				lb = 0
 			}
 			if lb < bound {
-				heap.Push(h, pqItem{n: e.child, lb: lb, distQP: d, haveQP: true, routing: e.id})
+				h.Push(lb, visit{n: e.child, distQP: d, haveQP: true})
 			}
 		}
 	}

@@ -17,7 +17,6 @@
 package mtree
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -78,7 +77,7 @@ type Index struct {
 	// promo is the split's samples × entries distance matrix, reused across
 	// splits (construction is single-threaded).
 	promo []float64
-	// pool lends each query the buffer of its early-abandoning order.
+	// pool hands each in-flight query its reusable scratch buffers.
 	pool core.ScratchPool
 }
 
@@ -279,23 +278,18 @@ func (ix *Index) bumpDepth(n *node, d int) {
 	}
 }
 
-type pqItem struct {
-	n       *node
-	lb      float64
-	distQP  float64 // d(query, routing object of this node)
-	haveQP  bool
-	routing int
+// visit is a queued node with what the triangle inequality needs from the
+// level above: d(query, the node's routing object), absent for the root.
+type visit struct {
+	n      *node
+	distQP float64
+	haveQP bool
 }
-type pq []pqItem
-
-func (p pq) Len() int           { return len(p) }
-func (p pq) Less(i, j int) bool { return p[i].lb < p[j].lb }
-func (p pq) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x any)        { *p = append(*p, x.(pqItem)) }
-func (p *pq) Pop() any          { old := *p; n := len(old); it := old[n-1]; *p = old[:n-1]; return it }
 
 // KNN implements core.Method: best-first k-NN with triangle-inequality
-// pruning (Hjaltason & Samet style on the M-tree).
+// pruning (Hjaltason & Samet style on the M-tree). NodesVisited counts the
+// popped nodes; LBCalcs counts the bounds that cost no distance — one per
+// parent-distance estimate and one per routing bound d(q, o) − radius.
 func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match, stats.QueryStats, error) {
 	var qs stats.QueryStats
 	if ix.c == nil {
@@ -307,24 +301,27 @@ func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match,
 	sc := ix.pool.Get()
 	defer ix.pool.Put(sc)
 	ord := sc.Order(q)
-	set := core.NewKNNSet(k)
+	set := sc.KNN(k)
+	rf := core.NewRefiner(ix.c, q, ord, set)
 
-	h := &pq{}
-	heap.Push(h, pqItem{n: ix.root, lb: 0})
+	h := core.HeapOf[visit](sc)
+	h.Push(0, visit{n: ix.root})
 	for h.Len() > 0 {
 		if err := core.Canceled(ctx); err != nil {
 			return nil, qs, err
 		}
-		it := heap.Pop(h).(pqItem)
+		lb, it := h.PopMin()
 		bound := math.Sqrt(set.Bound())
-		if it.lb >= bound {
+		if lb >= bound {
 			break
 		}
+		qs.NodesVisited++
 		for _, e := range it.n.entries {
 			bound = math.Sqrt(set.Bound())
 			// Parent-distance shortcut: |d(q,parent) − d(parent,obj)| lower
 			// bounds d(q,obj); skip the expensive distance when possible.
 			if it.haveQP {
+				qs.LBCalcs++
 				est := math.Abs(it.distQP - e.distToParent)
 				if e.child != nil {
 					est -= e.radius
@@ -333,24 +330,23 @@ func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match,
 					continue
 				}
 			}
-			qs.DistCalcs++
-			obj := ix.c.File.Peek(e.id)
 			if e.child == nil {
 				// Data entries are refined like every other exact path, so
 				// the reported distances carry the scan's bits; only routing
 				// objects need the full distance (the triangle inequality
 				// has no use for an abandoned partial sum).
-				qs.RawSeriesExamined++
-				set.Add(e.id, series.SquaredDistEAOrderedBlocked(q, obj, ord, set.Bound()))
+				rf.Member(e.id, &qs)
 				continue
 			}
-			d := series.Dist(q, obj)
+			qs.DistCalcs++
+			d := series.Dist(q, ix.c.File.Peek(e.id))
+			qs.LBCalcs++
 			lb := d - e.radius
 			if lb < 0 {
 				lb = 0
 			}
 			if lb < bound {
-				heap.Push(h, pqItem{n: e.child, lb: lb, distQP: d, haveQP: true, routing: e.id})
+				h.Push(lb, visit{n: e.child, distQP: d, haveQP: true})
 			}
 		}
 	}

@@ -135,6 +135,32 @@ func TestPruningSkipsDistances(t *testing.T) {
 	}
 }
 
+// TestQueryCountersFilled: the traversal reports its work through the same
+// QueryStats fields the other trees fill — a node per pop, a lower-bound
+// calculation per parent-distance estimate and routing bound.
+func TestQueryCountersFilled(t *testing.T) {
+	ds := dataset.SALD(2000, 64, 5)
+	ix, _ := build(t, ds, 16)
+	nodes := int64(ix.TreeStats().TotalNodes)
+	for _, q := range dataset.Ctrl(ds, 5, 0.5, 6).Queries {
+		_, qs, err := ix.KNN(context.Background(), q, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if qs.NodesVisited < 2 || qs.NodesVisited > nodes {
+			t.Errorf("%d nodes visited, tree has %d", qs.NodesVisited, nodes)
+		}
+		// Every distance but the root entries' follows an estimate that let
+		// it through.
+		if qs.LBCalcs < qs.DistCalcs-int64(ix.cap) || qs.LBCalcs > 2*int64(ds.Len()) {
+			t.Errorf("%d lower-bound calculations beside %d distances", qs.LBCalcs, qs.DistCalcs)
+		}
+		if qs.RawSeriesExamined == 0 || qs.RawSeriesExamined > qs.DistCalcs {
+			t.Errorf("%d raw series examined, %d distances", qs.RawSeriesExamined, qs.DistCalcs)
+		}
+	}
+}
+
 func TestMinimumCapacity(t *testing.T) {
 	// Paper's tuned M-tree leaf size was 1; the index must clamp to a
 	// splittable capacity and still work.

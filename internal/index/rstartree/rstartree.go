@@ -385,6 +385,7 @@ func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match,
 	qpaa := ix.xform.Apply(q)
 	ord := series.NewOrder(q)
 	set := core.NewKNNSet(k)
+	rf := core.NewRefiner(ix.c, q, ord, set)
 
 	h := &pq{}
 	heap.Push(h, pqItem{n: ix.root, lb: 0})
@@ -407,16 +408,7 @@ func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match,
 					cands = append(cands, e.id)
 				}
 			}
-			if len(cands) == 0 {
-				continue
-			}
-			ix.c.File.ChargeLeafRead(len(cands))
-			for _, id := range cands {
-				d := series.SquaredDistEAOrderedBlocked(q, ix.c.File.Peek(id), ord, set.Bound())
-				qs.DistCalcs++
-				qs.RawSeriesExamined++
-				set.Add(id, d)
-			}
+			rf.Leaf(cands, nil, &qs)
 			continue
 		}
 		for _, e := range it.n.entries {

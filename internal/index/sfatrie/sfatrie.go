@@ -257,10 +257,11 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 	ord := sc.Order(q)
 	set := sc.KNN(k)
 	pr := core.NewQueryPruner(ix.c, q, spec, &qs)
+	rf := core.NewRefiner(ix.c, q, ord, set)
 
 	// ng-approximate step: descend the query's own path to one leaf.
 	if leaf := ix.descend(qw); leaf != nil {
-		ix.visitLeaf(leaf, q, ord, set, &qs)
+		rf.Leaf(leaf.members, nil, &qs)
 		if pr.Visit() || pr.StopSatisfied(set.Bound()) {
 			pr.Finish(&qs)
 			return set.Results(), qs, nil
@@ -271,21 +272,27 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 		return set.Results(), qs, nil
 	}
 
-	// Exact step: best-first traversal with lower-bound pruning.
-	h := sc.Heap()
+	// Exact step: best-first traversal with lower-bound pruning. Leaves are
+	// filtered a second time per member, against the member's own Fourier
+	// features: the leaf MBR bound on a box that is a point.
+	dims, feats := ix.xform.Dims(), ix.feats
+	member := func(id int) float64 {
+		ft := feats[id*dims : (id+1)*dims]
+		return simd.IntervalDistSq(qf, ft, ft)
+	}
+	h := core.HeapOf[*node](sc)
 	h.Push(0, ix.root)
 	for h.Len() > 0 {
 		if err := core.Canceled(ctx); err != nil {
 			return nil, qs, err
 		}
-		l, it := h.PopMin()
+		l, n := h.PopMin()
 		if pr.Prune(l, set.Bound()) {
 			break
 		}
-		n := it.(*node)
 		if n.isLeaf {
 			if !n.visited(qw) { // approximate leaf already processed
-				ix.visitLeaf(n, q, ord, set, &qs)
+				rf.Leaf(n.members, member, &qs)
 			}
 			if pr.Visit() || pr.StopSatisfied(set.Bound()) {
 				break
@@ -329,16 +336,6 @@ func (ix *Index) descend(qw []uint8) *node {
 		cur = child
 	}
 	return cur
-}
-
-func (ix *Index) visitLeaf(n *node, q series.Series, ord series.Order, set *core.KNNSet, qs *stats.QueryStats) {
-	ix.c.File.ChargeLeafRead(len(n.members))
-	for _, id := range n.members {
-		d := series.SquaredDistEAOrderedBlocked(q, ix.c.File.Peek(id), ord, set.Bound())
-		qs.DistCalcs++
-		qs.RawSeriesExamined++
-		set.Add(id, d)
-	}
 }
 
 // TreeStats implements core.TreeIndex.

@@ -171,15 +171,17 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 	lbs := sc.LB(n)
 	ix.quant.LowerBoundBatch(table, ix.codesT, lbs)
 	qs.LBCalcs += int64(n)
-	queue := sc.QueueByBound(lbs)
+	queue := sc.QueueByBound(lbs, k)
 	ngBudget := n
 	if spec.Mode == core.ModeNG && k < ngBudget {
 		ngBudget = k
 	}
 
-	// Phase 2: visit raw series in ascending lower-bound order. A query
-	// verifies a few hundred of the n candidates before the bound stops it,
-	// so the order is drawn lazily from a min-queue, never sorted in full.
+	// Phase 2: visit raw series in ascending lower-bound order until the
+	// bound prunes the next one. The k best-bounded candidates come from one
+	// pass over the bounds; the queue behind them holds only what the bound
+	// they leave has not already ruled out; an ng query (k up to the
+	// queue's selection cap) ends before it is built.
 	set := sc.KNN(k)
 	f := ix.c.File
 	for oi := 0; oi < ngBudget; oi++ {
@@ -188,8 +190,8 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 				return nil, qs, err
 			}
 		}
-		id := queue.Pop()
-		if pr.Prune(lbs[id], set.Bound()) {
+		id, ok := queue.Next(&pr, set.Bound())
+		if !ok {
 			break
 		}
 		raw := f.Read(id) // charged as a seek (ascending-LB order is scattered)

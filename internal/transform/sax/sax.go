@@ -207,6 +207,18 @@ func (q *Quantizer) MinDistTable(queryPAA []float64, widths []float64, table []f
 	}
 }
 
+// MinDistFullCardTable is MinDistFullCard for one series against a
+// MinDistTable: one lookup and one add per segment, in segment order, so the
+// result is bit-identical to MinDistFullCard on the query the table was
+// built for.
+func MinDistFullCardTable(table []float64, symbols []uint8) float64 {
+	var sum float64
+	for i, sym := range symbols {
+		sum += table[i<<MaxBits|int(sym)]
+	}
+	return sum
+}
+
 // MinDistFullCardBatch scores many candidates per call against a
 // MinDistTable: wordsT holds the candidates' max-cardinality symbols
 // segment-major (transposed — segment j's symbols for all candidates are

@@ -151,6 +151,32 @@ func TestMinDistFullCardMatchesWord(t *testing.T) {
 	}
 }
 
+// TestMinDistFullCardTableMatchesFullCard: the one-series table sum iSAX2+
+// filters leaf members with is MinDistFullCard to the bit, edge symbols
+// included.
+func TestMinDistFullCardTableMatchesFullCard(t *testing.T) {
+	q := NewQuantizer()
+	rng := rand.New(rand.NewSource(4))
+	tr := paa.New(64, 8)
+	table := make([]float64, TableLen(8))
+	syms := make([]uint8, 8)
+	for i := 0; i < 200; i++ {
+		pa := tr.Apply(randSeries(rng, 64))
+		q.MinDistTable(pa, tr.Widths(), table)
+		for j := range syms {
+			syms[j] = uint8(rng.Intn(256))
+			if rng.Intn(8) == 0 {
+				syms[j] = uint8(255 * rng.Intn(2))
+			}
+		}
+		got := MinDistFullCardTable(table, syms)
+		want := q.MinDistFullCard(pa, syms, tr.Widths())
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("table mindist %v != full-card mindist %v for symbols %v", got, want, syms)
+		}
+	}
+}
+
 // TestMinDistWordsSymmetric and lower-bounding between regions.
 func TestMinDistWords(t *testing.T) {
 	q := NewQuantizer()

@@ -1,7 +1,10 @@
 // Command doclint enforces the repository's documentation bar, the
-// CI docs job's teeth: every package must carry a package comment, and
-// every exported top-level identifier (funcs, methods, types, consts, vars)
-// must have a doc comment. It uses only the standard library's go/ast.
+// CI docs job's teeth: every package must carry a package comment, every
+// exported top-level identifier (funcs, methods, types, consts, vars) must
+// have a doc comment, and a comment that names a .md or .go file must name
+// one the repository holds (by its path from the module root or any tail of
+// it, so "FORMAT.md" finds docs/FORMAT.md). It uses only the standard
+// library's go/ast.
 //
 // Usage:
 //
@@ -54,6 +57,12 @@ func main() {
 		}
 	}
 
+	repoFiles, err := repoFileTails()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+		os.Exit(2)
+	}
+
 	sorted := make([]string, 0, len(dirs))
 	for d := range dirs {
 		sorted = append(sorted, d)
@@ -62,7 +71,7 @@ func main() {
 
 	var violations []string
 	for _, dir := range sorted {
-		violations = append(violations, lintDir(dir)...)
+		violations = append(violations, lintDir(dir, repoFiles)...)
 	}
 	if len(violations) > 0 {
 		for _, v := range violations {
@@ -74,7 +83,7 @@ func main() {
 }
 
 // lintDir checks one package directory and returns its violations.
-func lintDir(dir string) []string {
+func lintDir(dir string, repoFiles map[string]bool) []string {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -96,6 +105,7 @@ func lintDir(dir string) []string {
 				hasPkgDoc = true
 			}
 			out = append(out, lintFile(fset, f)...)
+			out = append(out, lintFileRefs(fset, f, repoFiles)...)
 		}
 		if !hasPkgDoc {
 			out = append(out, fmt.Sprintf("%s: package %s has no package comment", dir, pkg.Name))
@@ -144,6 +154,90 @@ func lintFile(fset *token.FileSet, f *ast.File) []string {
 		}
 	}
 	return out
+}
+
+// repoFileTails lists the repository's files — everything under the nearest
+// ancestor directory holding go.mod, hidden directories excepted — as the
+// set of every path tail: docs/FORMAT.md is entered under that name and as
+// FORMAT.md.
+func repoFileTails() (map[string]bool, error) {
+	root, err := os.Getwd()
+	if err != nil {
+		return nil, err
+	}
+	for dir := root; ; dir = filepath.Dir(dir) {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			root = dir
+			break
+		}
+		if dir == filepath.Dir(dir) {
+			break // no module above: the working directory stands in
+		}
+	}
+	tails := map[string]bool{}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		for {
+			tails[rel] = true
+			i := strings.IndexByte(rel, '/')
+			if i < 0 {
+				return nil
+			}
+			rel = rel[i+1:]
+		}
+	})
+	return tails, err
+}
+
+// lintFileRefs reports comments that name a .md or .go file the repository
+// does not hold. A name is a whitespace-separated word, less surrounding
+// punctuation and any :line suffix, made of path characters only and
+// starting with a letter or digit — so globs, "_test.go" and elided paths
+// are not names.
+func lintFileRefs(fset *token.FileSet, f *ast.File, repoFiles map[string]bool) []string {
+	var out []string
+	for _, group := range f.Comments {
+		for _, c := range group.List {
+			for _, word := range strings.Fields(c.Text) {
+				word, _, _ = strings.Cut(word, ":")
+				word = strings.Trim(word, "()[]{}<>\"'`,.;!?")
+				if !strings.HasSuffix(word, ".md") && !strings.HasSuffix(word, ".go") {
+					continue
+				}
+				if !isFileName(word) || repoFiles[strings.TrimPrefix(word, "./")] {
+					continue
+				}
+				p := fset.Position(c.Pos())
+				out = append(out, fmt.Sprintf("%s:%d: comment names %s, which the repository does not hold", p.Filename, p.Line, word))
+			}
+		}
+	}
+	return out
+}
+
+// isFileName reports whether word reads as a file path: letters, digits and
+// "_", "-", ".", "/" only, starting with a letter or digit.
+func isFileName(word string) bool {
+	for i, r := range word {
+		alnum := r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9'
+		if !alnum && (i == 0 || !strings.ContainsRune("_-./", r)) {
+			return false
+		}
+	}
+	return true
 }
 
 func declKind(tok token.Token) string {
