@@ -16,14 +16,18 @@ var pruningMethods = []string{"ADS+", "iSAX2+", "DSTree", "SFA", "VA+file"}
 // Synth-Rand, Synth-Ctrl and the four (simulated) real controlled workloads
 // plus Deep-Orig, all on 100GB-eq collections.
 //
-// The iSAX2+ and SFA ratios include member-level pruning: inside a leaf the
-// traversal reads, a raw series is examined only if its own stored summary
-// (full-cardinality SAX word, DFT features) does not rule it out
-// (core.Refiner) — the second-level step of ParIS+/MESSI, not the 2018
-// paper's whole-leaf scan, whose ratio counted every member of a read leaf.
-// Both therefore sit nearer ADS+ and the VA+file, which always filtered per
-// series, than they do in the paper's figure; DSTree still scans its leaves
-// whole.
+// The iSAX2+, SFA and DSTree ratios include member-level pruning: inside a
+// leaf the traversal reads, a raw series is examined only if its own summary
+// (full-cardinality SAX word, DFT features, block moments — core.Synopses)
+// does not rule it out (core.Refiner) — the second-level step of
+// ParIS+/MESSI and Hercules, not the 2018 paper's whole-leaf scan, whose
+// ratio counted every member of a read leaf. All three therefore sit nearer
+// ADS+ and the VA+file, which always filtered per series, than they do in
+// the paper's figure. The same holds for the M-tree's ratio wherever it is
+// printed (it is not one of this figure's five): its data entries pass the
+// block-moment test before their raw series is read. What the split and
+// routing policies themselves prune shows in the leaves read, i.e. in the
+// I/O columns, which the member-level step leaves unchanged.
 func Fig9Pruning(cfg Config) (*Report, error) {
 	r := &Report{
 		ID:     "fig9",

@@ -103,9 +103,7 @@ func (ix *Index) Build(c *core.Collection) error {
 	// the (tiny) summary array: Segments bytes per series.
 	c.File.ChargeFullScan()
 	ix.tree.Summarize(c.File)
-	for i := 0; i < c.File.Len(); i++ {
-		ix.tree.Insert(i)
-	}
+	ix.tree.InsertRange(0, c.File.Len())
 	c.Counters.ChargeSeq(int64(c.File.Len()) * int64(ix.opts.Segments))
 	ix.wordsT = make([]uint8, len(ix.tree.Words))
 	simd.Transpose8(ix.tree.Words, ix.tree.Segments, ix.wordsT)

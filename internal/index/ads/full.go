@@ -45,9 +45,7 @@ func (ix *FullIndex) Build(c *core.Collection) error {
 
 	c.File.ChargeFullScan() // pass 1: summaries
 	ix.tree.Summarize(c.File)
-	for i := 0; i < c.File.Len(); i++ {
-		ix.tree.Insert(i)
-	}
+	ix.tree.InsertRange(0, c.File.Len())
 	c.File.ChargeFullScan()                  // pass 2: read data again
 	c.Counters.ChargeSeq(c.File.SizeBytes()) // ... and write the leaves
 	return nil
@@ -79,7 +77,7 @@ func (ix *FullIndex) KNN(ctx context.Context, q series.Series, k int) ([]core.Ma
 	}
 
 	var h core.BoundHeap[*isaxtree.Node]
-	for _, n := range ix.tree.Root {
+	for _, n := range ix.tree.Roots() {
 		lb := ix.tree.MinDist(qpaa, n)
 		qs.LBCalcs++
 		h.Push(lb, n)

@@ -85,6 +85,10 @@ type Index struct {
 	hOnly bool
 	// build is the working state of insert and split (see buildScratch).
 	build buildScratch
+	// syn is the per-member summary behind the second-level leaf filter:
+	// block moments of every series, derived from the raw data wherever the
+	// index meets new series (Build, Insert, DecodeIndex) and never stored.
+	syn core.Synopses
 }
 
 // New creates a DSTree.
@@ -117,6 +121,7 @@ func (ix *Index) Build(c *core.Collection) error {
 	for i := 0; i < c.File.Len(); i++ {
 		ix.insert(i)
 	}
+	ix.syn.Extend(c.File, 0, c.File.Len())
 	// Leaf materialization (spills under a bounded memory budget).
 	core.ChargeMaterialization(c, ix.opts)
 	return nil
@@ -131,9 +136,13 @@ func (ix *Index) Insert(ids []int) error {
 	if ix.c == nil {
 		return fmt.Errorf("dstree: method not built")
 	}
+	if len(ids) == 0 {
+		return nil
+	}
 	for _, id := range ids {
 		ix.insert(id)
 	}
+	ix.syn.Extend(ix.c.File, ids[0], ids[len(ids)-1]+1)
 	ix.c.Counters.ChargeSeq(int64(len(ids)) * ix.c.File.SeriesBytes())
 	return nil
 }
@@ -592,7 +601,10 @@ func (ix *Index) KNNApprox(ctx context.Context, q series.Series, k int, spec cor
 // owns all skip/stop decisions: an exact spec keeps the unrelaxed lb >=
 // bound predicate (bit-identical answers), a δ-ε spec relaxes it by (1+ε)²
 // and may stop at the PAC radius or a budget, and ng mode ends after the
-// descent leaf.
+// descent leaf. Within a leaf the traversal reads, a member's raw series is
+// compared only if its synopsis bound beats the best-so-far (core.Refiner's
+// exact member predicate, in every mode); the descent leaf is refined
+// unfiltered, so ng answers and counters are those of the plain leaf scan.
 func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.ApproxSpec) ([]core.Match, stats.QueryStats, error) {
 	var qs stats.QueryStats
 	if ix.c == nil {
@@ -620,7 +632,11 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 		return set.Results(), qs, nil
 	}
 
-	// Exact best-first traversal.
+	// Exact best-first traversal. Leaves are filtered a second time per
+	// member, against the block-moment sidecar; the query's own record is
+	// computed here, after the ng return, so ng queries never pay for it.
+	sq := ix.syn.Query(q, sc.F32(ix.syn.RecordLen()))
+	member := core.MemberBound(sq.Bound)
 	h := core.HeapOf[*node](sc)
 	h.Push(0, ix.root)
 	for h.Len() > 0 {
@@ -633,7 +649,7 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 		}
 		if n.isLeaf {
 			if n != approx {
-				rf.Leaf(n.members, nil, &qs)
+				rf.Leaf(n.members, member, &qs)
 			}
 			if pr.Visit() || pr.StopSatisfied(set.Bound()) {
 				break
@@ -694,6 +710,7 @@ func (ix *Index) TreeStats() stats.TreeStats {
 		walk(n.children[1])
 	}
 	walk(ix.root)
+	ts.MemBytes += ix.syn.Bytes()
 	return ts
 }
 

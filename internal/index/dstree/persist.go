@@ -74,6 +74,7 @@ func (ix *Index) DecodeIndex(dec *persist.Decoder, c *core.Collection) error {
 	ix.root = root
 	ix.numNodes = numNodes
 	ix.numLeaves = numLeaves
+	ix.syn.Extend(c.File, 0, c.File.Len())
 	return nil
 }
 

@@ -62,7 +62,7 @@ func (ix *Index) RangeSearch(ctx context.Context, q series.Series, r float64) ([
 		walk(n.Children[0])
 		walk(n.Children[1])
 	}
-	for _, n := range ix.tree.Root {
+	for _, n := range ix.tree.Roots() {
 		walk(n)
 	}
 	if ctxErr != nil {

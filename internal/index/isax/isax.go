@@ -58,9 +58,7 @@ func (ix *Index) Build(c *core.Collection) error {
 	// summaries in memory, then one sequential write materializing leaves.
 	c.File.ChargeFullScan()
 	ix.tree.Summarize(c.File)
-	for i := 0; i < c.File.Len(); i++ {
-		ix.tree.Insert(i)
-	}
+	ix.tree.InsertRange(0, c.File.Len())
 	core.ChargeMaterialization(c, ix.opts)
 	return nil
 }
@@ -149,7 +147,7 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 		return sax.MinDistFullCardTable(table, words[id*seg:(id+1)*seg])
 	}
 	h := core.HeapOf[*isaxtree.Node](sc)
-	for _, n := range ix.tree.Root {
+	for _, n := range ix.tree.Roots() {
 		lb := ix.tree.MinDist(qpaa, n)
 		qs.LBCalcs++
 		if !pr.Prune(lb, set.Bound()) {

@@ -42,7 +42,7 @@ func (ix *Index) referenceSearch(ctx context.Context, q series.Series, k int, sp
 	}
 
 	var h core.BoundHeap[*isaxtree.Node]
-	for _, n := range ix.tree.Root {
+	for _, n := range ix.tree.Roots() {
 		lb := ix.tree.MinDist(qpaa, n)
 		qs.LBCalcs++
 		h.Push(lb, n)
@@ -92,73 +92,73 @@ func (ix *Index) referenceVisitLeaf(n *isaxtree.Node, q series.Series, ord serie
 // TestMemberFilterNeverChangesAnswers: in every mode, on every kind of
 // query, the member-filtered search returns the reference search's answers —
 // same IDs, Float64bits-equal distances — after the same traversal (nodes
-// visited, early-stop cause), having compared no more raw series than it.
+// visited, early-stop cause, I/O charged), having compared no more raw
+// series than it.
 //
 // The constant query (last of the mix) puts the query's PAA on every root
-// region's edge: all root bounds tie at 0. The root is a map, so the order
-// those ties pop in — and with it the traversal's work and any early-stopped
-// answer — is no function of the query, before this filter or after it; only
-// the answers of the modes that do not depend on that order (exact, ng) are
-// compared for it.
+// region's edge: all root bounds tie at 0, so the order the root children
+// are scored in decides the order they pop in and, under a budget or a
+// δ-ε stop, the answer. Both searches walk the tree's sorted root list, so
+// that order is a function of the tree and the query is compared in all
+// four modes like any other.
 func TestMemberFilterNeverChangesAnswers(t *testing.T) {
-	ctx := context.Background()
 	for seed := int64(1); seed <= 3; seed++ {
 		ds := dataset.RandomWalk(3000, 128, seed)
-		ix, _ := build(t, ds, 24)
-		queries := difftest.Queries(ds, seed)
-		for mode, spec := range difftest.Modes {
-			for qi, q := range queries {
-				tied := qi == len(queries)-1
-				if tied && spec.Mode != core.ModeExact && spec.Mode != core.ModeNG {
-					continue
-				}
-				for _, k := range []int{1, 5} {
-					at := fmt.Sprintf("seed %d %s query %d k=%d", seed, mode, qi, k)
-					got, gotQS, err := ix.KNNApprox(ctx, q, k, spec)
-					if err != nil {
-						t.Fatalf("%s: %v", at, err)
-					}
-					want, wantQS, err := ix.referenceSearch(ctx, q, k, spec)
-					if err != nil {
-						t.Fatalf("%s: reference: %v", at, err)
-					}
-					difftest.SameAnswers(t, at, got, want)
-					if tied {
-						continue
-					}
-					if gotQS.NodesVisited != wantQS.NodesVisited || gotQS.EarlyStop != wantQS.EarlyStop {
-						t.Errorf("%s: %d nodes, stop %q; reference %d, %q", at,
-							gotQS.NodesVisited, gotQS.EarlyStop, wantQS.NodesVisited, wantQS.EarlyStop)
-					}
-					if gotQS.RawSeriesExamined > wantQS.RawSeriesExamined {
-						t.Errorf("%s: examined %d raw series, reference %d", at, gotQS.RawSeriesExamined, wantQS.RawSeriesExamined)
-					}
-				}
+		ix, c := build(t, ds, 24)
+		difftest.MemberFilterChangesNothing(t, fmt.Sprintf("seed %d", seed), c, difftest.Modes, difftest.Queries(ds, seed), ix.KNNApprox, ix.referenceSearch)
+	}
+}
+
+// TestTiedRootBoundsPopInKeyOrder: two trees over the same data — one built
+// in one pass, one built over a prefix and grown by inserts — list the same
+// root children in the same (key) order, so a budget-stopped answer on the
+// constant query, where every root bound ties at 0, is the same from both.
+func TestTiedRootBoundsPopInKeyOrder(t *testing.T) {
+	ds := dataset.RandomWalk(3000, 128, 4)
+	whole, _ := build(t, ds, 24)
+	grown, c := build(t, &dataset.Dataset{Name: ds.Name, Series: ds.Series[:1000]}, 24)
+	var flat []float32
+	for _, s := range ds.Series[1000:] {
+		flat = append(flat, s...)
+	}
+	first := c.File.Append(flat)
+	ids := make([]int, 2000)
+	for i := range ids {
+		ids[i] = first + i
+	}
+	if err := grown.Insert(ids); err != nil {
+		t.Fatal(err)
+	}
+	for _, tree := range []*isaxtree.Tree{whole.tree, grown.tree} {
+		roots := tree.Roots()
+		if len(roots) != len(tree.Root) {
+			t.Fatalf("%d root children listed, %d in the map", len(roots), len(tree.Root))
+		}
+		for i := 1; i < len(roots); i++ {
+			if prev, key := tree.RootKey(roots[i-1].Word.Symbols), tree.RootKey(roots[i].Word.Symbols); prev >= key {
+				t.Fatalf("root child %d has key %d after %d", i, key, prev)
 			}
 		}
 	}
+	q := make(series.Series, 128)
+	spec := difftest.Modes["budget"]
+	want, _, err := whole.KNNApprox(context.Background(), q, 5, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := grown.KNNApprox(context.Background(), q, 5, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	difftest.SameAnswers(t, "constant query, budget", got, want)
 }
 
 // TestRefineWorkBudget is the count-based gate on the member filter: on a
 // fixed seed, exact queries compare at most a quarter of the raw series the
 // reference leaf loop compares (1/24 when recorded).
 func TestRefineWorkBudget(t *testing.T) {
-	ds := dataset.RandomWalk(10000, 256, 42)
-	ix, _ := build(t, ds, 0)
-	var got, want int64
-	for _, q := range dataset.SynthRand(20, 256, 7).Queries {
-		_, gotQS, err := ix.KNN(context.Background(), q, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, wantQS, err := ix.referenceSearch(context.Background(), q, 1, core.ApproxSpec{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got += gotQS.RawSeriesExamined
-		want += wantQS.RawSeriesExamined
-	}
-	t.Logf("examined %d raw series, reference %d (1/%.1f)", got, want, float64(want)/float64(got))
+	ix, _ := build(t, dataset.RandomWalk(10000, 256, 42), 0)
+	got, want := difftest.RefineWork(t, dataset.SynthRand(20, 256, 7).Queries, ix.KNNApprox, ix.referenceSearch)
 	if 4*got > want {
 		t.Errorf("examined %d raw series, more than a quarter of the reference's %d", got, want)
 	}

@@ -8,8 +8,9 @@
 package isaxtree
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hydra/internal/simd"
 	"hydra/internal/stats"
@@ -53,7 +54,17 @@ type Tree struct {
 	LeafSize int
 	Segments int
 
-	Root map[uint64]*Node
+	// Root finds a root child by key (RootKey); roots lists the same nodes in
+	// ascending key order, parallel to rootKeys. Everything that walks the
+	// root walks roots: map order differs from run to run, and the order root
+	// children are scored in decides how tied bounds pop — so a budget or δ-ε
+	// answer would not be a function of the query. addRoot appends to both
+	// and the insert that called it restores the order before it returns
+	// (orderRoots), so readers — excluded while a writer runs — never see
+	// them out of order and never sort.
+	Root     map[uint64]*Node
+	rootKeys []uint64
+	roots    []*Node
 	// Words holds every series' symbols at maximum cardinality, back-to-back
 	// with stride Segments (series i at [i*Segments, (i+1)*Segments)); PAAs
 	// holds the PAA vectors in the same flat layout. ADS+ keeps these in
@@ -148,8 +159,69 @@ func (t *Tree) RootKey(word []uint8) uint64 {
 	return key
 }
 
+// Roots returns the root's children in ascending key order (a view; do not
+// mutate). Inserting a series may add one, so callers exclude concurrent
+// inserts like every other reader of the tree.
+func (t *Tree) Roots() []*Node { return t.roots }
+
+// addRoot registers n as the root child for key, which must be new. The
+// caller restores the root order (orderRoots) before readers return.
+func (t *Tree) addRoot(key uint64, n *Node) {
+	t.Root[key] = n
+	t.rootKeys = append(t.rootKeys, key)
+	t.roots = append(t.roots, n)
+}
+
+// maxRootInsertions is how many new root children orderRoots moves into
+// place one by one (a binary search and a shift each) before sorting the
+// whole list once is cheaper.
+const maxRootInsertions = 16
+
+// orderRoots restores ascending key order after addRoot calls, given that
+// the first sorted roots were in order before them. An append adds a root
+// child now and then, so each is shifted into place; a bulk load adds
+// thousands — shifting each cost a quarter of an ADS+ build — and sorts once.
+func (t *Tree) orderRoots(sorted int) {
+	switch added := len(t.roots) - sorted; {
+	case added == 0:
+	case added <= maxRootInsertions:
+		for i := sorted; i < len(t.roots); i++ {
+			key, n := t.rootKeys[i], t.roots[i]
+			pos, _ := slices.BinarySearch(t.rootKeys[:i], key)
+			copy(t.rootKeys[pos+1:i+1], t.rootKeys[pos:i])
+			copy(t.roots[pos+1:i+1], t.roots[pos:i])
+			t.rootKeys[pos], t.roots[pos] = key, n
+		}
+	case !slices.IsSorted(t.rootKeys): // a snapshot lists them in order
+		type entry struct {
+			key uint64
+			n   *Node
+		}
+		es := make([]entry, len(t.roots))
+		for i, n := range t.roots {
+			es[i] = entry{t.rootKeys[i], n}
+		}
+		slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(a.key, b.key) })
+		for i, e := range es {
+			t.rootKeys[i], t.roots[i] = e.key, e.n
+		}
+	}
+}
+
 // Insert places series id into the tree, splitting overflowing leaves.
-func (t *Tree) Insert(id int) {
+func (t *Tree) Insert(id int) { t.InsertRange(id, id+1) }
+
+// InsertRange places series [lo, hi) into the tree, in id order — the bulk
+// form of Insert.
+func (t *Tree) InsertRange(lo, hi int) {
+	sorted := len(t.roots)
+	for id := lo; id < hi; id++ {
+		t.insert(id)
+	}
+	t.orderRoots(sorted)
+}
+
+func (t *Tree) insert(id int) {
 	word := t.Word(id)
 	key := t.RootKey(word)
 	n, ok := t.Root[key]
@@ -160,7 +232,7 @@ func (t *Tree) Insert(id int) {
 		}
 		n = &Node{Word: w, IsLeaf: true, Depth: 1}
 		n.fillRegions(t.Quant)
-		t.Root[key] = n
+		t.addRoot(key, n)
 		t.NumNodes++
 		t.NumLeaves++
 	}
@@ -262,17 +334,12 @@ func (t *Tree) MinDist(qpaa []float64, n *Node) float64 {
 	return simd.WeightedIntervalDistSq(qpaa, n.RegLo, n.RegHi, t.PAA.Widths())
 }
 
-// Leaves returns all leaves in deterministic order (sorted root keys,
+// Leaves returns all leaves in deterministic order (ascending root keys,
 // children 0 before 1), cached between calls.
 func (t *Tree) Leaves() []*Node {
 	if t.leafCache != nil {
 		return t.leafCache
 	}
-	keys := make([]uint64, 0, len(t.Root))
-	for k := range t.Root {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	var out []*Node
 	var walk func(n *Node)
 	walk = func(n *Node) {
@@ -283,8 +350,8 @@ func (t *Tree) Leaves() []*Node {
 		walk(n.Children[0])
 		walk(n.Children[1])
 	}
-	for _, k := range keys {
-		walk(t.Root[k])
+	for _, n := range t.roots {
+		walk(n)
 	}
 	t.leafCache = out
 	return out
@@ -312,7 +379,7 @@ func (t *Tree) TreeStats(seriesBytes int64, materialized bool) stats.TreeStats {
 		walk(n.Children[0])
 		walk(n.Children[1])
 	}
-	for _, n := range t.Root {
+	for _, n := range t.roots {
 		walk(n)
 	}
 	// The full summary array kept in memory (ADS+'s SAX cache; iSAX2+ holds

@@ -2,7 +2,6 @@ package isaxtree
 
 import (
 	"fmt"
-	"sort"
 
 	"hydra/internal/persist"
 	"hydra/internal/transform/sax"
@@ -27,15 +26,10 @@ func (t *Tree) Encode(w *persist.Writer) {
 	w.U8Mat(words)
 	w.F64Mat(paas)
 
-	keys := make([]uint64, 0, len(t.Root))
-	for k := range t.Root {
-		keys = append(keys, k)
-	}
-	sortUint64(keys)
-	w.Int(len(keys))
-	for _, k := range keys {
-		w.Uvarint(k)
-		encodeNode(w, t.Root[k])
+	w.Int(len(t.roots))
+	for i, n := range t.roots {
+		w.Uvarint(t.rootKeys[i])
+		encodeNode(w, n)
 	}
 }
 
@@ -104,11 +98,12 @@ func DecodeTree(r *persist.Reader, numSeries int) (*Tree, error) {
 		if _, dup := t.Root[key]; dup {
 			return nil, fmt.Errorf("isaxtree: duplicate root key %d", key)
 		}
-		t.Root[key] = node
+		t.addRoot(key, node)
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
+	t.orderRoots(0)
 	return t, nil
 }
 
@@ -161,8 +156,4 @@ func decodeNode(r *persist.Reader, t *Tree, numSeries, depthBudget int) (*Node, 
 		n.Children[b] = child
 	}
 	return n, nil
-}
-
-func sortUint64(v []uint64) {
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
 }

@@ -79,6 +79,10 @@ type Index struct {
 	promo []float64
 	// pool hands each in-flight query its reusable scratch buffers.
 	pool core.ScratchPool
+	// syn is the per-member summary data entries are tested against before
+	// their raw series is read: block moments of every series, derived from
+	// the raw data at Build and DecodeIndex and never stored.
+	syn core.Synopses
 }
 
 // New creates an M-tree.
@@ -115,6 +119,7 @@ func (ix *Index) Build(c *core.Collection) error {
 	for i := 0; i < c.File.Len(); i++ {
 		ix.insert(i)
 	}
+	ix.syn.Extend(c.File, 0, c.File.Len())
 	return nil
 }
 
@@ -289,7 +294,8 @@ type visit struct {
 // KNN implements core.Method: best-first k-NN with triangle-inequality
 // pruning (Hjaltason & Samet style on the M-tree). NodesVisited counts the
 // popped nodes; LBCalcs counts the bounds that cost no distance — one per
-// parent-distance estimate and one per routing bound d(q, o) − radius.
+// parent-distance estimate, one per routing bound d(q, o) − radius and one
+// per synopsis bound of a data entry.
 func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match, stats.QueryStats, error) {
 	var qs stats.QueryStats
 	if ix.c == nil {
@@ -303,7 +309,13 @@ func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match,
 	ord := sc.Order(q)
 	set := sc.KNN(k)
 	rf := core.NewRefiner(ix.c, q, ord, set)
+	sq := ix.syn.Query(q, sc.F32(ix.syn.RecordLen()))
 
+	// sqBound is the result set's bound and bound its root, the unit the
+	// triangle inequality works in. Only a refined data entry changes the
+	// set, so only there are the two refreshed.
+	sqBound := set.Bound()
+	bound := math.Sqrt(sqBound)
 	h := core.HeapOf[visit](sc)
 	h.Push(0, visit{n: ix.root})
 	for h.Len() > 0 {
@@ -311,13 +323,11 @@ func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match,
 			return nil, qs, err
 		}
 		lb, it := h.PopMin()
-		bound := math.Sqrt(set.Bound())
 		if lb >= bound {
 			break
 		}
 		qs.NodesVisited++
 		for _, e := range it.n.entries {
-			bound = math.Sqrt(set.Bound())
 			// Parent-distance shortcut: |d(q,parent) − d(parent,obj)| lower
 			// bounds d(q,obj); skip the expensive distance when possible.
 			if it.haveQP {
@@ -331,11 +341,22 @@ func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match,
 				}
 			}
 			if e.child == nil {
+				// Second-level filter: the entry's raw series is read only
+				// if its synopsis bound beats the best-so-far — the exact
+				// member predicate of core.Refiner, so the set evolves as
+				// without it.
+				qs.LBCalcs++
+				if sq.Bound(e.id) >= sqBound {
+					continue
+				}
 				// Data entries are refined like every other exact path, so
 				// the reported distances carry the scan's bits; only routing
 				// objects need the full distance (the triangle inequality
 				// has no use for an abandoned partial sum).
 				rf.Member(e.id, &qs)
+				if b := set.Bound(); b != sqBound {
+					sqBound, bound = b, math.Sqrt(b)
+				}
 				continue
 			}
 			qs.DistCalcs++
@@ -373,6 +394,7 @@ func (ix *Index) TreeStats() stats.TreeStats {
 		}
 	}
 	walk(ix.root, 0)
+	ts.MemBytes += ix.syn.Bytes()
 	return ts
 }
 

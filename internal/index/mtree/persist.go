@@ -73,6 +73,7 @@ func (ix *Index) DecodeIndex(dec *persist.Decoder, c *core.Collection) error {
 	ix.cap = capacity
 	ix.distCalcsBuild = distCalcs
 	ix.root = root
+	ix.syn.Extend(c.File, 0, c.File.Len())
 	return nil
 }
 

@@ -82,35 +82,13 @@ func (ix *Index) referenceVisitLeaf(n *node, q series.Series, ord series.Order, 
 // TestMemberFilterNeverChangesAnswers: in every mode, on every kind of
 // query, the member-filtered search returns the reference search's answers —
 // same IDs, Float64bits-equal distances — after the same traversal (nodes
-// visited, early-stop cause), having compared no more raw series than it.
+// visited, early-stop cause, I/O charged), having compared no more raw
+// series than it.
 func TestMemberFilterNeverChangesAnswers(t *testing.T) {
-	ctx := context.Background()
 	for seed := int64(1); seed <= 3; seed++ {
 		ds := dataset.RandomWalk(3000, 128, seed)
-		ix, _ := build(t, ds, 24)
-		for mode, spec := range difftest.Modes {
-			for qi, q := range difftest.Queries(ds, seed) {
-				for _, k := range []int{1, 5} {
-					at := fmt.Sprintf("seed %d %s query %d k=%d", seed, mode, qi, k)
-					got, gotQS, err := ix.KNNApprox(ctx, q, k, spec)
-					if err != nil {
-						t.Fatalf("%s: %v", at, err)
-					}
-					want, wantQS, err := ix.referenceSearch(ctx, q, k, spec)
-					if err != nil {
-						t.Fatalf("%s: reference: %v", at, err)
-					}
-					difftest.SameAnswers(t, at, got, want)
-					if gotQS.NodesVisited != wantQS.NodesVisited || gotQS.EarlyStop != wantQS.EarlyStop {
-						t.Errorf("%s: %d nodes, stop %q; reference %d, %q", at,
-							gotQS.NodesVisited, gotQS.EarlyStop, wantQS.NodesVisited, wantQS.EarlyStop)
-					}
-					if gotQS.RawSeriesExamined > wantQS.RawSeriesExamined {
-						t.Errorf("%s: examined %d raw series, reference %d", at, gotQS.RawSeriesExamined, wantQS.RawSeriesExamined)
-					}
-				}
-			}
-		}
+		ix, c := build(t, ds, 24)
+		difftest.MemberFilterChangesNothing(t, fmt.Sprintf("seed %d", seed), c, difftest.Modes, difftest.Queries(ds, seed), ix.KNNApprox, ix.referenceSearch)
 	}
 }
 
@@ -118,22 +96,8 @@ func TestMemberFilterNeverChangesAnswers(t *testing.T) {
 // fixed seed, exact queries compare at most a quarter of the raw series the
 // reference leaf loop compares.
 func TestRefineWorkBudget(t *testing.T) {
-	ds := dataset.RandomWalk(10000, 256, 42)
-	ix, _ := build(t, ds, 0)
-	var got, want int64
-	for _, q := range dataset.SynthRand(20, 256, 7).Queries {
-		_, gotQS, err := ix.KNN(context.Background(), q, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, wantQS, err := ix.referenceSearch(context.Background(), q, 1, core.ApproxSpec{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got += gotQS.RawSeriesExamined
-		want += wantQS.RawSeriesExamined
-	}
-	t.Logf("examined %d raw series, reference %d (1/%.1f)", got, want, float64(want)/float64(got))
+	ix, _ := build(t, dataset.RandomWalk(10000, 256, 42), 0)
+	got, want := difftest.RefineWork(t, dataset.SynthRand(20, 256, 7).Queries, ix.KNNApprox, ix.referenceSearch)
 	if 4*got > want {
 		t.Errorf("examined %d raw series, more than a quarter of the reference's %d", got, want)
 	}

@@ -233,3 +233,25 @@ func BenchmarkWeightedIntervalDistSq(b *testing.B) {
 		_ = sum
 	})
 }
+
+// BenchmarkBlockMoments is the synopsis derive pass: 10 000 series of 256
+// values (the tree-exact collection, 10 MB — larger than the cache, as on a
+// snapshot load), one record each. MB/s counts the raw bytes read.
+func BenchmarkBlockMoments(b *testing.B) {
+	const count, n = 10000, 256
+	data := benchSeries(count*n, 9)
+	out := make([]float32, count*BlockMomentsLen(n))
+	run := func(b *testing.B) {
+		b.SetBytes(4 * count * n)
+		for i := 0; i < b.N; i++ {
+			for s := 0; s < count; s++ {
+				BlockMoments(data[s*n:(s+1)*n], out[s*32:(s+1)*32])
+			}
+		}
+	}
+	b.Run("dispatched", run)
+	b.Run("go", func(b *testing.B) {
+		defer forceGoBackend()()
+		run(b)
+	})
+}

@@ -65,6 +65,9 @@ func eapcaBoundAVX2(qm, qs, w, minMean, maxMean, minStd, maxStd []float64) float
 //go:noescape
 func storeWeightedIntervalSqAVX2(v, w float64, lo, hi, out []float64)
 
+//go:noescape
+func blockMomentPairsAVX2(x, out []float32, pairs int)
+
 // SquaredDist returns the squared Euclidean distance between q and c.
 // Precondition: len(c) >= len(q); only the first len(q) elements are read.
 func SquaredDist(q, c []float32) float64 {
@@ -175,4 +178,16 @@ func StoreWeightedIntervalSq(v, w float64, lo, hi, out []float64) {
 		return
 	}
 	storeWeightedIntervalSqGo(v, w, lo, hi, out)
+}
+
+// blockMomentPairs fills the moment pairs of the leading whole pairs of
+// blocks of BlockMoments on the assembly backend and returns how many blocks
+// it covered: 0 on the Go backend. The caller has established that out holds
+// two values per block of x.
+func blockMomentPairs(x, out []float32, blocks int) int {
+	if !useAVX2 {
+		return 0
+	}
+	blockMomentPairsAVX2(x, out, blocks/2)
+	return blocks &^ 1
 }

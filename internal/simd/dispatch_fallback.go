@@ -70,3 +70,7 @@ func EAPCABound(qm, qs, w, minMean, maxMean, minStd, maxStd []float64) float64 {
 func StoreWeightedIntervalSq(v, w float64, lo, hi, out []float64) {
 	storeWeightedIntervalSqGo(v, w, lo, hi, out)
 }
+
+// blockMomentPairs is the assembly share of BlockMoments: none in this
+// build, so the Go kernel fills every block.
+func blockMomentPairs(x, out []float32, blocks int) int { return 0 }

@@ -3,8 +3,9 @@
 // (sequential, and with whole BlockLen-element blocks reordered: one cache
 // line per block and contiguous loads, never an element gather), code-table
 // lookups for batched lower bounds (eight candidates a group, sums held in
-// registers — no vector gather either), and interval (region/MBR/EAPCA)
-// bound sums — each available as hand-written assembly on amd64 (AVX2+FMA
+// registers — no vector gather either), interval (region/MBR/EAPCA) bound
+// sums, and the per-block moments of a series (the derive pass of the
+// member synopses) — each available as hand-written assembly on amd64 (AVX2+FMA
 // where vectors pay, plain scalar SSE2 for the table lookups) with a
 // portable Go twin, selected once at startup by runtime CPU-feature
 // detection.

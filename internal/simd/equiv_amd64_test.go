@@ -160,3 +160,31 @@ func TestStoreWeightedIntervalSqEquivalence(t *testing.T) {
 		}
 	}
 }
+
+func TestBlockMomentsEquivalence(t *testing.T) {
+	if !HasAVX2() {
+		t.Skip("no AVX2+FMA hardware; Go-vs-Go is vacuous")
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range tailLengths() {
+		for off := 0; off < 4; off++ {
+			for _, scale := range []float32{1, 1e-30, 1e18, 3e38} {
+				x := misalignF32(rng, n, off)
+				for i := range x {
+					x[i] *= scale
+				}
+				blocks := n / BlockLen
+				asm := make([]float32, 2*blocks)
+				ref := make([]float32, 2*blocks)
+				blockMomentPairsAVX2(x, asm, blocks/2)
+				blockMomentsGo(x, asm, blocks&^1, blocks)
+				blockMomentsGo(x, ref, 0, blocks)
+				for i := range ref {
+					if math.Float32bits(asm[i]) != math.Float32bits(ref[i]) {
+						t.Fatalf("n=%d off=%d scale=%g out[%d]: asm %v, go %v", n, off, scale, i, asm[i], ref[i])
+					}
+				}
+			}
+		}
+	}
+}

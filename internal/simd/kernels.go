@@ -255,3 +255,49 @@ func storeWeightedIntervalSqGo(v, w float64, lo, hi, out []float64) {
 		out[i] = w * (t * t)
 	}
 }
+
+// blockMomentsGo fills out[2b], out[2b+1] with the moment pair of block b of
+// x, for the whole BlockLen-element blocks b in [from, blocks): the block's
+// sum over √BlockLen (= √w·mean) and the root of its squared
+// deviations from the mean (= √w·std), both rounded to float32 once, at the
+// store. The sums are four-lane (element i feeds lane i mod 4, the four
+// quarters of a block folded pairwise) and the deviations are squared by the
+// fused multiply-adds the assembly issues, so the two backends agree bit for
+// bit. Scaling by BlockLen and its root is exact (powers of two).
+func blockMomentsGo(x, out []float32, from, blocks int) {
+	for b := from; b < blocks; b++ {
+		p := x[b*BlockLen : (b+1)*BlockLen : (b+1)*BlockLen]
+		var s, v [4]float64
+		for j := range s {
+			s[j] = (float64(p[j]) + float64(p[4+j])) + (float64(p[8+j]) + float64(p[12+j]))
+		}
+		sum := (s[0] + s[1]) + (s[2] + s[3])
+		mean := sum * (1.0 / BlockLen)
+		for j := range v {
+			d0, d1 := float64(p[j])-mean, float64(p[4+j])-mean
+			d2, d3 := float64(p[8+j])-mean, float64(p[12+j])-mean
+			v[j] = math.FMA(d1, d1, d0*d0) + math.FMA(d3, d3, d2*d2)
+		}
+		dev := (v[0] + v[1]) + (v[2] + v[3])
+		out[2*b] = float32(sum * 0.25)
+		out[2*b+1] = float32(math.Sqrt(dev))
+	}
+}
+
+// blockMomentsTail is the moment pair of a short last block (0 < len(p) <
+// BlockLen), summed in element order — the one formulation of both
+// backends, fused explicitly so every architecture rounds alike.
+func blockMomentsTail(p []float32) (m, s float32) {
+	var sum float64
+	for _, v := range p {
+		sum += float64(v)
+	}
+	w := float64(len(p))
+	mean := sum / w
+	var dev float64
+	for _, v := range p {
+		d := float64(v) - mean
+		dev = math.FMA(d, d, dev)
+	}
+	return float32(sum / math.Sqrt(w)), float32(math.Sqrt(dev))
+}

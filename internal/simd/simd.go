@@ -107,3 +107,29 @@ func Transpose8(src []uint8, dims int, dst []uint8) {
 		}
 	}
 }
+
+// BlockMomentsLen returns the length of the block-moment record of an
+// n-value series: two float32 values per block of BlockLen values, a short
+// last block included.
+func BlockMomentsLen(n int) int { return 2 * ((n + BlockLen - 1) / BlockLen) }
+
+// BlockMoments fills out with the block-moment record of x: for block b of
+// BlockLen consecutive values (the last block may be shorter, w values),
+// out[2b] = √w·mean and out[2b+1] = √w·std — the block's sum over √w and the
+// root of its summed squared deviations from the mean. Sums run in float64
+// and each moment is rounded to float32 once. The squared Euclidean distance
+// between two such records never exceeds (up to that rounding) the squared
+// distance between the series: Σ_block (x−y)² ≥ w·((μx−μy)² + (σx−σy)²).
+// The record's own norm is the series' norm, since w·(μ² + σ²) = Σ_block x².
+//
+// Precondition: len(out) == BlockMomentsLen(len(x)).
+func BlockMoments(x, out []float32) {
+	if len(out) != BlockMomentsLen(len(x)) {
+		panic("simd: block-moment record does not match the series length")
+	}
+	blocks := len(x) / BlockLen
+	blockMomentsGo(x, out, blockMomentPairs(x, out, blocks), blocks)
+	if tail := x[blocks*BlockLen:]; len(tail) > 0 {
+		out[2*blocks], out[2*blocks+1] = blockMomentsTail(tail)
+	}
+}

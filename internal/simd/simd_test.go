@@ -458,3 +458,80 @@ func FuzzIntervalKernels(f *testing.F) {
 		}
 	})
 }
+
+// momentsRef is BlockMoments from the definitions, in element order: per
+// block √w·mean and √w·std.
+func momentsRef(x []float32) []float64 {
+	var out []float64
+	for lo := 0; lo < len(x); lo += BlockLen {
+		p := x[lo:min(lo+BlockLen, len(x))]
+		w := float64(len(p))
+		var sum, dev float64
+		for _, v := range p {
+			sum += float64(v)
+		}
+		for _, v := range p {
+			d := float64(v) - sum/w
+			dev += d * d
+		}
+		out = append(out, sum/math.Sqrt(w), math.Sqrt(dev))
+	}
+	return out
+}
+
+// TestBlockMomentsMatchesDefinition pins the dispatched kernel to the
+// moments it is named after, at every tail shape: each stored value is the
+// float32 nearest the definition's, up to the float64 reassociation of a
+// 16-term sum.
+func TestBlockMomentsMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for _, n := range tailLengths() {
+		x := misalignF32(rng, n, n&3)
+		out := make([]float32, BlockMomentsLen(n))
+		BlockMoments(x, out)
+		for i, want := range momentsRef(x) {
+			if got := float64(out[i]); math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
+				t.Fatalf("n=%d out[%d] = %v, definition %v", n, i, got, want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a record of the wrong length did not panic")
+		}
+	}()
+	BlockMoments(make([]float32, 17), make([]float32, 2))
+}
+
+// FuzzBlockMoments hands the kernel raw float32 bit patterns — NaNs,
+// infinities, subnormals and magnitudes whose block sums overflow float32
+// included: the dispatched kernel must store what the Go twin stores, bit
+// for bit (any NaN for a NaN).
+func FuzzBlockMoments(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add(make([]byte, 4*33), uint8(1))
+	f.Add([]byte("\x00\x00\x80\x7f\x00\x00\xc0\x7f\xff\xff\x7f\x7f\x01\x00\x00\x00"), uint8(3)) // +Inf, NaN, max, min subnormal
+	f.Fuzz(func(t *testing.T, raw []byte, off uint8) {
+		n := min(len(raw)/4, 1<<10)
+		backing := make([]float32, n*5+int(off&3))
+		x := backing[off&3:]
+		// The fuzzer's values repeated five times fill whole blocks from a
+		// short input.
+		for i := range x {
+			x[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i%n*4:]))
+		}
+		got := make([]float32, BlockMomentsLen(len(x)))
+		want := make([]float32, len(got))
+		BlockMoments(x, got)
+		blocks := len(x) / BlockLen
+		blockMomentsGo(x, want, 0, blocks)
+		if tail := x[blocks*BlockLen:]; len(tail) > 0 {
+			want[2*blocks], want[2*blocks+1] = blockMomentsTail(tail)
+		}
+		for i := range want {
+			if got[i] != want[i] && !(got[i] != got[i] && want[i] != want[i]) {
+				t.Fatalf("out[%d]: dispatched %v, go %v (x=%v)", i, got[i], want[i], x)
+			}
+		}
+	})
+}

@@ -31,6 +31,14 @@ func TestKernelTailsOnArenaViews(t *testing.T) {
 			if a, b := series.SquaredDist(qv, cv), series.SquaredDist(qc, cc); a != b {
 				t.Fatalf("n=%d off=%d: SquaredDist view %v, copy %v", n, off, a, b)
 			}
+			mv, mc := make([]float32, simd.BlockMomentsLen(n)), make([]float32, simd.BlockMomentsLen(n))
+			simd.BlockMoments(cv, mv)
+			simd.BlockMoments(cc, mc)
+			for i := range mc {
+				if math.Float32bits(mv[i]) != math.Float32bits(mc[i]) {
+					t.Fatalf("n=%d off=%d: BlockMoments[%d] view %v, copy %v", n, off, i, mv[i], mc[i])
+				}
+			}
 			full := series.SquaredDist(qc, cc)
 			tol := 1e-9 * (1 + full)
 			for _, bound := range []float64{0, full / 2, full, inf} {
