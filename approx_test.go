@@ -111,8 +111,9 @@ func TestApproxDegenerateSpecsAreExact(t *testing.T) {
 }
 
 // TestApproxNgMatchesApproxKNN pins conformance point (c): an ng-mode
-// engine answers exactly what the method's first-leaf ApproxKNN answers —
-// ng mode IS the approximate descent, not a lookalike.
+// engine answers exactly what the method's own first-leaf search
+// (KNNApprox in ModeNG, the query head start's source) answers — ng mode IS
+// the approximate descent, not a lookalike.
 func TestApproxNgMatchesApproxKNN(t *testing.T) {
 	d := testData(t)
 	queries := hydra.RandomWorkload(5, 64, 37)
@@ -120,9 +121,9 @@ func TestApproxNgMatchesApproxKNN(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e := engineFor(t, name, d, hydra.WithApproxMode("ng"))
 			m, _ := approxOracle(t, name, 5000, 64, 17)
-			am, ok := m.(core.ApproxMethod)
+			as, ok := m.(core.ApproxSearcher)
 			if !ok {
-				t.Fatalf("%s does not implement ApproxMethod", name)
+				t.Fatalf("%s does not implement ApproxSearcher", name)
 			}
 			for qi := 0; qi < queries.Len(); qi++ {
 				q := queries.Query(qi)
@@ -130,12 +131,12 @@ func TestApproxNgMatchesApproxKNN(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, _, err := am.ApproxKNN(context.Background(), q, 3)
+				want, _, err := as.KNNApprox(context.Background(), q, 3, core.ApproxSpec{Mode: core.ModeNG})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("q%d: ng engine %v != ApproxKNN %v", qi, got, want)
+					t.Fatalf("q%d: ng engine %v != method's ng search %v", qi, got, want)
 				}
 				if qs.Mode != "ng" {
 					t.Fatalf("q%d: stats mode %q, want ng", qi, qs.Mode)

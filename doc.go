@@ -93,8 +93,8 @@
 //     an approximate mode behave exactly as before this option existed.
 //   - "ng": the ng-approximate answer (the paper's "no-guarantees"
 //     descent) — one root-to-leaf visit of the query's own path, the same
-//     answer ApproxKNN and the QueryStream head start deliver. Fastest,
-//     no quality bound.
+//     answer the QueryStream head start delivers. Fastest, no quality
+//     bound.
 //   - "delta-eps": δ-ε-approximate search. The traversal prunes against
 //     bound/(1+ε) — never discarding any candidate within (1+ε) of the
 //     best-so-far — and, for δ < 1, additionally stops early once the
@@ -120,8 +120,8 @@
 // without approximate support fail non-exact queries with
 // ErrApproxUnsupported (hydra-serve maps it to 400). The conformance
 // suite in approx_test.go pins the lattice: degenerate-spec equivalence,
-// ng ≡ ApproxKNN, measured recall ≥ δ on controlled workloads, and
-// monotone pruning in ε.
+// ng ≡ the method's own first-leaf search, measured recall ≥ δ on
+// controlled workloads, and monotone pruning in ε.
 //
 // # Motif discovery: the matrix profile
 //

@@ -130,22 +130,9 @@ func BuildIndex(ctx context.Context, method string, opts ...Option) (*Engine, er
 	}
 	coll := core.NewCollection(d.d)
 
-	if _, ok := m.(core.Persistable); ok && cfg.indexDir != "" {
-		if cached, bs, ok := loadCached(cfg.cachePath(method, coll), coll); ok {
-			return cfg.engine(cached, coll, d, bs)
-		}
-	}
-	bs, err := core.BuildInstrumented(m, coll)
+	m, bs, err := core.CachedBuild(ctx, m, coll, cfg.cachePath(method, coll))
 	if err != nil {
 		return nil, fmt.Errorf("hydra: building %s: %w", method, err)
-	}
-	if err := core.Canceled(ctx); err != nil {
-		return nil, err
-	}
-	if p, ok := m.(core.Persistable); ok && cfg.indexDir != "" {
-		if err := core.SaveSnapshotFile(p, coll, cfg.cachePath(method, coll)); err != nil {
-			return nil, fmt.Errorf("hydra: caching %s snapshot: %w", method, err)
-		}
 	}
 	return cfg.engine(m, coll, d, bs)
 }
@@ -306,28 +293,6 @@ func (c *config) engine(m core.Method, coll *core.Collection, d *Dataset, bs Bui
 // hydra-bench uses, so the two cache directories are interchangeable.
 func (c *config) cachePath(method string, coll *core.Collection) string {
 	return core.SnapshotCachePath(c.indexDir, method, coll, c.opts)
-}
-
-// loadCached loads a cache entry if present and intact; a stale or damaged
-// entry reports !ok and the caller rebuilds. A corrupt entry is additionally
-// quarantined aside (rename to path + ".quarantined") so the rebuild's
-// write-then-rename reseeds a clean path and the damage stays inspectable.
-func loadCached(path string, coll *core.Collection) (core.Method, BuildStats, bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, BuildStats{}, false
-	}
-	m, bs, err := core.LoadIndexInstrumented(f, coll)
-	f.Close()
-	if err != nil {
-		if IsCorruptSnapshot(err) {
-			if _, qerr := persist.Quarantine(path); qerr == nil {
-				persist.SweepQuarantined(filepath.Dir(path), 0, 0)
-			}
-		}
-		return nil, BuildStats{}, false
-	}
-	return m, bs, true
 }
 
 // SnapshotName maps a method name to its conventional snapshot file name
@@ -499,8 +464,8 @@ func (e *Engine) queryPartial(ctx context.Context, q []float32, k int) ([]Match,
 			return fold.results(), qs, nil
 		}
 		return matches, qs, err
-	case core.ApproxMethod:
-		approx, aqs, aerr := m.ApproxKNN(ctx, sq, k)
+	case core.ApproxSearcher:
+		approx, aqs, aerr := m.KNNApprox(ctx, sq, k, core.ApproxSpec{Mode: core.ModeNG})
 		if aerr != nil {
 			if errors.Is(aerr, context.DeadlineExceeded) {
 				aqs.Partial = true

@@ -73,12 +73,7 @@ var (
 // corruption. These are the errors for which quarantining the file and
 // rebuilding is the right response; version skew and dataset mismatch are
 // deliberately excluded (the file is fine, the context is wrong).
-func IsCorruptSnapshot(err error) bool {
-	return errors.Is(err, ErrSnapshotMagic) ||
-		errors.Is(err, ErrSnapshotChecksum) ||
-		errors.Is(err, ErrSnapshotTruncated) ||
-		errors.Is(err, ErrSnapshotCorrupt)
-}
+func IsCorruptSnapshot(err error) bool { return core.IsCorruptSnapshot(err) }
 
 // permanentLoadError reports whether a snapshot load failure cannot be cured
 // by retrying: the file is corrupt, incompatible, for other data, names an

@@ -30,7 +30,8 @@ const (
 	ModeExact ApproxMode = iota
 	// ModeNG is ng-approximate search (Definition 7 of the source paper):
 	// one root-to-leaf descent, the first leaf's best matches, no error
-	// bound. Identical to ApproxMethod.ApproxKNN.
+	// bound. It is also the head start QueryStream and the partial-answer
+	// path run before an exact query.
 	ModeNG
 	// ModeDeltaEps is δ-ε-approximate search: lower-bound pruning relaxed by
 	// (1+ε) so the answer's k-th distance is within (1+ε) of the true one,

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"time"
 
@@ -207,8 +209,12 @@ func readOptions(r *persist.Reader) Options {
 // parametrization misses the cache instead of loading a wrong index.
 // The experiments harness (hydra-bench -index) and the public package's
 // WithIndexDir cache share this one key format, which is what keeps their
-// cache directories interchangeable.
+// cache directories interchangeable. An empty dir means no cache: the path
+// is empty too, and CachedBuild only builds.
 func SnapshotCachePath(dir, name string, c *Collection, opts Options) string {
+	if dir == "" {
+		return ""
+	}
 	opts.Workers = 0
 	key := crc32.ChecksumIEEE([]byte(fmt.Sprintf("%08x|%+v", Fingerprint(c), opts)))
 	return filepath.Join(dir, fmt.Sprintf("%s-%08x%s", persist.FileStem(name), key, persist.SnapshotExt))
@@ -221,6 +227,54 @@ func SaveSnapshotFile(p Persistable, c *Collection, path string) error {
 	return persist.AtomicWrite(path, 0o644, func(w io.Writer) error {
 		return SaveIndex(p, c, w)
 	})
+}
+
+// IsCorruptSnapshot reports whether err means the snapshot file itself is
+// damaged — wrong magic, failed checksum, truncation, or structural
+// corruption — rather than from another format version or other data.
+func IsCorruptSnapshot(err error) bool {
+	return errors.Is(err, persist.ErrMagic) ||
+		errors.Is(err, persist.ErrChecksum) ||
+		errors.Is(err, persist.ErrTruncated) ||
+		errors.Is(err, persist.ErrCorrupt)
+}
+
+// CachedBuild is the one snapshot cache, behind the public package's
+// WithIndexDir and hydra-bench -index. With a path and a Persistable m, it
+// loads the snapshot at path when one is there and intact, and otherwise
+// builds m over c and saves the snapshot there. A corrupt entry is
+// quarantined aside (path + ".quarantined") first, so the save reseeds a
+// clean path and the damage stays inspectable; a stale one (other data or
+// version) is simply replaced. Without either it only builds. ctx is
+// checked between the build and the save. A loaded run is marked
+// BuildStats.FromSnapshot.
+func CachedBuild(ctx context.Context, m Method, c *Collection, path string) (Method, stats.BuildStats, error) {
+	p, cached := m.(Persistable)
+	cached = cached && path != ""
+	if cached {
+		if f, err := os.Open(path); err == nil {
+			loaded, bs, err := LoadIndexInstrumented(f, c)
+			f.Close()
+			if err == nil {
+				return loaded, bs, nil
+			}
+			if IsCorruptSnapshot(err) {
+				if _, qerr := persist.Quarantine(path); qerr == nil {
+					persist.SweepQuarantined(filepath.Dir(path), 0, 0)
+				}
+			}
+		}
+	}
+	bs, err := BuildInstrumented(m, c)
+	if err == nil {
+		err = Canceled(ctx)
+	}
+	if err == nil && cached {
+		if err = SaveSnapshotFile(p, c, path); err != nil {
+			err = fmt.Errorf("caching %s snapshot: %w", m.Name(), err)
+		}
+	}
+	return m, bs, err
 }
 
 // Persistables lists the registered (visible) methods that support

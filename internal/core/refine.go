@@ -47,6 +47,10 @@ func NewRefiner(c *Collection, q series.Series, ord series.Order, set *KNNSet) R
 	return Refiner{file: c.File, q: q, ord: ord, set: set}
 }
 
+// Bound returns the result set's current pruning bound, the k-th best
+// squared distance — for leaves that pre-filter their members themselves.
+func (r *Refiner) Bound() float64 { return r.set.Bound() }
+
 // Leaf refines one materialized leaf: a single leaf access is charged for
 // all of ids (the leaf is one contiguous read whatever the filter skips
 // afterwards), then Members runs. An empty leaf costs nothing.

@@ -8,28 +8,31 @@ import (
 
 // Scratch is the per-query reusable state of the zero-allocation query
 // paths: the reordered query, the query summary (PAA vector, DFT features,
-// …), the candidate lower-bound buffer, the k-NN heap backing, a node
-// priority queue for best-first traversals, a candidate-id queue for
-// filter-file visits, and a lower-bound lookup table for the batched
-// kernels. Buffers grow on demand and never shrink, so steady-state queries
-// stop allocating after the first few.
+// …), the candidate lower-bound and id buffers, the k-NN heap backing, a
+// node priority queue, the BestFirst frontier and the index's own walk
+// state, a candidate-id queue for filter-file visits, and a lower-bound
+// lookup table for the batched kernels. Buffers grow on demand and never
+// shrink, so steady-state queries stop allocating after the first few.
 //
 // A Scratch serves one query at a time; concurrent queries each take their
 // own from a ScratchPool. Everything handed out by a Scratch (orders,
 // buffers, the KNNSet) is invalidated by the next use of the same getter —
 // results that outlive the query must be copied out (KNNSet.Results does).
 type Scratch struct {
-	ob      series.OrderBuilder
-	summary []float64
-	aux     []float64
-	table   []float64
-	lb      []float64
-	word    []uint8
-	f32     []float32
-	cbuf    []complex128
-	queue   BoundQueue
-	set     KNNSet
-	heap    any // *BoundHeap[T] for the owning index's payload type, see HeapOf
+	ob       series.OrderBuilder
+	summary  []float64
+	aux      []float64
+	table    []float64
+	lb       []float64
+	word     []uint8
+	ids      []int
+	f32      []float32
+	cbuf     []complex128
+	queue    BoundQueue
+	set      KNNSet
+	heap     any // *BoundHeap[T] for the owning index's payload type, see HeapOf
+	frontier any // *Frontier[N] for the owning index's node type, see BestFirst
+	state    any // *W for the owning index's walk state, see StateOf
 }
 
 // Order returns the block-granular reordered-early-abandoning order for q,
@@ -64,6 +67,16 @@ func (s *Scratch) Word(n int) []uint8 {
 	}
 	s.word = s.word[:n]
 	return s.word
+}
+
+// IDs returns a length-n int buffer for candidate ids. Contents are
+// undefined.
+func (s *Scratch) IDs(n int) []int {
+	if cap(s.ids) < n {
+		s.ids = make([]int, n)
+	}
+	s.ids = s.ids[:n]
+	return s.ids
 }
 
 // F32 returns a length-n float32 buffer (normalized query/window copies of
@@ -102,6 +115,19 @@ func HeapOf[T any](s *Scratch) *BoundHeap[T] {
 	}
 	h.Reset()
 	return h
+}
+
+// StateOf returns the scratch's value of type W — an index's per-query walk
+// state, the Tree it hands BestFirst — allocated on the scratch's first
+// query. A Scratch belongs to one index's pool, so W is the same on every
+// call. The value keeps whatever the previous query left in it.
+func StateOf[W any](s *Scratch) *W {
+	w, ok := s.state.(*W)
+	if !ok {
+		w = new(W)
+		s.state = w
+	}
+	return w
 }
 
 // maxSelect caps how many leading candidates a BoundQueue finds by insertion
@@ -290,9 +316,9 @@ func (sp *ScratchPool) Put(s *Scratch) { sp.p.Put(s) }
 // traversals — the one priority queue of every tree. It is generic over the
 // payload, so node pointers and the M-tree's (node, parent distance) visits
 // are stored unboxed and a query allocates nothing for it: the backing array
-// lives in a Scratch (see HeapOf). The sift procedures mirror container/heap
-// exactly, so pop order (including the order of equal bounds) matches the
-// per-package container/heap queues it replaced.
+// lives in a Scratch (see HeapOf). The sift procedures are the standard
+// library heap's, so pop order (including the order of equal bounds) is the
+// one the per-package queues it replaced produced.
 type BoundHeap[T any] struct {
 	items []boundItem[T]
 }

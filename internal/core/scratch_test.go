@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,26 +11,57 @@ import (
 	"hydra/internal/series"
 )
 
-// refPQ is a reference container/heap implementation with the same
-// less-by-bound ordering the per-package query heaps used before BoundHeap
-// replaced them.
+// refPQ is the standard library heap's push and pop, step for step, over
+// the less-by-bound ordering the per-package query heaps used before
+// BoundHeap replaced them.
 type refItem struct {
 	lb float64
 	id int
 }
 type refPQ []refItem
 
-func (p refPQ) Len() int           { return len(p) }
-func (p refPQ) Less(i, j int) bool { return p[i].lb < p[j].lb }
-func (p refPQ) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
-func (p *refPQ) Push(x any)        { *p = append(*p, x.(refItem)) }
-func (p *refPQ) Pop() any          { old := *p; n := len(old); it := old[n-1]; *p = old[:n-1]; return it }
+func (p *refPQ) push(it refItem) {
+	*p = append(*p, it)
+	h := *p
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2
+		if i == j || !(h[j].lb < h[i].lb) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
 
-// TestBoundHeapMatchesContainerHeap drives BoundHeap and container/heap
-// through the same randomized push/pop interleavings: the popped (bound,
-// identity) sequences must be identical, including the order of equal
-// bounds — that is what keeps traversal order (and with it the per-query
-// stats) unchanged after the heap swap.
+func (p *refPQ) pop() refItem {
+	h := *p
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 {
+			break
+		}
+		j := j1
+		if j2 := j1 + 1; j2 < n && h[j2].lb < h[j1].lb {
+			j = j2
+		}
+		if !(h[j].lb < h[i].lb) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*p = h[:n]
+	return h[n]
+}
+
+// TestBoundHeapMatchesContainerHeap drives BoundHeap and the standard
+// library's heap algorithm through the same randomized push/pop
+// interleavings: the popped (bound, identity) sequences must be identical,
+// including the order of equal bounds — that is what kept traversal order
+// (and with it the per-query stats) unchanged when the trees moved onto
+// BoundHeap.
 func TestBoundHeapMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -43,12 +73,12 @@ func TestBoundHeapMatchesContainerHeap(t *testing.T) {
 				lb := float64(rng.Intn(16)) // few distinct bounds: many ties
 				ids = append(ids, op)
 				h.Push(lb, &ids[len(ids)-1])
-				heap.Push(ref, refItem{lb: lb, id: op})
+				ref.push(refItem{lb: lb, id: op})
 			} else {
 				lb, node := h.PopMin()
-				want := heap.Pop(ref).(refItem)
+				want := ref.pop()
 				if lb != want.lb || *node != want.id {
-					t.Fatalf("trial %d op %d: popped (%g, %d), container/heap (%g, %d)",
+					t.Fatalf("trial %d op %d: popped (%g, %d), reference heap (%g, %d)",
 						trial, op, lb, *node, want.lb, want.id)
 				}
 			}

@@ -102,7 +102,7 @@ func ApproxQuality(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		coll := core.NewCollection(ds)
-		m, _, err = buildOrLoad(m, coll, name, opts, cfg.IndexDir)
+		m, _, err = core.CachedBuild(context.Background(), m, coll, core.SnapshotCachePath(cfg.IndexDir, name, coll, opts))
 		if err != nil {
 			return nil, fmt.Errorf("%s build: %w", name, err)
 		}

@@ -245,7 +245,7 @@ func (h HostInfo) String() string {
 }
 
 // runMethod builds one method over ds and answers the workload. A non-empty
-// snapdir switches index acquisition to the snapshot cache (see buildOrLoad):
+// snapdir switches index acquisition to the snapshot cache (see core.CachedBuild):
 // persisted indexes are loaded instead of rebuilt, the build-once/query-many
 // workflow.
 func runMethod(name string, ds *dataset.Dataset, wl *dataset.Workload, opts core.Options, k int, snapdir string) (*MethodRun, error) {
@@ -254,7 +254,7 @@ func runMethod(name string, ds *dataset.Dataset, wl *dataset.Workload, opts core
 		return nil, err
 	}
 	coll := core.NewCollection(ds)
-	m, bs, err := buildOrLoad(m, coll, name, opts, snapdir)
+	m, bs, err := core.CachedBuild(context.Background(), m, coll, core.SnapshotCachePath(snapdir, name, coll, opts))
 	if err != nil {
 		return nil, fmt.Errorf("%s build: %w", name, err)
 	}

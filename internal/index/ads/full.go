@@ -22,6 +22,8 @@ type FullIndex struct {
 	opts core.Options
 	c    *core.Collection
 	tree *isaxtree.Tree
+	// pool hands each in-flight query its reusable scratch buffers.
+	pool core.ScratchPool
 }
 
 // NewFull creates an ADS-FULL index.
@@ -51,60 +53,21 @@ func (ix *FullIndex) Build(c *core.Collection) error {
 	return nil
 }
 
-// KNN implements core.Method: approximate descent then best-first exact over
-// materialized leaves (the iSAX2+ query pattern on the ADS tree shape).
+// KNN implements core.Method: core.BestFirst over materialized leaves, each
+// read whole (the iSAX2+ query pattern on the ADS tree shape, without its
+// per-member filter).
 func (ix *FullIndex) KNN(ctx context.Context, q series.Series, k int) ([]core.Match, stats.QueryStats, error) {
-	var qs stats.QueryStats
 	if ix.c == nil {
-		return nil, qs, fmt.Errorf("ads-full: method not built")
+		return nil, stats.QueryStats{}, fmt.Errorf("ads-full: method not built")
 	}
-	f := ix.c.File
-	if len(q) != f.SeriesLen() {
-		return nil, qs, fmt.Errorf("ads-full: query length %d, collection length %d", len(q), f.SeriesLen())
+	if len(q) != ix.c.File.SeriesLen() {
+		return nil, stats.QueryStats{}, fmt.Errorf("ads-full: query length %d, collection length %d", len(q), ix.c.File.SeriesLen())
 	}
-	qpaa := ix.tree.PAA.Apply(q)
-	qword := make([]uint8, len(qpaa))
-	for i, v := range qpaa {
-		qword[i] = ix.tree.Quant.Symbol(v)
-	}
-	ord := series.NewOrder(q)
-	set := core.NewKNNSet(k)
-	rf := core.NewRefiner(ix.c, q, ord, set)
-
-	approx := ix.tree.ApproxLeaf(qword)
-	if approx != nil {
-		rf.Leaf(approx.Members, nil, &qs)
-	}
-
-	var h core.BoundHeap[*isaxtree.Node]
-	for _, n := range ix.tree.Roots() {
-		lb := ix.tree.MinDist(qpaa, n)
-		qs.LBCalcs++
-		h.Push(lb, n)
-	}
-	for h.Len() > 0 {
-		if err := core.Canceled(ctx); err != nil {
-			return nil, qs, err
-		}
-		lb, n := h.PopMin()
-		if lb >= set.Bound() {
-			break
-		}
-		if n.IsLeaf {
-			if n != approx {
-				rf.Leaf(n.Members, nil, &qs)
-			}
-			continue
-		}
-		for _, child := range n.Children {
-			lb := ix.tree.MinDist(qpaa, child)
-			qs.LBCalcs++
-			if lb < set.Bound() {
-				h.Push(lb, child)
-			}
-		}
-	}
-	return set.Results(), qs, nil
+	sc := ix.pool.Get()
+	defer ix.pool.Put(sc)
+	w := core.StateOf[isaxtree.Walker](sc)
+	w.Reset(ix.tree, q, sc, false)
+	return core.BestFirst(ctx, sc, ix.c, q, k, core.ApproxSpec{}, w)
 }
 
 // TreeStats implements core.TreeIndex.

@@ -597,79 +597,69 @@ func (ix *Index) KNNApprox(ctx context.Context, q series.Series, k int, spec cor
 	return ix.search(ctx, q, k, spec)
 }
 
-// search is the one traversal behind every query mode. The spec's pruner
-// owns all skip/stop decisions: an exact spec keeps the unrelaxed lb >=
-// bound predicate (bit-identical answers), a δ-ε spec relaxes it by (1+ε)²
-// and may stop at the PAC radius or a budget, and ng mode ends after the
-// descent leaf. Within a leaf the traversal reads, a member's raw series is
-// compared only if its synopsis bound beats the best-so-far (core.Refiner's
-// exact member predicate, in every mode); the descent leaf is refined
-// unfiltered, so ng answers and counters are those of the plain leaf scan.
+// search is the one traversal behind every query mode: core.BestFirst over
+// the tree, siblings scored pairwise (lbPair). Within a leaf the walk reads,
+// a member's raw series is compared only if its synopsis bound beats the
+// best-so-far (core.Refiner's exact member predicate, in every mode); the
+// descent leaf is refined unfiltered, so ng answers and counters are those
+// of the plain leaf scan.
 func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.ApproxSpec) ([]core.Match, stats.QueryStats, error) {
-	var qs stats.QueryStats
 	if ix.c == nil {
-		return nil, qs, fmt.Errorf("dstree: method not built")
+		return nil, stats.QueryStats{}, fmt.Errorf("dstree: method not built")
 	}
 	if len(q) != ix.c.File.SeriesLen() {
-		return nil, qs, fmt.Errorf("dstree: query length %d, collection length %d", len(q), ix.c.File.SeriesLen())
+		return nil, stats.QueryStats{}, fmt.Errorf("dstree: query length %d, collection length %d", len(q), ix.c.File.SeriesLen())
 	}
 	sc := ix.pool.Get()
 	defer ix.pool.Put(sc)
-	qp := eapca.NewPrefixInto(q, sc.Summary(2*(len(q)+1)))
-	ord := sc.Order(q)
-	set := sc.KNN(k)
-	pr := core.NewQueryPruner(ix.c, q, spec, &qs)
-	rf := core.NewRefiner(ix.c, q, ord, set)
+	w := core.StateOf[walker](sc)
+	*w = walker{ix: ix, sc: sc, q: q, qp: eapca.NewPrefixInto(q, sc.Summary(2*(len(q)+1)))}
+	return core.BestFirst(ctx, sc, ix.c, q, k, spec, w)
+}
 
-	// ng-approximate descent.
-	approx := ix.root
-	for !approx.isLeaf {
-		approx = approx.children[approx.route(qp)]
-	}
-	rf.Leaf(approx.members, nil, &qs)
-	if pr.Visit() || pr.StopSatisfied(set.Bound()) || spec.Mode == core.ModeNG {
-		pr.Finish(&qs)
-		return set.Results(), qs, nil
-	}
+// walker is one query's view of the tree for core.BestFirst: the query's
+// prefix sums, and its block-moment record once the ng step is done.
+type walker struct {
+	ix *Index
+	sc *core.Scratch
+	q  series.Series
+	qp eapca.Prefix
+	sq core.SynopsisQuery
+}
 
-	// Exact best-first traversal. Leaves are filtered a second time per
-	// member, against the block-moment sidecar; the query's own record is
-	// computed here, after the ng return, so ng queries never pay for it.
-	sq := ix.syn.Query(q, sc.F32(ix.syn.RecordLen()))
-	member := core.MemberBound(sq.Bound)
-	h := core.HeapOf[*node](sc)
-	h.Push(0, ix.root)
-	for h.Len() > 0 {
-		if err := core.Canceled(ctx); err != nil {
-			return nil, qs, err
-		}
-		l, n := h.PopMin()
-		if pr.Prune(l, set.Bound()) {
-			break
-		}
-		if n.isLeaf {
-			if n != approx {
-				rf.Leaf(n.members, member, &qs)
-			}
-			if pr.Visit() || pr.StopSatisfied(set.Bound()) {
-				break
-			}
-			continue
-		}
-		l0, l1 := lbPair(qp, n.children[0], n.children[1], sc.Aux(3*len(n.children[0].ends)))
-		qs.LBCalcs += 2
-		if !pr.Prune(l0, set.Bound()) {
-			h.Push(l0, n.children[0])
-		}
-		if !pr.Prune(l1, set.Bound()) {
-			h.Push(l1, n.children[1])
-		}
-		if pr.Visit() {
-			break
-		}
+// Descend implements core.Tree: the split predicates lead to one leaf.
+func (w *walker) Descend() (*node, []int, bool) {
+	n := w.ix.root
+	for !n.isLeaf {
+		n = n.children[n.route(w.qp)]
 	}
-	pr.Finish(&qs)
-	return set.Results(), qs, nil
+	return n, n.members, true
+}
+
+// Roots implements core.Tree. The query's synopsis record is computed here,
+// after the ng return, so ng queries never pay for it.
+func (w *walker) Roots(f *core.Frontier[*node], _ *stats.QueryStats) {
+	w.sq = w.ix.syn.Query(w.q, w.sc.F32(w.ix.syn.RecordLen()))
+	f.Push(0, w.ix.root)
+}
+
+// Expand implements core.Tree.
+func (w *walker) Expand(n *node, f *core.Frontier[*node], qs *stats.QueryStats) bool {
+	if n.isLeaf {
+		return false
+	}
+	c0, c1 := n.children[0], n.children[1]
+	l0, l1 := lbPair(w.qp, c0, c1, w.sc.Aux(3*len(c0.ends)))
+	qs.LBCalcs += 2
+	f.Push(l0, c0)
+	f.Push(l1, c1)
+	return true
+}
+
+// Refine implements core.Tree: leaves are filtered per member against the
+// block-moment sidecar.
+func (w *walker) Refine(n *node, rf *core.Refiner, qs *stats.QueryStats) {
+	rf.Leaf(n.members, w.sq.Bound, qs)
 }
 
 func (ix *Index) leaves() []*node {

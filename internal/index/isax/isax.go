@@ -20,7 +20,6 @@ import (
 	"hydra/internal/index/isaxtree"
 	"hydra/internal/series"
 	"hydra/internal/stats"
-	"hydra/internal/transform/sax"
 )
 
 func init() {
@@ -95,95 +94,22 @@ func (ix *Index) KNNApprox(ctx context.Context, q series.Series, k int, spec cor
 	return ix.search(ctx, q, k, spec)
 }
 
-// search is the one traversal behind every query mode. The spec's pruner
-// owns all skip/stop decisions: with an exact spec its predicate is the
-// unrelaxed lb >= bound comparison and no stop ever fires, so the exact
-// path is bit-identical to the pre-approximation implementation; a δ-ε spec
-// relaxes pruning by (1+ε)² and may stop at the PAC radius or a budget.
+// search is the one traversal behind every query mode: core.BestFirst over
+// the tree, with leaves filtered a second time per member against the
+// full-cardinality words the tree keeps from the build (see
+// isaxtree.Walker).
 func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.ApproxSpec) ([]core.Match, stats.QueryStats, error) {
-	var qs stats.QueryStats
 	if ix.c == nil {
-		return nil, qs, fmt.Errorf("isax: method not built")
+		return nil, stats.QueryStats{}, fmt.Errorf("isax: method not built")
 	}
 	if len(q) != ix.c.File.SeriesLen() {
-		return nil, qs, fmt.Errorf("isax: query length %d, collection length %d", len(q), ix.c.File.SeriesLen())
+		return nil, stats.QueryStats{}, fmt.Errorf("isax: query length %d, collection length %d", len(q), ix.c.File.SeriesLen())
 	}
 	sc := ix.pool.Get()
 	defer ix.pool.Put(sc)
-	qpaa := ix.tree.PAA.ApplyInto(q, sc.Summary(ix.tree.Segments))
-	qword := sc.Word(len(qpaa))
-	for i, v := range qpaa {
-		qword[i] = ix.tree.Quant.Symbol(v)
-	}
-	ord := sc.Order(q)
-	set := sc.KNN(k)
-	pr := core.NewQueryPruner(ix.c, q, spec, &qs)
-	rf := core.NewRefiner(ix.c, q, ord, set)
-
-	// ng-approximate step.
-	approx := ix.tree.ApproxLeaf(qword)
-	if approx != nil {
-		rf.Leaf(approx.Members, nil, &qs)
-		if pr.Visit() || pr.StopSatisfied(set.Bound()) {
-			pr.Finish(&qs)
-			return set.Results(), qs, nil
-		}
-	}
-	if spec.Mode == core.ModeNG {
-		pr.Finish(&qs)
-		return set.Results(), qs, nil
-	}
-
-	// Exact step: best-first over the root children and their subtrees.
-	// Leaves are filtered a second time per member, against the
-	// full-cardinality words the tree keeps from the build: one table of
-	// (segment, symbol) contributions per query — built here, after the ng
-	// return, so ng queries never pay for it — turns a member's bound into
-	// Segments lookups.
-	seg, words := ix.tree.Segments, ix.tree.Words
-	table := sc.Table(sax.TableLen(seg))
-	ix.tree.Quant.MinDistTable(qpaa, ix.tree.PAA.Widths(), table)
-	member := func(id int) float64 {
-		return sax.MinDistFullCardTable(table, words[id*seg:(id+1)*seg])
-	}
-	h := core.HeapOf[*isaxtree.Node](sc)
-	for _, n := range ix.tree.Roots() {
-		lb := ix.tree.MinDist(qpaa, n)
-		qs.LBCalcs++
-		if !pr.Prune(lb, set.Bound()) {
-			h.Push(lb, n)
-		}
-	}
-	for h.Len() > 0 {
-		if err := core.Canceled(ctx); err != nil {
-			return nil, qs, err
-		}
-		lb, n := h.PopMin()
-		if pr.Prune(lb, set.Bound()) {
-			break
-		}
-		if n.IsLeaf {
-			if n != approx {
-				rf.Leaf(n.Members, member, &qs)
-			}
-			if pr.Visit() || pr.StopSatisfied(set.Bound()) {
-				break
-			}
-			continue
-		}
-		for _, child := range n.Children {
-			lb := ix.tree.MinDist(qpaa, child)
-			qs.LBCalcs++
-			if !pr.Prune(lb, set.Bound()) {
-				h.Push(lb, child)
-			}
-		}
-		if pr.Visit() {
-			break
-		}
-	}
-	pr.Finish(&qs)
-	return set.Results(), qs, nil
+	w := core.StateOf[isaxtree.Walker](sc)
+	w.Reset(ix.tree, q, sc, true)
+	return core.BestFirst(ctx, sc, ix.c, q, k, spec, w)
 }
 
 // TreeStats implements core.TreeIndex.

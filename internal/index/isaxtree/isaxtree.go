@@ -4,7 +4,8 @@
 // iSAX 2.0 splitting policy: pick the segment whose refinement distributes
 // the node's series most evenly). The two methods differ in what the leaves
 // hold (materialized raw data for iSAX2+, summaries only for ADS+) and in
-// their exact query algorithms, which live in their respective packages.
+// their exact query algorithms: ADS+'s SIMS lives in its package, while
+// iSAX2+ and ADS-FULL walk this tree through Walker.
 package isaxtree
 
 import (

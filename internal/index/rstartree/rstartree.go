@@ -10,7 +10,6 @@
 package rstartree
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -48,6 +47,8 @@ type Index struct {
 	points [][]float64
 	maxCap int
 	minCap int
+	// pool hands each in-flight query its reusable scratch buffers.
+	pool core.ScratchPool
 
 	// reinserted tracks levels already treated by forced reinsertion during
 	// the current top-level insertion.
@@ -361,65 +362,66 @@ func (ix *Index) rstarSplit(entries []entry) (left, right []entry) {
 
 // --- query ---
 
-type pqItem struct {
-	n  *node
-	lb float64
-}
-type pq []pqItem
-
-func (p pq) Len() int           { return len(p) }
-func (p pq) Less(i, j int) bool { return p[i].lb < p[j].lb }
-func (p pq) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x any)        { *p = append(*p, x.(pqItem)) }
-func (p *pq) Pop() any          { old := *p; n := len(old); it := old[n-1]; *p = old[:n-1]; return it }
-
-// KNN implements core.Method.
+// KNN implements core.Method: core.BestFirst over the rectangles. The tree
+// has no ng descent, so the walk starts at the root.
 func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match, stats.QueryStats, error) {
-	var qs stats.QueryStats
 	if ix.c == nil {
-		return nil, qs, fmt.Errorf("rstartree: method not built")
+		return nil, stats.QueryStats{}, fmt.Errorf("rstartree: method not built")
 	}
 	if len(q) != ix.c.File.SeriesLen() {
-		return nil, qs, fmt.Errorf("rstartree: query length %d, collection length %d", len(q), ix.c.File.SeriesLen())
+		return nil, stats.QueryStats{}, fmt.Errorf("rstartree: query length %d, collection length %d", len(q), ix.c.File.SeriesLen())
 	}
-	qpaa := ix.xform.Apply(q)
-	ord := series.NewOrder(q)
-	set := core.NewKNNSet(k)
-	rf := core.NewRefiner(ix.c, q, ord, set)
+	sc := ix.pool.Get()
+	defer ix.pool.Put(sc)
+	w := core.StateOf[walker](sc)
+	*w = walker{ix: ix, sc: sc, qpaa: ix.xform.ApplyInto(q, sc.Summary(ix.xform.Segments()))}
+	return core.BestFirst(ctx, sc, ix.c, q, k, core.ApproxSpec{}, w)
+}
 
-	h := &pq{}
-	heap.Push(h, pqItem{n: ix.root, lb: 0})
-	for h.Len() > 0 {
-		if err := core.Canceled(ctx); err != nil {
-			return nil, qs, err
-		}
-		it := heap.Pop(h).(pqItem)
-		if it.lb >= set.Bound() {
-			break
-		}
-		if it.n.level == 0 {
-			// Leaf: prune entries by their point lower bounds, then fetch
-			// the surviving raw series (one leaf access).
-			var cands []int
-			for _, e := range it.n.entries {
-				lb := ix.xform.LowerBound(qpaa, e.lo)
-				qs.LBCalcs++
-				if lb < set.Bound() {
-					cands = append(cands, e.id)
-				}
-			}
-			rf.Leaf(cands, nil, &qs)
-			continue
-		}
-		for _, e := range it.n.entries {
-			lb := ix.xform.LowerBoundToRect(qpaa, e.lo, e.hi)
-			qs.LBCalcs++
-			if lb < set.Bound() {
-				heap.Push(h, pqItem{n: e.child, lb: lb})
-			}
+// walker is one query's view of the tree for core.BestFirst: the query's
+// PAA vector.
+type walker struct {
+	ix   *Index
+	sc   *core.Scratch
+	qpaa []float64
+}
+
+// Descend implements core.Tree: an R*-tree has no ng leaf.
+func (w *walker) Descend() (*node, []int, bool) { return nil, nil, false }
+
+// Roots implements core.Tree.
+func (w *walker) Roots(f *core.Frontier[*node], _ *stats.QueryStats) {
+	f.Push(0, w.ix.root)
+}
+
+// Expand implements core.Tree.
+func (w *walker) Expand(n *node, f *core.Frontier[*node], qs *stats.QueryStats) bool {
+	if n.level == 0 {
+		return false
+	}
+	for _, e := range n.entries {
+		lb := w.ix.xform.LowerBoundToRect(w.qpaa, e.lo, e.hi)
+		qs.LBCalcs++
+		f.Push(lb, e.child)
+	}
+	return true
+}
+
+// Refine implements core.Tree: the leaf's entries are pruned by their point
+// lower bounds first, then the surviving raw series are fetched (one leaf
+// access).
+func (w *walker) Refine(n *node, rf *core.Refiner, qs *stats.QueryStats) {
+	ids := w.sc.IDs(len(n.entries))
+	m := 0
+	for _, e := range n.entries {
+		lb := w.ix.xform.LowerBound(w.qpaa, e.lo)
+		qs.LBCalcs++
+		if lb < rf.Bound() {
+			ids[m] = e.id
+			m++
 		}
 	}
-	return set.Results(), qs, nil
+	rf.Leaf(ids[:m], nil, qs)
 }
 
 // TreeStats implements core.TreeIndex.

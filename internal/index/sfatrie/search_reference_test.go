@@ -69,6 +69,18 @@ func (ix *Index) referenceSearch(ctx context.Context, q series.Series, k int, sp
 	return set.Results(), qs, nil
 }
 
+// visited reports whether this leaf is the one on the query word's own path
+// (already processed by the approximate step). Comparing prefixes avoids
+// storing per-query state in the tree.
+func (n *node) visited(qw []uint8) bool {
+	for i, sym := range n.prefix {
+		if qw[i] != sym {
+			return false
+		}
+	}
+	return true
+}
+
 func (ix *Index) referenceVisitLeaf(n *node, q series.Series, ord series.Order, set *core.KNNSet, qs *stats.QueryStats) {
 	ix.c.File.ChargeLeafRead(len(n.members))
 	for _, id := range n.members {

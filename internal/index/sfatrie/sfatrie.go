@@ -237,93 +237,67 @@ func (ix *Index) KNNApprox(ctx context.Context, q series.Series, k int, spec cor
 	return ix.search(ctx, q, k, spec)
 }
 
-// search is the one traversal behind every query mode. The spec's pruner
-// owns all skip/stop decisions: an exact spec keeps the unrelaxed lb >=
-// bound predicate (bit-identical answers), a δ-ε spec relaxes it by (1+ε)²
-// and may stop at the PAC radius or a budget, and ng mode ends after the
-// descent leaf.
+// search is the one traversal behind every query mode: core.BestFirst over
+// the trie, with leaves filtered a second time per member against the
+// member's own Fourier features — the leaf MBR bound on a box that is a
+// point.
 func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.ApproxSpec) ([]core.Match, stats.QueryStats, error) {
-	var qs stats.QueryStats
 	if ix.c == nil {
-		return nil, qs, fmt.Errorf("sfatrie: method not built")
+		return nil, stats.QueryStats{}, fmt.Errorf("sfatrie: method not built")
 	}
 	if len(q) != ix.c.File.SeriesLen() {
-		return nil, qs, fmt.Errorf("sfatrie: query length %d, collection length %d", len(q), ix.c.File.SeriesLen())
+		return nil, stats.QueryStats{}, fmt.Errorf("sfatrie: query length %d, collection length %d", len(q), ix.c.File.SeriesLen())
 	}
 	sc := ix.pool.Get()
 	defer ix.pool.Put(sc)
 	qf := ix.xform.FeaturesInto(q, sc.Summary(ix.xform.Dims()), sc.Complex(len(q)))
-	qw := ix.xform.WordInto(qf, sc.Word(len(qf)))
-	ord := sc.Order(q)
-	set := sc.KNN(k)
-	pr := core.NewQueryPruner(ix.c, q, spec, &qs)
-	rf := core.NewRefiner(ix.c, q, ord, set)
-
-	// ng-approximate step: descend the query's own path to one leaf.
-	if leaf := ix.descend(qw); leaf != nil {
-		rf.Leaf(leaf.members, nil, &qs)
-		if pr.Visit() || pr.StopSatisfied(set.Bound()) {
-			pr.Finish(&qs)
-			return set.Results(), qs, nil
-		}
-	}
-	if spec.Mode == core.ModeNG {
-		pr.Finish(&qs)
-		return set.Results(), qs, nil
-	}
-
-	// Exact step: best-first traversal with lower-bound pruning. Leaves are
-	// filtered a second time per member, against the member's own Fourier
-	// features: the leaf MBR bound on a box that is a point.
-	dims, feats := ix.xform.Dims(), ix.feats
-	member := func(id int) float64 {
-		ft := feats[id*dims : (id+1)*dims]
-		return simd.IntervalDistSq(qf, ft, ft)
-	}
-	h := core.HeapOf[*node](sc)
-	h.Push(0, ix.root)
-	for h.Len() > 0 {
-		if err := core.Canceled(ctx); err != nil {
-			return nil, qs, err
-		}
-		l, n := h.PopMin()
-		if pr.Prune(l, set.Bound()) {
-			break
-		}
-		if n.isLeaf {
-			if !n.visited(qw) { // approximate leaf already processed
-				rf.Leaf(n.members, member, &qs)
-			}
-			if pr.Visit() || pr.StopSatisfied(set.Bound()) {
-				break
-			}
-			continue
-		}
-		for _, child := range n.children {
-			lb := ix.lb(qf, child)
-			qs.LBCalcs++
-			if !pr.Prune(lb, set.Bound()) {
-				h.Push(lb, child)
-			}
-		}
-		if pr.Visit() {
-			break
-		}
-	}
-	pr.Finish(&qs)
-	return set.Results(), qs, nil
+	w := core.StateOf[walker](sc)
+	*w = walker{ix: ix, qf: qf, qw: ix.xform.WordInto(qf, sc.Word(len(qf)))}
+	return core.BestFirst(ctx, sc, ix.c, q, k, spec, w)
 }
 
-// visited reports whether this leaf is the one on the query word's own path
-// (already processed by the approximate step). Comparing prefixes avoids
-// storing per-query state in the tree.
-func (n *node) visited(qw []uint8) bool {
-	for i, sym := range n.prefix {
-		if qw[i] != sym {
-			return false
-		}
+// walker is one query's view of the trie for core.BestFirst: the query's
+// Fourier features and SFA word.
+type walker struct {
+	ix *Index
+	qf []float64
+	qw []uint8
+}
+
+// Descend implements core.Tree: the query word's own path.
+func (w *walker) Descend() (*node, []int, bool) {
+	n := w.ix.descend(w.qw)
+	if n == nil {
+		return nil, nil, false
+	}
+	return n, n.members, true
+}
+
+// Roots implements core.Tree.
+func (w *walker) Roots(f *core.Frontier[*node], _ *stats.QueryStats) {
+	f.Push(0, w.ix.root)
+}
+
+// Expand implements core.Tree.
+func (w *walker) Expand(n *node, f *core.Frontier[*node], qs *stats.QueryStats) bool {
+	if n.isLeaf {
+		return false
+	}
+	for _, child := range n.children {
+		lb := w.ix.lb(w.qf, child)
+		qs.LBCalcs++
+		f.Push(lb, child)
 	}
 	return true
+}
+
+// Refine implements core.Tree.
+func (w *walker) Refine(n *node, rf *core.Refiner, qs *stats.QueryStats) {
+	qf, dims, feats := w.qf, w.ix.xform.Dims(), w.ix.feats
+	rf.Leaf(n.members, func(id int) float64 {
+		ft := feats[id*dims : (id+1)*dims]
+		return simd.IntervalDistSq(qf, ft, ft)
+	}, qs)
 }
 
 func (ix *Index) descend(qw []uint8) *node {

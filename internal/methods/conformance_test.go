@@ -7,6 +7,7 @@ import (
 
 	"hydra/internal/core"
 	"hydra/internal/dataset"
+	"hydra/internal/series"
 )
 
 // buildAll instantiates and builds every registered method over ds.
@@ -193,6 +194,116 @@ func TestPruningRatioBounds(t *testing.T) {
 		}
 		if (name == "UCR-Suite" || name == "MASS") && p != 0 {
 			t.Errorf("%s: sequential scan must examine all series, pruning=%f", name, p)
+		}
+	}
+}
+
+// approxMethods are the methods answering ng-approximate queries: the four
+// Table 1 marks plus the VA+file, which this suite extends with the
+// filter-file analog of a first-leaf visit (see ApproxCapable).
+var approxMethods = ApproxCapable()
+
+// ngSearch answers q in ng mode through the method's approximate entry point.
+func ngSearch(t *testing.T, m core.Method, q series.Series, k int) []core.Match {
+	t.Helper()
+	as, ok := m.(core.ApproxSearcher)
+	if !ok {
+		t.Fatalf("%s does not implement ApproxSearcher", m.Name())
+	}
+	res, _, err := as.KNNApprox(context.Background(), q, k, core.ApproxSpec{Mode: core.ModeNG})
+	if err != nil {
+		t.Fatalf("%s: %v", m.Name(), err)
+	}
+	return res
+}
+
+// TestApproxKNNIsUpperBound: ng-approximate answers can never beat the exact
+// nearest neighbor, must come from the collection, and repeating the exact
+// query afterwards must still be exact (no state corruption).
+func TestApproxKNNIsUpperBound(t *testing.T) {
+	ds := dataset.RandomWalk(800, 64, 13)
+	queries := dataset.SynthRand(5, 64, 14).Queries
+	for _, name := range approxMethods {
+		m, err := core.New(name, core.Options{LeafSize: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		coll := core.NewCollection(ds)
+		if err := m.Build(coll); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, q := range queries {
+			exact := core.BruteForceKNN(coll, q, 1)
+			approx := ngSearch(t, m, q, 1)
+			if len(approx) > 0 {
+				if approx[0].Dist < exact[0].Dist-1e-9 {
+					t.Fatalf("%s: approximate answer %g beats exact %g",
+						name, approx[0].Dist, exact[0].Dist)
+				}
+				if approx[0].ID < 0 || approx[0].ID >= ds.Len() {
+					t.Fatalf("%s: bogus ID %d", name, approx[0].ID)
+				}
+			}
+			got, _, err := m.KNN(context.Background(), q, 1)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if math.Abs(got[0].Dist-exact[0].Dist) > 1e-9*(1+exact[0].Dist) {
+				t.Fatalf("%s: exact query after approximate is wrong", name)
+			}
+		}
+	}
+}
+
+// TestApproxSelfQueries: on self-queries (a series drawn from the
+// collection), the approximate search should usually find the series itself
+// — its own leaf contains it.
+func TestApproxSelfQueries(t *testing.T) {
+	ds := dataset.RandomWalk(600, 64, 15)
+	for _, name := range approxMethods {
+		m, _ := core.New(name, core.Options{LeafSize: 32})
+		coll := core.NewCollection(ds)
+		if err := m.Build(coll); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		hits := 0
+		const trials = 30
+		for i := 0; i < trials; i++ {
+			id := (i * 97) % ds.Len()
+			res := ngSearch(t, m, ds.Series[id].Clone(), 1)
+			if len(res) > 0 && res[0].Dist < 1e-6 {
+				hits++
+			}
+		}
+		if hits < trials*9/10 {
+			t.Errorf("%s: approximate self-query found the series only %d/%d times", name, hits, trials)
+		}
+	}
+}
+
+// TestEpsSavesWork: a larger ε must not compute more distances than exact
+// search. δ = 0 keeps the probabilistic stop off, so the ε relaxation of the
+// pruning predicate is the only difference between the two runs.
+func TestEpsSavesWork(t *testing.T) {
+	ds := dataset.SALD(1500, 64, 18)
+	q := dataset.Ctrl(ds, 1, 0.3, 19).Queries[0]
+	for _, name := range approxMethods {
+		m, _ := core.New(name, core.Options{LeafSize: 8})
+		if err := m.Build(core.NewCollection(ds)); err != nil {
+			t.Fatal(err)
+		}
+		as := m.(core.ApproxSearcher)
+		_, qsExact, err := as.KNNApprox(context.Background(), q, 1, core.ApproxSpec{Mode: core.ModeDeltaEps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, qsLoose, err := as.KNNApprox(context.Background(), q, 1, core.ApproxSpec{Mode: core.ModeDeltaEps, Epsilon: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if qsLoose.DistCalcs > qsExact.DistCalcs {
+			t.Errorf("%s: eps=2 computed more distances (%d) than exact (%d)",
+				name, qsLoose.DistCalcs, qsExact.DistCalcs)
 		}
 	}
 }

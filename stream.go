@@ -116,9 +116,9 @@ func (e *Engine) QueryStream(ctx context.Context, q []float32, k int) <-chan Str
 				matches, qs, err = core.RunQueryStream(ctx, m, e.coll, series.Series(q), k, func(b Match) {
 					progress(StreamUpdate{Best: b})
 				})
-			case core.ApproxMethod:
+			case core.ApproxSearcher:
 				var approx []Match
-				approx, _, err = m.ApproxKNN(ctx, series.Series(q), k)
+				approx, _, err = m.KNNApprox(ctx, series.Series(q), k, core.ApproxSpec{Mode: core.ModeNG})
 				if err == nil {
 					if len(approx) > 0 {
 						progress(StreamUpdate{Best: approx[0], Mode: core.ModeNG.String()})
