@@ -389,32 +389,6 @@ func BenchmarkParallelScan(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkloadConcurrent measures query throughput of the pooled
-// workload runner (inter-query parallelism) against the serial runner.
-func BenchmarkWorkloadConcurrent(b *testing.B) {
-	n := dataset.NumSeriesForGB(25, 256, dataset.ScaleQuick)
-	ds := dataset.RandomWalk(n, 256, 42)
-	wl := dataset.SynthRand(32, 256, 7)
-	repCounts := []int{1}
-	if p := runtime.GOMAXPROCS(0); p > 1 {
-		repCounts = append(repCounts, p)
-	}
-	for _, nrep := range repCounts {
-		b.Run(fmt.Sprintf("replicas=%d", nrep), func(b *testing.B) {
-			reps, err := core.NewReplicas("UCR-Suite", core.Options{}, ds, nrep)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.RunWorkloadConcurrent(context.Background(), reps, wl, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkArenaVsSliced compares a full leaf-style scan over the flat
 // arena layout (storage.SeriesFile) against the legacy slice-of-slices
 // layout. To make the sliced baseline honest about what a long-lived heap

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -66,6 +67,7 @@ type coordConfig struct {
 	breakerFails  int           // consecutive failures that open a breaker
 	breakerCool   time.Duration // open-breaker cooldown before a half-open trial
 	probeInterval time.Duration // background /readyz probe period
+	maxInFlight   int           // admitted query requests at once (0 = unlimited)
 	accessLog     bool
 }
 
@@ -85,11 +87,13 @@ type shardClient struct {
 	probeFailures atomic.Int64 // background probe failures
 }
 
+// coordinator is the scatter-gather front end; it embeds the same admission
+// gate as the single-engine server.
 type coordinator struct {
-	cfg      coordConfig
-	shards   []*shardClient
-	started  time.Time
-	draining atomic.Bool
+	*gate
+	cfg     coordConfig
+	shards  []*shardClient
+	started time.Time
 }
 
 // newCoordinator builds the shard client pool. Addresses without a scheme
@@ -100,7 +104,7 @@ func newCoordinator(addrs []string, cfg coordConfig) *coordinator {
 		cfg.minShards = 1
 	}
 	tr := &http.Transport{MaxIdleConnsPerHost: 64}
-	c := &coordinator{cfg: cfg, started: time.Now()}
+	c := &coordinator{gate: newGate(cfg.timeout, cfg.maxInFlight), cfg: cfg, started: time.Now()}
 	for i, addr := range addrs {
 		addr = strings.TrimRight(strings.TrimSpace(addr), "/")
 		if !strings.Contains(addr, "://") {
@@ -123,27 +127,7 @@ func (c *coordinator) handler() http.Handler {
 	mux.HandleFunc("/healthz", c.handleHealthz)
 	mux.HandleFunc("/readyz", c.handleReadyz)
 	mux.HandleFunc("/statusz", c.handleStatusz)
-	h := recovered(mux)
-	if c.cfg.accessLog {
-		return identified(h)
-	}
-	return identifiedQuiet(h)
-}
-
-// startDrain flips the coordinator not-ready, mirroring server.startDrain.
-func (c *coordinator) startDrain() { c.draining.Store(true) }
-
-// admitted refuses new fan-outs once draining, with the same jittered
-// Retry-After contract as the single-engine server.
-func (c *coordinator) admitted(next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if c.draining.Load() {
-			w.Header().Set("Retry-After", retryAfterJitter(retryAfterSpread))
-			writeError(w, r, http.StatusServiceUnavailable, "draining")
-			return
-		}
-		next(w, r)
-	}
+	return identify(recovered(mux), c.cfg.accessLog)
 }
 
 // shardStatusJSON is one shard's outcome inside a coordinator response: how
@@ -385,27 +369,10 @@ func (e *shardHTTPError) Error() string {
 // the request's own fault and would fail identically on every retry.
 func retriable(err error) bool {
 	var she *shardHTTPError
-	if asShardHTTPError(err, &she) {
+	if errors.As(err, &she) {
 		return she.status >= 500 || she.status == http.StatusTooManyRequests
 	}
 	return true
-}
-
-// asShardHTTPError unwraps err into a *shardHTTPError (errors.As without
-// the reflection import weight).
-func asShardHTTPError(err error, target **shardHTTPError) bool {
-	for err != nil {
-		if she, ok := err.(*shardHTTPError); ok {
-			*target = she
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // shardErrMsg extracts the shard's JSON error message from a non-200 body,
@@ -571,13 +538,6 @@ func (c *coordinator) writeQuorumError(w http.ResponseWriter, r *http.Request, a
 		RequestID: requestID(r),
 		Shards:    statuses,
 	})
-}
-
-func (c *coordinator) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	if c.cfg.timeout <= 0 {
-		return r.Context(), func() {}
-	}
-	return context.WithTimeout(r.Context(), c.cfg.timeout)
 }
 
 // addStats sums the shard's per-query cost counters into the aggregate;

@@ -24,15 +24,17 @@
 // echoed in the response header, JSON error bodies and the access log
 // (-access-log=false silences the per-request line).
 //
-// Single-engine mode: every request runs under the -timeout per-request
-// deadline (and the client-disconnect context). With -partial (the default)
-// a query that overruns its deadline answers 200 with the best-so-far
-// matches and "partial":true instead of 504; -partial=false restores the
-// hard 504. -max-inflight bounds concurrently admitted query requests —
-// excess requests are refused immediately with 503 + jittered Retry-After
-// rather than queued into the latency tail. -shard i/n serves only the i-th
-// of n equal slices of the collection, with match IDs remapped to
-// full-collection positions — the building block of the sharded topology.
+// Both modes run every request under the -timeout per-request deadline (and
+// the client-disconnect context), and -max-inflight bounds concurrently
+// admitted query requests — excess requests are refused immediately with
+// 503 + jittered Retry-After rather than queued into the latency tail.
+//
+// Single-engine mode: with -partial (the default) a query that overruns its
+// deadline answers 200 with the best-so-far matches and "partial":true
+// instead of 504; -partial=false restores the hard 504. -shard i/n serves
+// only the i-th of n equal slices of the collection, with match IDs
+// remapped to full-collection positions — the building block of the
+// sharded topology.
 //
 // Coordinator mode (-shards): the same /query and /batch contract served by
 // fanning each request out to N shard servers and merging their top-k
@@ -85,7 +87,7 @@ func main() {
 		device    = flag.String("device", "hdd", "device profile for reported simulated times: hdd|ssd")
 		workers   = flag.Int("workers", 0, "intra-query scan parallelism (0 = serial, -1 = GOMAXPROCS)")
 		batchW    = flag.Int("batch-workers", 0, "concurrent queries per /batch request (0 = GOMAXPROCS)")
-		inflight  = flag.Int("max-inflight", 0, "max concurrently admitted query requests; excess answers 503 (0 = unlimited)")
+		inflight  = flag.Int("max-inflight", 0, "max concurrently admitted query requests, in either mode; excess answers 503 (0 = unlimited)")
 		partial   = flag.Bool("partial", true, "answer deadline-expired queries with best-so-far results (partial:true) instead of 504")
 		accessLog = flag.Bool("access-log", true, "log one access line per request (method, path, status, duration, request ID)")
 		shardSpec = flag.String("shard", "", "serve only shard i of n of the collection, as \"i/n\" (match IDs stay global)")
@@ -123,6 +125,7 @@ func main() {
 			breakerFails:  *breakerFails,
 			breakerCool:   *breakerCool,
 			probeInterval: *probeEvery,
+			maxInFlight:   *inflight,
 			accessLog:     *accessLog,
 		})
 		go coord.probeLoop(ctx)

@@ -4,15 +4,17 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"fmt"
 	"log"
 	"math/big"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 )
 
-// Request identity and access logging, shared by the single-engine server
-// and the coordinator. Every request gets an ID: the client's X-Request-Id
+// Request identity, access logging and admission, shared by the
+// single-engine server and the coordinator. Every request gets an ID: the client's X-Request-Id
 // if it sent one (so a caller's trace survives the hop — the coordinator
 // forwards its ID to every shard), a fresh random one otherwise. The ID is
 // echoed in the X-Request-Id response header, carried in every JSON error
@@ -38,7 +40,7 @@ func newRequestID() string {
 }
 
 // requestID extracts the request's ID from its context ("" outside the
-// identified middleware).
+// identify middleware).
 func requestID(r *http.Request) string {
 	id, _ := r.Context().Value(ctxKeyRequestID{}).(string)
 	return id
@@ -63,16 +65,12 @@ func (s *statusRecorder) Write(b []byte) (int, error) {
 	return s.ResponseWriter.Write(b)
 }
 
-// identified is the outermost middleware: it attaches the request ID
+// identify is the outermost middleware: it attaches the request ID
 // (accepted from the client or freshly generated), echoes it in the
-// response header, and writes one access log line per request — method,
-// path, status, duration, request ID.
-func identified(next http.Handler) http.Handler { return identify(next, true) }
-
-// identifiedQuiet is identified without the access log line (load-test
-// topologies, where per-request logging would dominate the tail).
-func identifiedQuiet(next http.Handler) http.Handler { return identify(next, false) }
-
+// response header, and with logAccess writes one access log line per
+// request — method, path, status, duration, request ID. Load-test
+// topologies run without the line (-access-log=false), where per-request
+// logging would dominate the tail.
 func identify(next http.Handler, logAccess bool) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(requestIDHeader)
@@ -94,6 +92,73 @@ func identify(next http.Handler, logAccess bool) http.Handler {
 		log.Printf("hydra-serve: %s %s %d %s rid=%s", r.Method, r.URL.Path, rec.status,
 			time.Since(start).Round(time.Microsecond), id)
 	})
+}
+
+// gate is the admission state both serving modes embed: the per-request
+// deadline (-timeout), the bound on concurrently admitted query requests
+// (-max-inflight) and the drain flag.
+type gate struct {
+	timeout time.Duration // 0 = no deadline
+	// sem holds one slot per admitted request (nil = unlimited): a request
+	// that cannot take a slot immediately is refused with 503 + Retry-After
+	// instead of queueing, so overload degrades into fast, honest rejections
+	// rather than a growing latency tail.
+	sem chan struct{}
+	// draining flips when shutdown starts: query endpoints and /readyz
+	// refuse new work (load balancers stop routing here) while in-flight
+	// requests finish under http.Server.Shutdown.
+	draining atomic.Bool
+}
+
+// newGate returns the admission state for a per-request deadline and an
+// in-flight bound; maxInFlight 0 means unlimited.
+func newGate(timeout time.Duration, maxInFlight int) *gate {
+	g := &gate{timeout: timeout}
+	if maxInFlight > 0 {
+		g.sem = make(chan struct{}, maxInFlight)
+	}
+	return g
+}
+
+// startDrain marks the gate as draining: query endpoints and /readyz answer
+// 503 from here on while already-admitted requests run to completion.
+// Called before http.Server.Shutdown so load balancers see the instance go
+// not-ready the moment the drain begins.
+func (g *gate) startDrain() { g.draining.Store(true) }
+
+// admitted gates a query endpoint: draining refuses outright, and a request
+// that cannot take an in-flight slot without waiting is refused with 503 +
+// Retry-After — shedding load immediately beats queueing it into a timeout.
+func (g *gate) admitted(next http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if g.draining.Load() {
+			w.Header().Set("Retry-After", retryAfterJitter(retryAfterSpread))
+			writeError(w, r, http.StatusServiceUnavailable, "draining")
+			return
+		}
+		if g.sem != nil {
+			select {
+			case g.sem <- struct{}{}:
+				defer func() { <-g.sem }()
+			default:
+				w.Header().Set("Retry-After", retryAfterJitter(retryAfterSpread))
+				writeError(w, r, http.StatusServiceUnavailable,
+					fmt.Sprintf("overloaded: %d requests in flight", cap(g.sem)))
+				return
+			}
+		}
+		next(w, r)
+	}
+}
+
+// requestContext derives the per-request deadline from the configured
+// timeout on top of the client-disconnect cancellation http.Request
+// already carries.
+func (g *gate) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
+	if g.timeout <= 0 {
+		return r.Context(), func() {}
+	}
+	return context.WithTimeout(r.Context(), g.timeout)
 }
 
 // retryAfterJitter returns a randomized Retry-After value in [1, spread]

@@ -11,51 +11,63 @@ import (
 	"hydra/internal/faultpoint"
 )
 
-// TestServeOverload pins admission control: with every in-flight slot
-// taken, a query request is refused immediately with 503 + Retry-After, and
-// admitted again as soon as a slot frees.
+// TestServeOverload pins admission control in both serving modes: with
+// every in-flight slot taken, a query request is refused immediately with
+// 503 + Retry-After, and admitted again as soon as a slot frees. The
+// coordinator honours -max-inflight exactly as a single engine does.
 func TestServeOverload(t *testing.T) {
 	e, d := testEngine(t)
-	srv := newServer(e, time.Second, 2)
-	h := srv.handler()
 	q := d.Series(0)
+	srv := newServer(e, time.Second, 2)
+	cfg := testCoordCfg()
+	cfg.maxInFlight = 2
+	coord := fleetCoordinator(newTestFleet(t, d, "UCR-Suite", 2), cfg)
+	for _, tc := range []struct {
+		name string
+		gate *gate
+		h    http.Handler
+	}{
+		{"server", srv.gate, srv.handler()},
+		{"coordinator", coord.gate, coord.handler()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Occupy both slots directly — the deterministic stand-in for two
+			// requests parked inside their queries.
+			tc.gate.sem <- struct{}{}
+			tc.gate.sem <- struct{}{}
 
-	// Occupy both slots directly — the deterministic stand-in for two
-	// requests parked inside their queries.
-	srv.sem <- struct{}{}
-	srv.sem <- struct{}{}
+			rec := postJSON(t, tc.h, "/query", queryRequest{Query: q, K: 1})
+			if rec.Code != http.StatusServiceUnavailable {
+				t.Fatalf("overloaded query: status %d, want 503: %s", rec.Code, rec.Body)
+			}
+			if rec.Header().Get("Retry-After") == "" {
+				t.Fatal("overload refusal should carry Retry-After")
+			}
+			var resp errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Error == "" {
+				t.Fatalf("overload refusal should be a JSON error, got %q (%v)", rec.Body, err)
+			}
 
-	rec := postJSON(t, h, "/query", queryRequest{Query: q, K: 1})
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("overloaded query: status %d, want 503: %s", rec.Code, rec.Body)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("overload refusal should carry Retry-After")
-	}
-	var resp errorResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Error == "" {
-		t.Fatalf("overload refusal should be a JSON error, got %q (%v)", rec.Body, err)
-	}
+			// Batch requests share the same admission gate.
+			rec = postJSON(t, tc.h, "/batch", batchRequest{Queries: [][]float32{q}, K: 1})
+			if rec.Code != http.StatusServiceUnavailable {
+				t.Fatalf("overloaded batch: status %d, want 503", rec.Code)
+			}
 
-	// Batch requests share the same admission gate.
-	rec = postJSON(t, h, "/batch", batchRequest{Queries: [][]float32{q}, K: 1})
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("overloaded batch: status %d, want 503", rec.Code)
-	}
+			// Health stays reachable under overload — refusing queries must
+			// not make the instance look dead.
+			hrec := httptest.NewRecorder()
+			tc.h.ServeHTTP(hrec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+			if hrec.Code != http.StatusOK {
+				t.Fatalf("healthz under overload: status %d", hrec.Code)
+			}
 
-	// Health stays reachable under overload — refusing queries must not
-	// make the instance look dead.
-	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
-	hrec := httptest.NewRecorder()
-	h.ServeHTTP(hrec, req)
-	if hrec.Code != http.StatusOK {
-		t.Fatalf("healthz under overload: status %d", hrec.Code)
-	}
-
-	<-srv.sem // one request finishes
-	rec = postJSON(t, h, "/query", queryRequest{Query: q, K: 1})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("after slot freed: status %d: %s", rec.Code, rec.Body)
+			<-tc.gate.sem // one request finishes
+			rec = postJSON(t, tc.h, "/query", queryRequest{Query: q, K: 1})
+			if rec.Code != http.StatusOK {
+				t.Fatalf("after slot freed: status %d: %s", rec.Code, rec.Body)
+			}
+		})
 	}
 }
 

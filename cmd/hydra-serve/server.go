@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"hydra"
@@ -15,12 +14,11 @@ import (
 
 // server is the HTTP front end over one hydra.Engine. It is built entirely
 // on the public package — the proof that the library surface carries real
-// traffic — and holds no state beyond the engine, the per-request deadline,
-// and the admission state, so one instance serves any number of concurrent
-// requests.
+// traffic — and holds no state beyond the engine and the admission gate, so
+// one instance serves any number of concurrent requests.
 type server struct {
+	*gate
 	engine  *hydra.Engine
-	timeout time.Duration
 	started time.Time
 	// idOffset maps the engine's shard-local match IDs back to positions in
 	// the full collection (-shard mode); 0 for a whole-collection engine.
@@ -28,15 +26,6 @@ type server struct {
 	// accessLog enables the per-request access log line (on by default;
 	// load-test topologies turn it off).
 	accessLog bool
-	// sem bounds concurrently admitted query requests (nil = unlimited): a
-	// request that cannot take a slot immediately is refused with 503 +
-	// Retry-After instead of queueing, so overload degrades into fast,
-	// honest rejections rather than a growing latency tail.
-	sem chan struct{}
-	// draining flips when shutdown starts: query endpoints and /readyz
-	// refuse new work (load balancers stop routing here) while in-flight
-	// requests finish under http.Server.Shutdown.
-	draining atomic.Bool
 	// queryStats / motifStats count the two request families for /statusz:
 	// admitted requests, in-flight, and recent p50/p99.
 	queryStats endpointStats
@@ -49,10 +38,7 @@ type server struct {
 // admitted query requests; 0 means unlimited. A shard engine (WithShard)
 // is served with its match IDs remapped to full-collection positions.
 func newServer(e *hydra.Engine, timeout time.Duration, maxInFlight int) *server {
-	s := &server{engine: e, timeout: timeout, started: time.Now()}
-	if maxInFlight > 0 {
-		s.sem = make(chan struct{}, maxInFlight)
-	}
+	s := &server{gate: newGate(timeout, maxInFlight), engine: e, started: time.Now()}
 	if _, _, offset, sharded := e.ShardInfo(); sharded {
 		s.idOffset = offset
 	}
@@ -68,18 +54,8 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/statusz", s.handleStatusz)
-	h := recovered(mux)
-	if s.accessLog {
-		return identified(h)
-	}
-	return identifiedQuiet(h)
+	return identify(recovered(mux), s.accessLog)
 }
-
-// startDrain marks the server as draining: query endpoints and /readyz
-// answer 503 from here on while already-admitted requests run to
-// completion. Called before http.Server.Shutdown so load balancers see the
-// instance go not-ready the moment the drain begins.
-func (s *server) startDrain() { s.draining.Store(true) }
 
 // errorResponse is the JSON body of every refused or failed request that
 // does not reach a handler's own response shape. RequestID carries the
@@ -104,32 +80,6 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, msg string) 
 // clients are told to come back after 1-3 seconds, each drawing its own
 // value, so a refused thundering herd does not re-arrive in lockstep.
 const retryAfterSpread = 3
-
-// admitted gates a query endpoint on the admission state: draining refuses
-// outright, and when a max-in-flight bound is configured, a request that
-// cannot take a slot without waiting is refused with 503 + Retry-After —
-// shedding load immediately beats queueing it into a timeout.
-func (s *server) admitted(next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() {
-			w.Header().Set("Retry-After", retryAfterJitter(retryAfterSpread))
-			writeError(w, r, http.StatusServiceUnavailable, "draining")
-			return
-		}
-		if s.sem != nil {
-			select {
-			case s.sem <- struct{}{}:
-				defer func() { <-s.sem }()
-			default:
-				w.Header().Set("Retry-After", retryAfterJitter(retryAfterSpread))
-				writeError(w, r, http.StatusServiceUnavailable,
-					fmt.Sprintf("overloaded: %d requests in flight", cap(s.sem)))
-				return
-			}
-		}
-		next(w, r)
-	}
-}
 
 // recovered is the panic boundary shared by the single-engine server and
 // the coordinator: a panic escaping any handler (a bug, or an armed
@@ -524,16 +474,6 @@ func firstError(errs []error) error {
 		}
 	}
 	return nil
-}
-
-// requestContext derives the per-request deadline from the configured
-// timeout on top of the client-disconnect cancellation http.Request
-// already carries.
-func (s *server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.timeout <= 0 {
-		return r.Context(), func() {}
-	}
-	return context.WithTimeout(r.Context(), s.timeout)
 }
 
 // toMatchJSON serializes matches, remapping shard-local IDs to

@@ -161,13 +161,12 @@
 //
 // The raw data of a collection lives in one flat, 64-byte-aligned float32
 // arena (storage.NewArena), series stored back-to-back exactly as the
-// simulated disk lays them out; storage.SeriesFile.Read/ReadRange/Peek hand
+// simulated disk lays them out; storage.SeriesFile.Read/FlatRange/Peek hand
 // out capped subslice views of it. Views are read-only — mutating one
-// corrupts the arena for every reader; Clone first or copy out with
-// series.Series.AppendTo (the aliasing contract is specified in the
-// internal/series package docs). Index summaries follow the same
-// discipline: iSAX words and PAA vectors, SFA features and words, and VA+
-// codes are contiguous parallel arrays scored many candidates per call by
+// corrupts the arena for every reader; Clone first (the aliasing contract
+// is specified in the internal/series package docs). Index summaries follow
+// the same discipline: iSAX words and PAA vectors, SFA features and words,
+// and VA+ codes are contiguous parallel arrays scored many candidates per call by
 // batched lower-bound kernels (sax.MinDistFullCardBatch,
 // vaq.Quantizer.LowerBoundBatch — both streaming segment-major transposed
 // code copies), and DSTree nodes keep their EAPCA synopsis in one
@@ -208,10 +207,10 @@
 //     shards concurrently against a lock-free shared best-so-far bound
 //     (core.BestSoFar, atomic float64 bits, the MESSI coordination scheme).
 //     The UCR-Suite method exposes this as core.Options.Workers.
-//   - Inter-query: core.RunWorkloadConcurrent drives a pool of method
-//     replicas (core.NewReplicas) over a workload, one query at a time per
-//     replica, so each query's I/O and CPU are attributed exactly to its
-//     own stats record.
+//   - Inter-query: Engine.QueryBatch answers a batch on up to
+//     WithBatchWorkers goroutines that pull queries from one atomic cursor
+//     and share the one built method; results stay aligned with the batch,
+//     so the answer does not depend on scheduling.
 //
 // Sharing rules. storage.Counters is atomic and may be charged from any
 // number of goroutines. A storage.SeriesFile has an atomic scan cursor, so

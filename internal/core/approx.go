@@ -238,9 +238,6 @@ func (p *Pruner) StopSatisfied(bound float64) bool {
 	return false
 }
 
-// Visits returns how many nodes the traversal recorded.
-func (p *Pruner) Visits() int64 { return p.visits }
-
 // Finish stamps the pruner's accounting — visit count and the early-stop
 // cause, if any — onto the query's stats record.
 func (p *Pruner) Finish(qs *stats.QueryStats) {

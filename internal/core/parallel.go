@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hydra/internal/dataset"
 	"hydra/internal/faultpoint"
 	"hydra/internal/series"
 	"hydra/internal/stats"
@@ -206,78 +205,3 @@ func scanKNN(ctx context.Context, c *Collection, q series.Series, k, workers int
 // scanScratch pools the per-query and per-worker scratch state of
 // ParallelScanKNN across all collections in the process.
 var scanScratch ScratchPool
-
-// Replica is one worker's private (method, collection) pair for concurrent
-// workload execution. Replicas built over the same dataset share the backing
-// series data but have independent counters, which is what makes exact
-// per-query I/O attribution possible while queries run concurrently.
-type Replica struct {
-	M Method
-	C *Collection
-}
-
-// NewReplicas instantiates and builds n independent replicas of the named
-// method over d. The collections share d's series storage (NewSeriesFile
-// does not copy), so the memory cost is per-replica index structure only.
-func NewReplicas(name string, opts Options, d *dataset.Dataset, n int) ([]Replica, error) {
-	if n < 1 {
-		n = 1
-	}
-	reps := make([]Replica, 0, n)
-	for i := 0; i < n; i++ {
-		m, err := New(name, opts)
-		if err != nil {
-			return nil, err
-		}
-		c := NewCollection(d)
-		if err := m.Build(c); err != nil {
-			return nil, fmt.Errorf("core: building replica %d of %s: %w", i, name, err)
-		}
-		reps = append(reps, Replica{M: m, C: c})
-	}
-	return reps, nil
-}
-
-// RunWorkloadConcurrent answers the workload with a pool of one goroutine
-// per replica, pulling queries from a shared atomic cursor. Because each
-// replica owns its counters and serves one query at a time, every
-// QueryStats carries exactly its own query's I/O and CPU — the concurrent
-// analogue of RunWorkload's snapshot-delta attribution. Per-query stats are
-// stored at the query's workload position, so aggregate results are
-// independent of scheduling. The first error (by query index) is returned;
-// a context cancel stops every replica within one block of work.
-func RunWorkloadConcurrent(ctx context.Context, reps []Replica, w *dataset.Workload, k int) (stats.WorkloadStats, error) {
-	var ws stats.WorkloadStats
-	if len(reps) == 0 {
-		return ws, fmt.Errorf("core: RunWorkloadConcurrent needs at least one replica")
-	}
-	ws.Queries = make([]stats.QueryStats, len(w.Queries))
-	errs := make([]error, len(w.Queries))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for r := range reps {
-		wg.Add(1)
-		go func(rep Replica) {
-			defer wg.Done()
-			for {
-				qi := int(next.Add(1)) - 1
-				if qi >= len(w.Queries) {
-					return
-				}
-				_, qs, err := RunQuery(ctx, rep.M, rep.C, w.Queries[qi], k)
-				if err != nil {
-					errs[qi] = fmt.Errorf("core: query %d: %w", qi, err)
-					return
-				}
-				ws.Queries[qi] = qs
-			}
-		}(reps[r])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return ws, err
-		}
-	}
-	return ws, nil
-}

@@ -8,7 +8,6 @@ import (
 
 	"hydra/internal/dataset"
 	"hydra/internal/series"
-	"hydra/internal/stats"
 )
 
 // serialScanKNN is the reference the parallel scan must match bit-for-bit:
@@ -187,77 +186,5 @@ func TestKNNSetMerge(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("match %d: %+v, want %+v", i, got[i], want[i])
 		}
-	}
-}
-
-// stubScan is a trivial Method for exercising the concurrent workload
-// runner without importing the method packages (cycle-free).
-type stubScan struct{ c *Collection }
-
-func (s *stubScan) Name() string { return "stub-scan" }
-func (s *stubScan) Build(c *Collection) error {
-	s.c = c
-	return nil
-}
-func (s *stubScan) KNN(ctx context.Context, q series.Series, k int) ([]Match, stats.QueryStats, error) {
-	var qs stats.QueryStats
-	set := NewKNNSet(k)
-	s.c.File.Rewind()
-	for i := 0; i < s.c.File.Len(); i++ {
-		set.Add(i, series.SquaredDist(q, s.c.File.Read(i)))
-		qs.DistCalcs++
-		qs.RawSeriesExamined++
-	}
-	return set.Results(), qs, nil
-}
-
-// TestRunWorkloadConcurrent: the pooled runner must produce the same
-// per-query answers and exact per-query I/O attribution as the serial
-// RunWorkload, for any replica count.
-func TestRunWorkloadConcurrent(t *testing.T) {
-	ds := dataset.RandomWalk(120, 32, 51)
-	wl := dataset.SynthRand(23, 32, 52)
-
-	serialM := &stubScan{}
-	serialC := NewCollection(ds)
-	if err := serialM.Build(serialC); err != nil {
-		t.Fatal(err)
-	}
-	want, err := RunWorkload(context.Background(), serialM, serialC, wl, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, nrep := range []int{1, 2, 4} {
-		reps := make([]Replica, nrep)
-		for i := range reps {
-			m := &stubScan{}
-			c := NewCollection(ds)
-			if err := m.Build(c); err != nil {
-				t.Fatal(err)
-			}
-			reps[i] = Replica{M: m, C: c}
-		}
-		got, err := RunWorkloadConcurrent(context.Background(), reps, wl, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Queries) != len(want.Queries) {
-			t.Fatalf("nrep=%d: %d query stats, want %d", nrep, len(got.Queries), len(want.Queries))
-		}
-		for qi := range want.Queries {
-			w, g := want.Queries[qi], got.Queries[qi]
-			if g.IO != w.IO {
-				t.Errorf("nrep=%d query %d: IO %+v, want %+v", nrep, qi, g.IO, w.IO)
-			}
-			if g.DistCalcs != w.DistCalcs || g.RawSeriesExamined != w.RawSeriesExamined {
-				t.Errorf("nrep=%d query %d: calcs %d/%d, want %d/%d",
-					nrep, qi, g.DistCalcs, g.RawSeriesExamined, w.DistCalcs, w.RawSeriesExamined)
-			}
-		}
-	}
-
-	if _, err := RunWorkloadConcurrent(context.Background(), nil, wl, 1); err == nil {
-		t.Error("expected error for zero replicas")
 	}
 }

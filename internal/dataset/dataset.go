@@ -123,9 +123,6 @@ func NumSeriesForGB(gb float64, length int, scale float64) int {
 
 // Common scale factors for the experiment harness.
 const (
-	// ScalePaper reproduces the paper's collection sizes exactly (needs
-	// hundreds of GB of RAM — documented, not the default).
-	ScalePaper = 1.0
 	// ScaleDefault is the harness default: 1 GB-equivalent ≈ 953 series.
 	ScaleDefault = 1.0 / 1024
 	// ScaleQuick is used by unit benches and CI: 1 GB-equivalent ≈ 60 series.

@@ -96,8 +96,8 @@ func TestGeneratorsHaveDistinctSpectra(t *testing.T) {
 }
 
 func TestNumSeriesForGB(t *testing.T) {
-	// 1 GB of length-256 float32 series at paper scale.
-	n := NumSeriesForGB(1, 256, ScalePaper)
+	// 1 GB of length-256 float32 series at the paper's scale (factor 1).
+	n := NumSeriesForGB(1, 256, 1)
 	if n < 970000 || n > 980000 {
 		t.Errorf("paper-scale count %d, want ~976562", n)
 	}

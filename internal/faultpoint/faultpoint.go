@@ -63,8 +63,8 @@ const (
 	// before it starts reading (default 10ms).
 	PersistSlowIO = "persist/slow-io"
 	// StorageSlowRead delays bulk reads from the simulated series file
-	// (ReadRange/FlatRange — the leaf-read and scan-shard paths) by the
-	// armed duration per firing (default 10ms).
+	// (FlatRange — MASS's block scan) by the armed duration per firing
+	// (default 10ms).
 	StorageSlowRead = "storage/slow-read"
 	// ScanWorkerPanic panics inside a parallel-scan worker goroutine; the
 	// scan must recover it into the typed core.ErrWorkerPanic.

@@ -112,17 +112,6 @@ func (w *Welford) Var() float64 {
 // Std returns the running population standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 
-// Clamp restricts v to the closed interval [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
 // NextPow2 returns the smallest power of two >= n (and 1 for n <= 1).
 func NextPow2(n int) int {
 	p := 1

@@ -108,12 +108,6 @@ func TestWelford(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Errorf("Clamp misbehaves")
-	}
-}
-
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 96: 128, 128: 128, 129: 256}
 	for in, want := range cases {

@@ -45,12 +45,6 @@ func ParseList(v string, all []string) []string {
 	return out
 }
 
-// Indexes returns the names of the index-based methods (those with a Build
-// phase that constructs an access structure), in the paper's Table 1 order.
-func Indexes() []string {
-	return []string{"ADS+", "DSTree", "iSAX2+", "M-tree", "R*-tree", "SFA", "VA+file"}
-}
-
 // BestSix returns the methods the paper carries into its §4.3.3 comparison
 // after eliminating the ones that needed >12h on the 250GB dataset.
 func BestSix() []string {

@@ -20,32 +20,14 @@ import (
 
 // AtomicWrite writes a file at path by streaming fill into a temporary
 // sibling and renaming it into place only after a successful close: readers
-// never observe a partial file, and a crash leaves at most a *.tmp to sweep.
+// never observe a partial file, and a crash leaves at most a *.tmp behind.
 // Parent directories are created as needed. On any error the temporary file
 // is removed and path is untouched.
 //
 // AtomicWrite guarantees atomicity against process crash, not durability
 // against power loss: the data and the rename may still sit in the page
-// cache when it returns. Callers that go on to destroy the data's previous
-// home (truncating a WAL after a checkpoint) need AtomicWriteDurable.
+// cache when it returns.
 func AtomicWrite(path string, perm os.FileMode, fill func(io.Writer) error) error {
-	return atomicWrite(path, perm, fill, false)
-}
-
-// AtomicWriteDurable is AtomicWrite hardened against power loss: the
-// temporary file is fsynced before the rename and the parent directory is
-// fsynced after it, so when the call returns nil the complete file — under
-// its final name — has reached stable storage. This is the write half of
-// every write-then-destroy sequence: without the two fsyncs, a power cut
-// can lose the rename from the page cache while the destruction of the old
-// copy (itself synced) survives.
-func AtomicWriteDurable(path string, perm os.FileMode, fill func(io.Writer) error) error {
-	return atomicWrite(path, perm, fill, true)
-}
-
-// atomicWrite is the shared write-then-rename; durable adds the temp-file
-// fsync before rename and the directory fsync after it.
-func atomicWrite(path string, perm os.FileMode, fill func(io.Writer) error, durable bool) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
@@ -59,13 +41,6 @@ func atomicWrite(path string, perm os.FileMode, fill func(io.Writer) error, dura
 		os.Remove(tmp)
 		return err
 	}
-	if durable {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return err
@@ -74,11 +49,6 @@ func atomicWrite(path string, perm os.FileMode, fill func(io.Writer) error, dura
 		os.Remove(tmp)
 		return err
 	}
-	if durable {
-		if err := SyncDir(filepath.Dir(path)); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -86,14 +56,6 @@ func atomicWrite(path string, perm os.FileMode, fill func(io.Writer) error, dura
 // os.WriteFile shape with the write-then-rename guarantee.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	return AtomicWrite(path, perm, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}
-
-// WriteFileAtomicDurable is AtomicWriteDurable for a prepared byte slice.
-func WriteFileAtomicDurable(path string, data []byte, perm os.FileMode) error {
-	return AtomicWriteDurable(path, perm, func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
 	})
@@ -114,9 +76,8 @@ func SyncDir(dir string) error {
 	return serr
 }
 
-// TempExt is the suffix of AtomicWrite's in-flight temporary files. A
-// process dying between create and rename leaves one behind; SweepTemp
-// removes such orphans once they are old enough to be unambiguously dead.
+// TempExt is the suffix of AtomicWrite's in-flight temporary files; a
+// process dying between create and rename leaves one behind.
 const TempExt = ".tmp"
 
 // QuarantineExt is the suffix appended to a snapshot file set aside by
@@ -161,34 +122,6 @@ func SweepQuarantined(dir string, maxAge time.Duration, keep int) int {
 	if keep <= 0 {
 		keep = DefaultQuarantineKeep
 	}
-	return sweepSuffix(dir, QuarantineExt, maxAge, keep)
-}
-
-// DefaultTempAge is the retention age applied when SweepTemp is called with
-// maxAge <= 0. One hour comfortably exceeds any legitimate in-flight
-// AtomicWrite — a *.tmp that old belongs to a process that died between
-// create and rename.
-const DefaultTempAge = time.Hour
-
-// SweepTemp removes orphaned *.tmp files in dir older than maxAge — the
-// residue of a process dying inside AtomicWrite, before the rename. Fresh
-// temporaries are left alone (they may belong to a concurrent writer), so
-// the sweep is safe to run next to live checkpoints. Zero maxAge selects
-// DefaultTempAge. It returns how many files were removed; like
-// SweepQuarantined it never fails a start on its own.
-func SweepTemp(dir string, maxAge time.Duration) int {
-	if maxAge <= 0 {
-		maxAge = DefaultTempAge
-	}
-	return sweepSuffix(dir, TempExt, maxAge, -1)
-}
-
-// sweepSuffix is the shared sweep: files in dir ending in suffix are removed
-// once older than maxAge, and when keep >= 0 only the keep newest (by
-// modification time) of the younger ones survive. Returns how many files
-// were removed; all filesystem errors are swallowed — sweeps are hygiene,
-// never load-bearing.
-func sweepSuffix(dir, suffix string, maxAge time.Duration, keep int) int {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return 0
@@ -201,7 +134,7 @@ func sweepSuffix(dir, suffix string, maxAge time.Duration, keep int) int {
 	cutoff := time.Now().Add(-maxAge)
 	removed := 0
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), suffix) {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), QuarantineExt) {
 			continue
 		}
 		path := filepath.Join(dir, e.Name())
@@ -217,7 +150,7 @@ func sweepSuffix(dir, suffix string, maxAge time.Duration, keep int) int {
 		}
 		files = append(files, aged{path: path, mod: info.ModTime()})
 	}
-	if keep >= 0 && len(files) > keep {
+	if len(files) > keep {
 		sort.Slice(files, func(i, j int) bool { return files[i].mod.After(files[j].mod) })
 		for _, f := range files[keep:] {
 			if os.Remove(f.path) == nil {

@@ -67,43 +67,6 @@ func TestAtomicWriteFailedFillLeavesTargetUntouched(t *testing.T) {
 	}
 }
 
-// TestAtomicWriteDurable pins the durable variant's visible behavior: same
-// atomicity contract as AtomicWrite (the fsyncs themselves are only
-// observable under real power loss).
-func TestAtomicWriteDurable(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sub", "out.ckpt")
-	if err := WriteFileAtomicDurable(path, []byte("v1"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFileAtomicDurable(path, []byte("v2"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "v2" {
-		t.Fatalf("got %q", got)
-	}
-	if _, err := os.Stat(path + TempExt); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("temporary file left behind after success")
-	}
-
-	boom := errors.New("boom")
-	err = AtomicWriteDurable(path, 0o644, func(w io.Writer) error {
-		w.Write([]byte("partial garbage"))
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	got, _ = os.ReadFile(path)
-	if string(got) != "v2" {
-		t.Fatalf("failed durable write damaged the target: %q", got)
-	}
-}
-
 func TestSyncDir(t *testing.T) {
 	if err := SyncDir(t.TempDir()); err != nil {
 		t.Fatalf("SyncDir on a real directory: %v", err)

@@ -165,7 +165,6 @@ type Decoder struct {
 	method   string
 	version  uint16
 	sections map[string][]byte
-	order    []string
 }
 
 // NewDecoder reads a complete snapshot from r, verifying magic, format
@@ -245,7 +244,6 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 			return nil, fmt.Errorf("%w: section %q", ErrChecksum, te.name)
 		}
 		d.sections[te.name] = payload
-		d.order = append(d.order, te.name)
 	}
 	return d, nil
 }
@@ -255,9 +253,6 @@ func (d *Decoder) Method() string { return d.method }
 
 // Version returns the snapshot's format version.
 func (d *Decoder) Version() uint16 { return d.version }
-
-// Sections returns the section names in file order.
-func (d *Decoder) Sections() []string { return append([]string(nil), d.order...) }
 
 // Section returns a Reader over the named section's payload, or an error
 // wrapping ErrCorrupt when the snapshot does not contain it.
@@ -410,14 +405,6 @@ func (w *Writer) F64s(v []float64) {
 	w.Uvarint(uint64(len(v)))
 	for _, x := range v {
 		w.F64(x)
-	}
-}
-
-// F32s appends a length-prefixed slice of singles.
-func (w *Writer) F32s(v []float32) {
-	w.Uvarint(uint64(len(v)))
-	for _, x := range v {
-		w.F32(x)
 	}
 }
 
@@ -634,22 +621,6 @@ func (r *Reader) F64s() []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = r.F64()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
-}
-
-// F32s reads a length-prefixed slice of singles.
-func (r *Reader) F32s() []float32 {
-	n := r.sliceLen(4)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = r.F32()
 	}
 	if r.err != nil {
 		return nil

@@ -14,8 +14,7 @@
 //
 //   - Series obtained from a collection, file, or shard are read-only
 //     views. Mutating one (including ZNormalize, which works in place)
-//     corrupts the shared arena for every other reader. Clone first, or
-//     copy out with AppendTo.
+//     corrupts the shared arena for every other reader. Clone first.
 //   - Views are capped (cap == len), so append on a view reallocates
 //     instead of bleeding into the neighboring series.
 //   - A view stays valid as long as the collection it came from; it never
@@ -42,14 +41,6 @@ func (s Series) Clone() Series {
 	c := make(Series, len(s))
 	copy(c, s)
 	return c
-}
-
-// AppendTo appends s's values to dst and returns the extended slice — the
-// copy-free-until-needed way to take ownership of an arena view (see the
-// aliasing contract in the package docs): callers that must mutate or
-// outlive a view copy it into a buffer they own, reusing dst's capacity.
-func (s Series) AppendTo(dst []float32) []float32 {
-	return append(dst, s...)
 }
 
 // Mean returns the arithmetic mean of s. The mean of an empty series is 0.
@@ -276,18 +267,6 @@ func checkOrdered(q, c Series, ord Order) {
 //go:noinline
 func panicOrdered(q, c, ord int) {
 	panic(fmt.Sprintf("series: squared distance of mismatched lengths %d and %d under an order for length %d", q, c, ord))
-}
-
-// DotProduct returns the inner product of q and c in float64.
-func DotProduct(q, c Series) float64 {
-	if len(q) != len(c) {
-		panic(fmt.Sprintf("series: dot product of mismatched lengths %d and %d", len(q), len(c)))
-	}
-	var sum float64
-	for i := range q {
-		sum += float64(q[i]) * float64(c[i])
-	}
-	return sum
 }
 
 // SumSquares returns the energy (sum of squared values) of s.

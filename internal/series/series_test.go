@@ -187,12 +187,8 @@ func TestOrderBuilderReuse(t *testing.T) {
 	}
 }
 
-func TestDotProductAndSumSquares(t *testing.T) {
+func TestSumSquares(t *testing.T) {
 	q := Series{1, 2, 3}
-	c := Series{4, 5, 6}
-	if got := DotProduct(q, c); got != 32 {
-		t.Errorf("DotProduct=%v want 32", got)
-	}
 	if got := SumSquares(q); got != 14 {
 		t.Errorf("SumSquares=%v want 14", got)
 	}

@@ -7,7 +7,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -179,27 +178,6 @@ func (w WorkloadStats) Extrapolate10K(d storage.DeviceProfile, n int) time.Durat
 	}
 	mean := float64(sum) / float64(hi-lo)
 	return time.Duration(mean * float64(n))
-}
-
-// Percentile returns the p-th percentile (0..100) of the per-query total
-// times on device d using nearest-rank.
-func (w WorkloadStats) Percentile(d storage.DeviceProfile, p float64) time.Duration {
-	if len(w.Queries) == 0 {
-		return 0
-	}
-	times := make([]time.Duration, len(w.Queries))
-	for i, q := range w.Queries {
-		times[i] = q.TotalTime(d)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	rank := int(math.Ceil(p/100*float64(len(times)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(times) {
-		rank = len(times) - 1
-	}
-	return times[rank]
 }
 
 // TreeStats describes the structure of a tree-based index (the paper's

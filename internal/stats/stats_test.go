@@ -81,14 +81,8 @@ func TestWorkloadAggregates(t *testing.T) {
 	if got := ws.TotalTime(storage.HDD); got != 4*time.Millisecond {
 		t.Errorf("TotalTime=%v want 4ms", got)
 	}
-	if got := ws.Percentile(storage.HDD, 50); got != time.Millisecond {
-		t.Errorf("P50=%v want 1ms", got)
-	}
-	if got := ws.Percentile(storage.HDD, 100); got != 3*time.Millisecond {
-		t.Errorf("P100=%v want 3ms", got)
-	}
 	var empty WorkloadStats
-	if empty.MeanPruningRatio() != 0 || empty.Percentile(storage.HDD, 50) != 0 {
+	if empty.MeanPruningRatio() != 0 {
 		t.Errorf("empty workload aggregates should be zero")
 	}
 }

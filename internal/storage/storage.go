@@ -163,14 +163,14 @@ const BytesPerValue = 4
 // 64-byte-aligned float32 arena (series i occupies arena[i*L:(i+1)*L]), so
 // the in-memory layout matches the on-disk one: leaf scans and sequential
 // passes stream one contiguous region instead of pointer-chasing per-series
-// heap allocations. Read, ReadRange and Peek return subslices of the arena;
+// heap allocations. Read, FlatRange and Peek return subslices of the arena;
 // callers must treat them as immutable views (see the package series docs
 // for the aliasing contract). All reads are charged to the attached
 // Counters. Access position is tracked so that consecutive reads are charged
 // as sequential and everything else as a seek, mirroring how the paper
 // counts skip-sequential methods.
 //
-// Concurrency: the cursor is atomic, so concurrent Read/ReadRange calls are
+// Concurrency: the cursor is atomic, so concurrent Read/FlatRange calls are
 // race-free and never lose a charge — but goroutines interleaving reads on
 // one shared cursor scramble the seq/rand attribution (each one's read looks
 // like a seek to the next). Concurrent scans that need the paper's exact
@@ -281,35 +281,12 @@ func (f *SeriesFile) Read(i int) series.Series {
 	return f.at(i)
 }
 
-// ReadRange returns arena views of series [lo, hi), charged as exactly one
-// sequential transfer of the whole range, preceded by one seek (a zero-byte
-// random op) when the cursor was not already positioned at lo. Tree indexes
-// and block scans use this for materialized runs: the bytes always count as
-// one sequential operation, never as per-series random transfers.
-func (f *SeriesFile) ReadRange(lo, hi int) []series.Series {
-	st := f.state.Load()
-	if lo < 0 || hi > st.count || lo > hi {
-		panic(fmt.Sprintf("storage: ReadRange[%d,%d) out of bounds 0..%d", lo, hi, st.count))
-	}
-	faultpoint.Delay(faultpoint.StorageSlowRead)
-	n := int64(hi-lo) * f.SeriesBytes()
-	if !f.nextSeq.CompareAndSwap(int64(lo), int64(hi)) {
-		f.c.ChargeRand(0) // the seek repositioning the head
-		f.nextSeq.Store(int64(hi))
-	}
-	f.c.ChargeSeq(n) // the whole range is one sequential transfer
-	out := make([]series.Series, hi-lo)
-	for i := range out {
-		out[i] = st.at(lo+i, f.length)
-	}
-	return out
-}
-
 // FlatRange returns the arena values of series [lo, hi) as one flat view
-// (stride SeriesLen), with exactly ReadRange's charge model: one sequential
-// transfer, plus one zero-byte seek when the cursor was elsewhere. Block
-// scans that stream values (MASS) use it to avoid materializing per-series
-// view headers.
+// (stride SeriesLen), charged as exactly one sequential transfer of the
+// whole range, preceded by one seek (a zero-byte random op) when the cursor
+// was not already positioned at lo: the bytes always count as one
+// sequential operation, never as per-series random transfers. Block scans
+// that stream values (MASS) use it.
 func (f *SeriesFile) FlatRange(lo, hi int) []float32 {
 	st := f.state.Load()
 	if lo < 0 || hi > st.count || lo > hi {

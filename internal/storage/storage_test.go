@@ -57,50 +57,53 @@ func TestRewindMakesScanSequential(t *testing.T) {
 	}
 }
 
+// TestReadRange pins FlatRange, the file's range read: a view of exactly
+// the range's values, sequential while ranges continue one another, one
+// seek when they do not.
 func TestReadRange(t *testing.T) {
 	f, c := makeFile(10, 4)
-	block := f.ReadRange(0, 5)
-	if len(block) != 5 {
-		t.Fatalf("block length %d", len(block))
+	block := f.FlatRange(0, 5)
+	if len(block) != 5*4 || block[len(block)-1] != 5*4-1 {
+		t.Fatalf("block %v", block)
 	}
 	if c.SeqOps() != 1 || c.SeqBytes() != 5*4*BytesPerValue {
 		t.Errorf("range read miscounted: %v", c.Snapshot())
 	}
-	f.ReadRange(5, 10) // continues
+	f.FlatRange(5, 10) // continues
 	if c.SeqOps() != 2 || c.RandOps() != 0 {
 		t.Errorf("contiguous range read should stay sequential: %v", c.Snapshot())
 	}
-	f.ReadRange(0, 2) // seek back
+	f.FlatRange(0, 2) // seek back
 	if c.RandOps() != 1 {
 		t.Errorf("backwards range read should seek: %v", c.Snapshot())
 	}
 }
 
-// TestReadRangeChargesOneSequentialOp pins the range-read charge model: a
+// TestReadRangeChargesOneSequentialOp pins FlatRange's charge model: a
 // range is always exactly one sequential transfer of its bytes, plus one
 // zero-byte seek when the cursor was elsewhere — never per-series random
 // transfers, and never range bytes drifting into the random-byte column.
 func TestReadRangeChargesOneSequentialOp(t *testing.T) {
 	f, c := makeFile(10, 4)
-	f.ReadRange(0, 5) // cursor at 0: pure sequential
+	f.FlatRange(0, 5) // cursor at 0: pure sequential
 	if got := c.Snapshot(); got != (Snapshot{SeqOps: 1, SeqBytes: 5 * 4 * BytesPerValue}) {
 		t.Fatalf("aligned range: %v", got)
 	}
 	c.Reset()
-	f.ReadRange(2, 7) // cursor at 5: one seek, then one sequential transfer
+	f.FlatRange(2, 7) // cursor at 5: one seek, then one sequential transfer
 	want := Snapshot{SeqOps: 1, SeqBytes: 5 * 4 * BytesPerValue, RandOps: 1, RandBytes: 0}
 	if got := c.Snapshot(); got != want {
 		t.Fatalf("misaligned range: %v want %v", got, want)
 	}
 	c.Reset()
-	f.ReadRange(7, 10) // continues: sequential again, no seek
+	f.FlatRange(7, 10) // continues: sequential again, no seek
 	if got := c.Snapshot(); got != (Snapshot{SeqOps: 1, SeqBytes: 3 * 4 * BytesPerValue}) {
 		t.Fatalf("continuing range: %v", got)
 	}
 	// The simulated time of a misaligned range equals seek + transfer —
 	// bytes never pay the seek latency twice.
 	c.Reset()
-	f.ReadRange(0, 10)
+	f.FlatRange(0, 10)
 	if got, wantT := c.Snapshot().IOTime(HDD), HDD.IOTime(1, 10*4*BytesPerValue); got != wantT {
 		t.Fatalf("IO time %v want %v", got, wantT)
 	}
@@ -113,7 +116,7 @@ func TestReadRangeBounds(t *testing.T) {
 			t.Errorf("expected panic for out-of-bounds range")
 		}
 	}()
-	f.ReadRange(2, 9)
+	f.FlatRange(2, 9)
 }
 
 func TestPeekChargesNothing(t *testing.T) {

@@ -50,31 +50,6 @@ func Transform(s series.Series) []float64 {
 	return out
 }
 
-// Inverse reconstructs the (padded) series from Haar coefficients.
-func Inverse(coeffs []float64) []float64 {
-	n := len(coeffs)
-	if n == 0 {
-		return nil
-	}
-	if !mathx.IsPow2(n) {
-		panic("dhwt: coefficient length must be a power of two")
-	}
-	cur := []float64{coeffs[0]}
-	pos := 1
-	for len(cur) < n {
-		half := len(cur)
-		det := coeffs[pos : pos+half]
-		pos += half
-		next := make([]float64, 2*half)
-		for i := 0; i < half; i++ {
-			next[2*i] = (cur[i] + det[i]) / math.Sqrt2
-			next[2*i+1] = (cur[i] - det[i]) / math.Sqrt2
-		}
-		cur = next
-	}
-	return cur
-}
-
 // Levels returns the number of resolution levels for padded length n
 // (level 0 holds 1 coefficient, level i>0 holds 2^(i-1) coefficients).
 func Levels(n int) int {

@@ -88,19 +88,3 @@ func ComputeInto(p Prefix, ends []int, buf []float64) Synopsis {
 	}
 	return syn
 }
-
-// SegmentLB returns the squared lower bound between two (mean, std) pairs on
-// a segment of width w.
-func SegmentLB(w, m1, s1, m2, s2 float64) float64 {
-	dm := m1 - m2
-	ds := s1 - s2
-	return w * (dm*dm + ds*ds)
-}
-
-// SegmentUB returns the squared upper bound between two (mean, std) pairs on
-// a segment of width w.
-func SegmentUB(w, m1, s1, m2, s2 float64) float64 {
-	dm := m1 - m2
-	ss := s1 + s2
-	return w * (dm*dm + ss*ss)
-}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"hydra/internal/series"
+	"hydra/internal/simd"
 )
 
 func randSeries(rng *rand.Rand, n int) series.Series {
@@ -54,20 +55,24 @@ func TestPrefixMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestSegmentBoundsProperty: the reverse/forward triangle inequalities that
-// power all DSTree pruning, verified against true distances.
+// segmentLB is Σ_i w_i·((mx_i−my_i)² + (sx_i−sy_i)²), the lower bound of
+// the package docs, evaluated by the kernel the DSTree prunes with: a node
+// whose mean and std ranges have collapsed to y's values.
+func segmentLB(w, mx, sx, my, sy []float64) float64 {
+	return simd.EAPCABound(mx, sx, w, my, my, sy, sy)
+}
+
+// TestSegmentBoundsProperty: the reverse triangle inequality that powers all
+// DSTree pruning, verified against true distances.
 func TestSegmentBoundsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		w := 1 + rng.Intn(100)
 		x, y := randSeries(rng, w), randSeries(rng, w)
-		px, py := NewPrefix(x), NewPrefix(y)
-		mx, sx := px.MeanStd(0, w)
-		my, sy := py.MeanStd(0, w)
-		d := series.SquaredDist(x, y)
-		lbv := SegmentLB(float64(w), mx, sx, my, sy)
-		ubv := SegmentUB(float64(w), mx, sx, my, sy)
-		return lbv <= d*(1+1e-9)+1e-9 && ubv >= d*(1-1e-9)-1e-9
+		mx, sx := NewPrefix(x).MeanStd(0, w)
+		my, sy := NewPrefix(y).MeanStd(0, w)
+		lb := segmentLB([]float64{float64(w)}, []float64{mx}, []float64{sx}, []float64{my}, []float64{sy})
+		return lb <= series.SquaredDist(x, y)*(1+1e-9)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -93,12 +98,13 @@ func TestMultiSegmentLB(t *testing.T) {
 		}
 		sx := Compute(NewPrefix(x), ends)
 		sy := Compute(NewPrefix(y), ends)
-		var lb float64
+		w := make([]float64, len(ends))
 		lo := 0
 		for i, hi := range ends {
-			lb += SegmentLB(float64(hi-lo), sx.Mean[i], sx.Std[i], sy.Mean[i], sy.Std[i])
+			w[i] = float64(hi - lo)
 			lo = hi
 		}
+		lb := segmentLB(w, sx.Mean, sx.Std, sy.Mean, sy.Std)
 		d := series.SquaredDist(x, y)
 		if lb > d*(1+1e-9)+1e-9 {
 			t.Fatalf("segmentation %v: lb %g > dist %g", ends, lb, d)

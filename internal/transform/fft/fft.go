@@ -16,7 +16,7 @@
 // VA+file keep 9 of 256) says so, and the transform skips every butterfly no
 // kept output depends on; the kept outputs are bit-identical to a full
 // transform's. Nothing here holds per-call state: workspaces belong to the
-// caller (FFT/IFFT/FFTReal allocate theirs, Forward and ConvolveInto take
+// caller (FFT and FFTReal allocate theirs, Forward and ConvolveInto take
 // one).
 package fft
 
@@ -54,28 +54,8 @@ func Forward(a []complex128, keep int) {
 	case mathx.IsPow2(n):
 		radix2(a, false, keep)
 	default:
-		copy(a, bluestein(a, false))
+		copy(a, bluestein(a))
 	}
-}
-
-// IFFT computes the inverse DFT (including the 1/n normalization).
-func IFFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	copy(out, x)
-	if n <= 1 {
-		return out
-	}
-	if mathx.IsPow2(n) {
-		radix2(out, true, n)
-	} else {
-		out = bluestein(out, true)
-	}
-	inv := complex(1/float64(n), 0)
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
 }
 
 // FFTReal computes the forward DFT of a real-valued input.
@@ -179,22 +159,18 @@ func radix2(a []complex128, inverse bool, keep int) {
 	}
 }
 
-// bluestein computes an arbitrary-size DFT as a convolution, which is
-// evaluated with a power-of-two FFT.
-func bluestein(x []complex128, inverse bool) []complex128 {
+// bluestein computes an arbitrary-size forward DFT as a convolution, which
+// is evaluated with a power-of-two FFT.
+func bluestein(x []complex128) []complex128 {
 	n := len(x)
 	m := mathx.NextPow2(2*n - 1)
 
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	// Chirp: w[j] = e^(sign·πi·j²/n). Using j² mod 2n keeps the argument
-	// small for numerical stability.
+	// Chirp: w[j] = e^(−πi·j²/n). Using j² mod 2n keeps the argument small
+	// for numerical stability.
 	w := make([]complex128, n)
 	for j := 0; j < n; j++ {
 		jj := (int64(j) * int64(j)) % int64(2*n)
-		w[j] = cmplx.Exp(complex(0, sign*math.Pi*float64(jj)/float64(n)))
+		w[j] = cmplx.Exp(complex(0, -math.Pi*float64(jj)/float64(n)))
 	}
 
 	a := make([]complex128, m)

@@ -4,11 +4,7 @@
 // in the paper, which was modified to index PAA summaries).
 package paa
 
-import (
-	"math"
-
-	"hydra/internal/series"
-)
+import "hydra/internal/series"
 
 // Transform maps length-n series to their seg-segment PAA representation.
 // When n is not divisible by seg, segment widths differ by at most one point,
@@ -50,14 +46,6 @@ func (t *Transform) SeriesLen() int { return t.n }
 
 // Widths returns the per-segment widths (number of points).
 func (t *Transform) Widths() []float64 { return t.widths }
-
-// SegmentBounds returns the point range [lo,hi) of segment i.
-func (t *Transform) SegmentBounds(i int) (lo, hi int) {
-	if i > 0 {
-		lo = t.ends[i-1]
-	}
-	return lo, t.ends[i]
-}
 
 // Apply returns the PAA representation of s.
 func (t *Transform) Apply(s series.Series) []float64 {
@@ -114,19 +102,4 @@ func (t *Transform) LowerBoundToRect(q, lo, hi []float64) float64 {
 		sum += t.widths[i] * d * d
 	}
 	return sum
-}
-
-// UpperBoundToRect returns a squared upper bound of the distance from the
-// series behind q to any series whose PAA lies in the rectangle, assuming
-// both are Z-normalized of length n: the PAA distance to the farthest corner
-// plus the worst-case residual term (‖x−μ‖ ≤ √n for unit variance, so the
-// cross-segment residual distance is at most (√n+√n)² = 4n). Used only for
-// diagnostics, not pruning.
-func (t *Transform) UpperBoundToRect(q, lo, hi []float64) float64 {
-	var sum float64
-	for i := range q {
-		d := math.Max(math.Abs(q[i]-lo[i]), math.Abs(q[i]-hi[i]))
-		sum += t.widths[i] * d * d
-	}
-	return sum + 4*float64(t.n)
 }

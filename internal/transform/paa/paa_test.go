@@ -42,10 +42,6 @@ func TestUnevenSegments(t *testing.T) {
 	if tr.Segments() != 3 {
 		t.Errorf("Segments=%d want 3", tr.Segments())
 	}
-	lo, hi := tr.SegmentBounds(0)
-	if lo != 0 || hi != int(w[0]) {
-		t.Errorf("SegmentBounds(0)=(%d,%d)", lo, hi)
-	}
 }
 
 func TestSegCappedAtN(t *testing.T) {
@@ -108,19 +104,5 @@ func TestLowerBoundTightForConstantSegments(t *testing.T) {
 	d := series.SquaredDist(a, b)
 	if math.Abs(lb-d) > 1e-9 {
 		t.Errorf("lb %g != dist %g for piecewise-constant input", lb, d)
-	}
-}
-
-func TestUpperBoundToRect(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n := 64
-	tr := New(n, 8)
-	a := randSeries(rng, n).ZNormalize()
-	b := randSeries(rng, n).ZNormalize()
-	pb := tr.Apply(b)
-	ub := tr.UpperBoundToRect(tr.Apply(a), pb, pb)
-	d := series.SquaredDist(a, b)
-	if ub < d {
-		t.Errorf("upper bound %g < true distance %g", ub, d)
 	}
 }

@@ -66,9 +66,6 @@ func (q *Quantizer) Region(sym uint8, bits uint8) (lo, hi float64) {
 	return lo, hi
 }
 
-// Breakpoint returns breakpoint i at the maximum cardinality.
-func (q *Quantizer) Breakpoint(i int) float64 { return q.bps[i] }
-
 // Word is an iSAX word: one symbol per segment, each valid at its own
 // cardinality (Bits high-order bits of the max-cardinality symbol).
 type Word struct {
@@ -234,23 +231,4 @@ func MinDistFullCardBatch(table []float64, wordsT []uint8, seg int, out []float6
 		panic(fmt.Sprintf("sax: %d flat symbols for %d candidates of %d segments", len(wordsT), n, seg))
 	}
 	simd.CodeBoundBatchStride(table, 1<<MaxBits, wordsT, out)
-}
-
-// MinDistWords returns the squared lower-bounding distance between two iSAX
-// words (region-to-region), used by index maintenance.
-func (q *Quantizer) MinDistWords(a, b Word, widths []float64) float64 {
-	var sum float64
-	for i := range a.Symbols {
-		alo, ahi := q.Region(a.SymbolAt(i), a.Bits[i])
-		blo, bhi := q.Region(b.SymbolAt(i), b.Bits[i])
-		var d float64
-		switch {
-		case ahi < blo:
-			d = blo - ahi
-		case bhi < alo:
-			d = alo - bhi
-		}
-		sum += widths[i] * (d * d)
-	}
-	return sum
 }

@@ -177,32 +177,6 @@ func TestMinDistFullCardTableMatchesFullCard(t *testing.T) {
 	}
 }
 
-// TestMinDistWordsSymmetric and lower-bounding between regions.
-func TestMinDistWords(t *testing.T) {
-	q := NewQuantizer()
-	rng := rand.New(rand.NewSource(4))
-	tr := paa.New(64, 8)
-	for i := 0; i < 100; i++ {
-		a, b := randSeries(rng, 64), randSeries(rng, 64)
-		pa, pb := tr.Apply(a), tr.Apply(b)
-		wa, wb := NewWord(8, 4), NewWord(8, 4)
-		for j := range pa {
-			wa.Symbols[j] = q.Symbol(pa[j])
-			wb.Symbols[j] = q.Symbol(pb[j])
-		}
-		d1 := q.MinDistWords(wa, wb, tr.Widths())
-		d2 := q.MinDistWords(wb, wa, tr.Widths())
-		if math.Abs(d1-d2) > 1e-12 {
-			t.Fatalf("MinDistWords not symmetric: %g vs %g", d1, d2)
-		}
-		// Region-to-region must lower-bound point-to-region.
-		p := q.MinDist(pa, wb, tr.Widths())
-		if d1 > p+1e-12 {
-			t.Fatalf("region-region %g > point-region %g", d1, p)
-		}
-	}
-}
-
 func TestRegionPanicsOnBadBits(t *testing.T) {
 	q := NewQuantizer()
 	defer func() {

@@ -322,32 +322,6 @@ func (q *Quantizer) LowerBoundBatch(table []float64, codesT []uint8, out []float
 	simd.CodeBoundBatch(table, q.offs, codesT, out)
 }
 
-// UpperBound returns a squared upper bound from the query features to any
-// vector in the cell, using the farthest finite corner of each cell; cells
-// unbounded on the relevant side fall back to a conservative span derived
-// from the outermost boundaries. Diagnostics only.
-func (q *Quantizer) UpperBound(queryFeat []float64, code []uint8) float64 {
-	var sum float64
-	for d := 0; d < q.dims; d++ {
-		if q.bits[d] == 0 {
-			continue
-		}
-		lo, hi := q.Region(d, code[d])
-		b := q.bounds[d]
-		span := math.Abs(b[len(b)-1]-b[0]) + 1
-		if math.IsInf(lo, -1) {
-			lo = b[0] - span
-		}
-		if math.IsInf(hi, 1) {
-			hi = b[len(b)-1] + span
-		}
-		v := queryFeat[d]
-		dd := math.Max(math.Abs(v-lo), math.Abs(v-hi))
-		sum += dd * dd
-	}
-	return sum
-}
-
 // ErrCheck verifies quantizer invariants (sorted, finite boundaries).
 func (q *Quantizer) ErrCheck() error {
 	for d, b := range q.bounds {

@@ -104,20 +104,6 @@ func TestLowerBoundProperty(t *testing.T) {
 	}
 }
 
-func TestUpperBoundAboveLower(t *testing.T) {
-	q, tr, ds := trainQuantizer(t, 200, 64, 8, 64)
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 100; i++ {
-		a := ds.Series[rng.Intn(ds.Len())]
-		b := ds.Series[rng.Intn(ds.Len())]
-		qf := tr.Apply(a)
-		code := q.Encode(tr.Apply(b))
-		if q.UpperBound(qf, code) < q.LowerBound(qf, code) {
-			t.Fatalf("upper bound below lower bound")
-		}
-	}
-}
-
 func TestTrainErrors(t *testing.T) {
 	if _, err := Train(nil, 10); err == nil {
 		t.Errorf("empty training set should error")
