@@ -51,7 +51,6 @@ func main() {
 		epsilon    = flag.Float64("epsilon", 0, "delta-eps mode: relative distance-error bound ε")
 		delta      = flag.Float64("delta", 0, "delta-eps mode: confidence δ in (0,1]; 0/1 = deterministic ε guarantee")
 		nodeBudget = flag.Int("node-budget", 0, "budget/delta-eps modes: max index nodes visited (0 = unlimited)")
-		timeBudget = flag.Duration("time-budget", 0, "budget/delta-eps modes: max wall time per query (0 = unlimited)")
 	)
 	flag.Parse()
 
@@ -95,7 +94,6 @@ func main() {
 		hydra.WithLeafSize(*leafSize), hydra.WithWorkers(*workers),
 		hydra.WithApproxMode(*mode), hydra.WithEpsilon(*epsilon),
 		hydra.WithDelta(*delta), hydra.WithNodeBudget(*nodeBudget),
-		hydra.WithTimeBudget(*timeBudget),
 	}
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)

@@ -54,7 +54,9 @@
 // WithPartialOnDeadline opts a query path into graceful degradation: when
 // a context deadline expires mid-query, Query and QueryWithStats return
 // the best-so-far k-NN candidates with QueryStats.Partial set and a nil
-// error, instead of context.DeadlineExceeded and nothing. For scan methods
+// error, instead of context.DeadlineExceeded and nothing; QueryBatch
+// answers each query that way, and QueryStream ends with that answer as
+// its terminal event. All four share one query body, so they agree. For scan methods
 // the partial answer is bit-exactly the best-so-far heap the streaming
 // path reported up to the expiry; ng-approximate index methods fall back
 // to their approximate descent's answer; other methods degrade to an empty
@@ -76,7 +78,7 @@
 // faults_test.go pins this under the race detector).
 //
 // LoadIndex classifies snapshot failures rather than giving up: transient
-// read errors are retried with backoff (WithSnapshotRetries), corrupt
+// read errors are retried with backoff (3 attempts), corrupt
 // files are quarantined aside as *.quarantined with the original path
 // freed, and WithRebuildFallback replaces any unloadable snapshot with a
 // fresh build that reseeds the file. IsCorruptSnapshot distinguishes
@@ -102,15 +104,16 @@
 //     that the returned k-th distance is within (1+ε) of the true k-th
 //     distance with probability at least δ (WithEpsilon, WithDelta;
 //     ε=0 and δ=1 degenerate to exact search, bit-identically).
-//   - "budget": exact best-first search stopped early at a resource
-//     budget (WithNodeBudget, WithTimeBudget); with no budgets set it IS
-//     exact search.
+//   - "budget": exact best-first search stopped early at a node budget
+//     (WithNodeBudget); with no budget set it IS exact search. Every mode
+//     is defined by effort and guarantee, never by wall clock, so its
+//     answers are deterministic.
 //
 // QueryStats carries the audit trail: Mode is the mode that answered,
 // NodesVisited counts index nodes/leaves visited (in every mode, so
 // exact-vs-approximate work ratios are computable), Epsilon/Delta echo
 // the δ-ε parameters, and EarlyStop records which stop fired ("delta",
-// "nodes", "time", or empty). Exact answers are bit-identical across all
+// "nodes", or empty). Exact answers are bit-identical across all
 // modes' machinery: an engine in mode "exact" answers exactly what the
 // pre-option engine answered.
 //

@@ -146,7 +146,7 @@ func BuildIndex(ctx context.Context, method string, opts ...Option) (*Engine, er
 // saved.
 //
 // Load failures are classified, not just reported: transient errors are
-// retried with backoff (WithSnapshotRetries), a corrupt file is quarantined
+// retried with backoff (3 attempts), a corrupt file is quarantined
 // aside (path + ".quarantined") so no later start trips over it again, and
 // with WithRebuildFallback any unloadable snapshot is replaced by a fresh
 // build instead of failing the start. Without the fallback the error wraps
@@ -170,7 +170,7 @@ func LoadIndex(ctx context.Context, path string, opts ...Option) (*Engine, error
 	// left beside this snapshot, so repeated corruption cannot accumulate
 	// into a full disk (age- and count-bounded; see persist.SweepQuarantined).
 	persist.SweepQuarantined(filepath.Dir(path), 0, 0)
-	m, bs, err := cfg.loadSnapshot(ctx, path, coll)
+	m, bs, err := loadSnapshot(ctx, path, coll)
 	if err != nil {
 		if cfg.rebuildMethod != "" {
 			return cfg.rebuildFallback(ctx, path, d, err)
@@ -180,28 +180,23 @@ func LoadIndex(ctx context.Context, path string, opts ...Option) (*Engine, error
 	return cfg.engine(m, coll, d, bs)
 }
 
-// defaultSnapshotRetries is the total attempt count of a snapshot load when
-// WithSnapshotRetries is not given.
+// defaultSnapshotRetries is the total attempt count of a snapshot load.
 const defaultSnapshotRetries = 3
 
 // snapshotBackoff is the wait before the first retry; it doubles per
-// attempt, so the default schedule is 5ms then 10ms.
+// attempt, so the schedule is 5ms then 10ms.
 const snapshotBackoff = 5 * time.Millisecond
 
-// loadSnapshot opens and decodes a snapshot with the config's resilience
-// policy: transient failures (anything not known-permanent — e.g. a flaky
+// loadSnapshot opens and decodes a snapshot with the resilience policy:
+// transient failures (anything not known-permanent — e.g. a flaky
 // filesystem read) are retried up to the attempt budget with doubling
 // backoff honoring ctx; corruption, version skew, dataset mismatch, unknown
 // method, and a missing file fail immediately. A final corrupt error
 // quarantines the file aside before returning.
-func (c *config) loadSnapshot(ctx context.Context, path string, coll *core.Collection) (core.Persistable, BuildStats, error) {
-	attempts := c.snapshotRetries
-	if attempts <= 0 {
-		attempts = defaultSnapshotRetries
-	}
+func loadSnapshot(ctx context.Context, path string, coll *core.Collection) (core.Persistable, BuildStats, error) {
 	backoff := snapshotBackoff
 	var err error
-	for a := 0; a < attempts; a++ {
+	for a := 0; a < defaultSnapshotRetries; a++ {
 		if a > 0 {
 			select {
 			case <-ctx.Done():
@@ -376,35 +371,110 @@ func (e *Engine) Query(ctx context.Context, q []float32, k int) ([]Match, error)
 // its guarantee parameters, the nodes visited, and which early stop (if
 // any) ended the traversal. Approximate modes take precedence over
 // WithPartialOnDeadline's degraded path — a budgeted query is already its
-// own degraded mode; use WithTimeBudget rather than a context deadline to
-// bound an approximate query's latency.
+// own degraded mode; use WithNodeBudget rather than a context deadline to
+// bound an approximate query's work.
 func (e *Engine) QueryWithStats(ctx context.Context, q []float32, k int) ([]Match, QueryStats, error) {
+	return e.query(ctx, q, k, nil)
+}
+
+// query is the one query body behind Query, QueryWithStats, QueryBatch and
+// QueryStream. It holds the ingest read lock for the whole query, so a
+// query sees whole appended batches or none and a streamed head start and
+// its exact refinement answer over the same collection extent. A non-exact
+// engine answers in its own mode. Otherwise, when progress is non-nil (the
+// stream) or WithPartialOnDeadline meets a context deadline, the query runs
+// through whatever best-so-far machinery the method offers:
+//
+//   - Streaming methods (the scans): every emission that tightens the
+//     best-so-far goes to progress and into a k-NN fold; on deadline expiry
+//     the fold holds exactly the best-so-far heap the stream reported,
+//     bit-identically.
+//   - ng-approximate index methods: the approximate descent (one
+//     root-to-leaf path, cheap) runs once, first, as a head start reported
+//     to progress and as the answer floor, then the exact query; on expiry
+//     the descent's answer is returned. The head start charges its own
+//     simulated I/O.
+//   - Everything else degrades to an empty partial answer on expiry.
+//
+// Queries that complete return the exact answer, bit-identical to a query
+// without the option or the stream. Explicit cancellation still fails with
+// ctx.Err().
+func (e *Engine) query(ctx context.Context, q []float32, k int, progress func(StreamUpdate)) ([]Match, QueryStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// On an ingesting engine, hold the append/query exclusion for read: a
-	// query sees whole appended batches or none, never a half-applied one.
 	if ing := e.ing; ing != nil {
 		ing.mu.RLock()
 		defer ing.mu.RUnlock()
 	}
-	return e.queryWithStatsLocked(ctx, q, k)
+	sq := series.Series(q)
+	if e.spec.Mode != core.ModeExact {
+		return core.RunQueryApprox(ctx, e.m, e.coll, sq, k, e.spec)
+	}
+	partial := false
+	if e.partialOnDeadline {
+		_, partial = ctx.Deadline()
+	}
+	if !partial && progress == nil {
+		return core.RunQuery(ctx, e.m, e.coll, sq, k)
+	}
+	var (
+		matches, floor []Match // floor: the partial answer on expiry
+		qs             QueryStats
+		err            error
+		fold           *bestFold
+	)
+	switch m := e.m.(type) {
+	case core.KNNStreamer:
+		if partial {
+			fold = newBestFold(k)
+		}
+		matches, qs, err = core.RunQueryStream(ctx, m, e.coll, sq, k, func(b Match) {
+			if fold != nil {
+				fold.add(b)
+			}
+			if progress != nil {
+				progress(StreamUpdate{Best: b})
+			}
+		})
+	case core.ApproxSearcher:
+		var aqs QueryStats
+		if floor, aqs, err = m.KNNApprox(ctx, sq, k, core.ApproxSpec{Mode: core.ModeNG}); err != nil {
+			floor, qs = nil, aqs
+			break
+		}
+		if progress != nil && len(floor) > 0 {
+			progress(StreamUpdate{Best: floor[0], Mode: core.ModeNG.String()})
+		}
+		if matches, qs, err = core.RunQuery(ctx, e.m, e.coll, sq, k); errors.Is(err, context.DeadlineExceeded) {
+			qs = aqs // a partial answer reports the work behind its floor
+		}
+	default:
+		matches, qs, err = core.RunQuery(ctx, e.m, e.coll, sq, k)
+	}
+	if partial && errors.Is(err, context.DeadlineExceeded) {
+		if fold != nil {
+			floor = fold.results()
+		}
+		qs.Partial = true
+		return floor, qs, nil
+	}
+	return matches, qs, err
 }
 
-// queryWithStatsLocked is QueryWithStats after the ingest read lock: the
-// mode dispatch without locking, for callers (QueryStream) that already
-// hold the lock across a multi-step query and must not re-enter RLock
-// under a possibly blocked writer.
-func (e *Engine) queryWithStatsLocked(ctx context.Context, q []float32, k int) ([]Match, QueryStats, error) {
-	if e.spec.Mode != core.ModeExact {
-		return core.RunQueryApprox(ctx, e.m, e.coll, series.Series(q), k, e.spec)
-	}
-	if e.partialOnDeadline {
-		if _, ok := ctx.Deadline(); ok {
-			return e.queryPartial(ctx, q, k)
+// guardedQuery is query behind the panic boundary QueryBatch and
+// QueryStream share: a panicking query (a method bug, or an armed
+// query/panic faultpoint) becomes that query's own ErrQueryPanic instead of
+// unwinding a batch worker or an unattended stream goroutine and taking
+// sibling queries — or the process — down with it. Queries only read the
+// built index, so a recovered panic cannot have corrupted engine state.
+func (e *Engine) guardedQuery(ctx context.Context, q []float32, k int, progress func(StreamUpdate)) (matches []Match, qs QueryStats, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			matches, err = nil, fmt.Errorf("%w: %v", ErrQueryPanic, p)
 		}
-	}
-	return core.RunQuery(ctx, e.m, e.coll, series.Series(q), k)
+	}()
+	return e.query(ctx, q, k, progress)
 }
 
 // WithQueryOptions derives an engine that shares this engine's built index
@@ -414,7 +484,7 @@ func (e *Engine) queryWithStatsLocked(ctx context.Context, q []float32, k int) (
 // for concurrent use as its parent; both stay independently usable.
 //
 // Only query-time options take effect: the approximate-mode set
-// (WithApproxMode, WithEpsilon, WithDelta, WithNodeBudget, WithTimeBudget),
+// (WithApproxMode, WithEpsilon, WithDelta, WithNodeBudget),
 // WithBatchWorkers, WithDevice, and WithPartialOnDeadline. The
 // approximation mode is specified entirely by the given options — it does
 // not inherit the parent's mode, so an empty option list derives an exact
@@ -425,7 +495,6 @@ func (e *Engine) WithQueryOptions(opts ...Option) (*Engine, error) {
 	cfg.device = e.device
 	cfg.batchWorkers = e.batchWorkers
 	cfg.partialOnDeadline = e.partialOnDeadline
-	cfg.opts.Seed = e.spec.Seed
 	cfg.apply(opts)
 	if err := cfg.resolveQuerySpec(); err != nil {
 		return nil, err
@@ -436,57 +505,6 @@ func (e *Engine) WithQueryOptions(opts ...Option) (*Engine, error) {
 	d.partialOnDeadline = cfg.partialOnDeadline
 	d.spec = cfg.spec
 	return &d, nil
-}
-
-// queryPartial is the degraded-mode query path: it runs the query through
-// whatever best-so-far machinery the method offers, and on deadline expiry
-// folds that progress into a partial answer instead of an error.
-//
-//   - Streaming methods (the scans): the stream emissions are folded into a
-//     k-NN heap as they arrive; on expiry the fold holds exactly the
-//     best-so-far heap the stream path would have reported, bit-identically.
-//   - ng-approximate index methods: the approximate descent (one
-//     root-to-leaf path, cheap) runs first as a floor, then the exact
-//     query; on expiry the descent's answer is returned. The head-start
-//     charges its own simulated I/O — the cost of an answer floor.
-//   - Everything else degrades to an empty partial answer on expiry.
-//
-// Queries that complete return the exact answer, bit-identical to Query
-// without the option. Explicit cancellation still fails with ctx.Err().
-func (e *Engine) queryPartial(ctx context.Context, q []float32, k int) ([]Match, QueryStats, error) {
-	sq := series.Series(q)
-	switch m := e.m.(type) {
-	case core.KNNStreamer:
-		fold := newBestFold(k)
-		matches, qs, err := core.RunQueryStream(ctx, m, e.coll, sq, k, fold.add)
-		if errors.Is(err, context.DeadlineExceeded) {
-			qs.Partial = true
-			return fold.results(), qs, nil
-		}
-		return matches, qs, err
-	case core.ApproxSearcher:
-		approx, aqs, aerr := m.KNNApprox(ctx, sq, k, core.ApproxSpec{Mode: core.ModeNG})
-		if aerr != nil {
-			if errors.Is(aerr, context.DeadlineExceeded) {
-				aqs.Partial = true
-				return nil, aqs, nil
-			}
-			return nil, aqs, aerr
-		}
-		matches, qs, err := core.RunQuery(ctx, e.m, e.coll, sq, k)
-		if errors.Is(err, context.DeadlineExceeded) {
-			aqs.Partial = true
-			return approx, aqs, nil
-		}
-		return matches, qs, err
-	default:
-		matches, qs, err := core.RunQuery(ctx, e.m, e.coll, sq, k)
-		if errors.Is(err, context.DeadlineExceeded) {
-			qs.Partial = true
-			return nil, qs, nil
-		}
-		return matches, qs, err
-	}
 }
 
 // bestFold accumulates stream emissions into a k-NN heap so an expired
@@ -575,7 +593,7 @@ func (e *Engine) QueryBatchErrors(ctx context.Context, qs [][]float32, k int) ([
 					errs[qi] = err
 					continue // mark every remaining claimed query cancelled
 				}
-				matches, err := e.queryIsolated(ctx, qs[qi], k)
+				matches, _, err := e.guardedQuery(ctx, qs[qi], k, nil)
 				if err != nil {
 					errs[qi] = err
 					continue
@@ -586,18 +604,4 @@ func (e *Engine) QueryBatchErrors(ctx context.Context, qs [][]float32, k int) ([
 	}
 	wg.Wait()
 	return results, errs
-}
-
-// queryIsolated is Query with a panic boundary: a panicking query (a method
-// bug, or an armed query/panic faultpoint) becomes that query's own
-// ErrQueryPanic instead of unwinding the batch worker and taking its
-// sibling queries — or the process — down with it. Queries only read the
-// built index, so a recovered panic cannot have corrupted engine state.
-func (e *Engine) queryIsolated(ctx context.Context, q []float32, k int) (m []Match, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("%w: %v", ErrQueryPanic, p)
-		}
-	}()
-	return e.Query(ctx, q, k)
 }

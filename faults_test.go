@@ -91,9 +91,9 @@ func TestFaultSnapshotReadError(t *testing.T) {
 		t.Fatalf("retried engine answers differently: %v vs %v (%v)", got, want, err)
 	}
 
-	// More failures than the (tightened) budget: a typed injected error.
+	// More failures than the 3 attempts: a typed injected error.
 	faultpoint.ArmN(faultpoint.PersistReadError, 5)
-	_, err = hydra.LoadIndex(context.Background(), path, hydra.WithData(d), hydra.WithSnapshotRetries(2))
+	_, err = hydra.LoadIndex(context.Background(), path, hydra.WithData(d))
 	if !errors.Is(err, faultpoint.ErrInjected) {
 		t.Fatalf("exhausted retries should surface the injected error, got %v", err)
 	}
@@ -252,8 +252,9 @@ func TestFaultQueryPanicBatch(t *testing.T) {
 // survives, and the next stream answers exactly.
 func TestFaultQueryPanicStream(t *testing.T) {
 	d := faultData(t)
-	// An index method routes QueryStream through QueryWithStats, where the
-	// query/panic faultpoint fires above every per-worker recovery.
+	// An index method's stream reaches the instrumented query runner after
+	// its head start; the query/panic faultpoint fires there, above every
+	// per-worker recovery.
 	e, err := hydra.BuildIndex(context.Background(), hydra.PersistableMethods()[0], hydra.WithData(d))
 	if err != nil {
 		t.Fatal(err)
@@ -415,6 +416,91 @@ func TestPartialOnDeadline(t *testing.T) {
 	cancel()
 	if _, _, err := e.QueryWithStats(cctx, q, k); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled query should fail, got %v", err)
+	}
+}
+
+// TestQueryStreamPartialOnDeadline pins that QueryStream honors
+// WithPartialOnDeadline exactly like QueryWithStats: a deadline expiring
+// mid-scan ends the stream with the best-so-far answer, marked partial and
+// equal to QueryWithStats' answer under the same expiry, not with an Err
+// event.
+func TestQueryStreamPartialOnDeadline(t *testing.T) {
+	const k = 3
+	d, err := hydra.Generate("synthetic", 5000, 64, 29)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := hydra.Open("", hydra.WithData(d), hydra.WithWorkers(1), hydra.WithPartialOnDeadline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := hydra.RandomWorkload(1, 64, 41).Query(0)
+	want, wqs, err := e.QueryWithStats(newDeadlineAfterPolls(3), q, k)
+	if err != nil || !wqs.Partial || len(want) != k {
+		t.Fatalf("reference partial query: %v (partial=%v, err=%v)", want, wqs.Partial, err)
+	}
+
+	finals := 0
+	var final hydra.StreamUpdate
+	for u := range e.QueryStream(newDeadlineAfterPolls(3), q, k) {
+		if u.Final {
+			finals++
+			final = u
+		}
+	}
+	if finals != 1 {
+		t.Fatalf("%d terminal events, want exactly 1", finals)
+	}
+	if final.Err != nil {
+		t.Fatalf("stream should end with the partial answer, got %v", final.Err)
+	}
+	if !final.Stats.Partial {
+		t.Fatal("stream's deadline-expired answer should be marked partial")
+	}
+	if final.Stats.RawSeriesExamined != wqs.RawSeriesExamined {
+		t.Fatalf("stream examined %d series, QueryWithStats %d", final.Stats.RawSeriesExamined, wqs.RawSeriesExamined)
+	}
+	if !sameMatches(final.Matches, want) {
+		t.Fatalf("stream's partial answer differs from QueryWithStats':\n got %v\nwant %v", final.Matches, want)
+	}
+}
+
+// TestQueryStreamHeadStartRunsOnce pins that an index stream runs its ng
+// head start once whatever the engine's options: with WithPartialOnDeadline
+// and a deadline that never expires, the stream polls its context exactly
+// as often as on an engine built without the option, and answers the same.
+func TestQueryStreamHeadStartRunsOnce(t *testing.T) {
+	d := faultData(t)
+	q := hydra.RandomWorkload(1, 64, 43).Query(0)
+	stream := func(opts ...hydra.Option) ([]hydra.Match, int) {
+		t.Helper()
+		e, err := hydra.BuildIndex(context.Background(), "DSTree", append([]hydra.Option{hydra.WithData(d)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const never = 1 << 30
+		ctx := newDeadlineAfterPolls(never)
+		var final hydra.StreamUpdate
+		for u := range e.QueryStream(ctx, q, 3) {
+			final = u
+		}
+		if !final.Final || final.Err != nil || final.Stats.Partial {
+			t.Fatalf("stream should end with the exact answer, got %+v", final)
+		}
+		ctx.mu.Lock()
+		defer ctx.mu.Unlock()
+		return final.Matches, never - ctx.remaining
+	}
+	want, plain := stream()
+	got, partial := stream(hydra.WithPartialOnDeadline())
+	if plain == 0 {
+		t.Fatal("the stream never polled its context")
+	}
+	if partial != plain {
+		t.Fatalf("stream with WithPartialOnDeadline polled %d times, without %d: the head start ran more than once", partial, plain)
+	}
+	if !sameMatches(got, want) {
+		t.Fatalf("answers differ: %v vs %v", got, want)
 	}
 }
 

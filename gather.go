@@ -7,12 +7,12 @@ import (
 	"hydra/internal/dataset"
 )
 
-// ShardRange returns the [lo, hi) row range of the index-th of count
+// shardRange returns the [lo, hi) row range of the index-th of count
 // contiguous partitions of an n-series collection — the same split
 // convention the parallel scan uses for its per-worker shards, so a
 // collection sharded across processes and one scanned by workers partition
 // identically. index must be in [0, count).
-func ShardRange(n, index, count int) (lo, hi int) {
+func shardRange(n, index, count int) (lo, hi int) {
 	return index * n / count, (index + 1) * n / count
 }
 
@@ -30,7 +30,7 @@ func (d *Dataset) Shard(index, count int) (*Dataset, int, error) {
 		return nil, 0, fmt.Errorf("hydra: shard %d/%d out of range", index, count)
 	}
 	n := d.Len()
-	lo, hi := ShardRange(n, index, count)
+	lo, hi := shardRange(n, index, count)
 	if lo >= hi {
 		return nil, 0, fmt.Errorf("hydra: shard %d/%d of a %d-series collection is empty", index, count, n)
 	}

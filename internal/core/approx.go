@@ -40,9 +40,9 @@ const (
 	// degenerates to exact search with bit-identical answers.
 	ModeDeltaEps
 	// ModeBudget is early-stopped exact search: the traversal runs the exact
-	// algorithm but stops after the configured node or wall-clock budget,
-	// returning the best-so-far. No error bound; the answer converges to
-	// exact as the budget grows.
+	// algorithm but stops after the configured node budget, returning the
+	// best-so-far. No error bound; the answer converges to exact as the
+	// budget grows.
 	ModeBudget
 )
 
@@ -79,7 +79,7 @@ func ParseApproxMode(s string) (ApproxMode, error) {
 }
 
 // ApproxSpec carries one query's approximation contract: the mode plus its
-// guarantee parameters and budgets. The zero value is exact search.
+// guarantee parameters and node budget. The zero value is exact search.
 type ApproxSpec struct {
 	Mode ApproxMode
 	// Epsilon is the relative distance-error bound of ModeDeltaEps: lower
@@ -97,11 +97,6 @@ type ApproxSpec struct {
 	// (stats.QueryStats.NodesVisited counting); 0 means unlimited. Honored
 	// by ModeDeltaEps and ModeBudget.
 	NodeBudget int64
-	// TimeBudget stops the traversal after this much wall-clock time; 0
-	// means unlimited. Honored by ModeDeltaEps and ModeBudget. Unlike the
-	// other knobs it makes answers timing-dependent — use NodeBudget when
-	// determinism matters.
-	TimeBudget time.Duration
 	// Seed drives the δ-stop's distance-distribution sample; fixed per
 	// engine (core.Options.Seed), so repeated queries are deterministic.
 	Seed int64
@@ -109,22 +104,21 @@ type ApproxSpec struct {
 
 // Exact reports whether the spec selects plain exact search — the zero
 // mode, or a δ-ε spec whose parameters all degenerate (ε = 0, δ ∈ {0, 1},
-// no budgets). Exact specs take the methods' unmodified KNN path.
+// no budget). Exact specs take the methods' unmodified KNN path.
 func (s ApproxSpec) Exact() bool {
 	switch s.Mode {
 	case ModeExact:
 		return true
 	case ModeDeltaEps:
-		return s.Epsilon == 0 && (s.Delta == 0 || s.Delta == 1) &&
-			s.NodeBudget == 0 && s.TimeBudget == 0
+		return s.Epsilon == 0 && (s.Delta == 0 || s.Delta == 1) && s.NodeBudget == 0
 	case ModeBudget:
-		return s.NodeBudget == 0 && s.TimeBudget == 0
+		return s.NodeBudget == 0
 	}
 	return false
 }
 
 // Validate reports whether the spec's parameters are usable: ε must be
-// non-negative, δ within (0, 1], budgets non-negative, and ε/δ only set
+// non-negative, δ within (0, 1], the budget non-negative, and ε/δ only set
 // where they mean something.
 func (s ApproxSpec) Validate() error {
 	if s.Epsilon < 0 || math.IsNaN(s.Epsilon) || math.IsInf(s.Epsilon, 0) {
@@ -135,9 +129,6 @@ func (s ApproxSpec) Validate() error {
 	}
 	if s.NodeBudget < 0 {
 		return fmt.Errorf("core: node budget must be >= 0, got %d", s.NodeBudget)
-	}
-	if s.TimeBudget < 0 {
-		return fmt.Errorf("core: time budget must be >= 0, got %s", s.TimeBudget)
 	}
 	return nil
 }
@@ -164,19 +155,18 @@ type ApproxSearcher interface {
 }
 
 // Pruner is the one pruning/stopping authority of a traversal: it owns the
-// (1+ε)-relaxed skip predicate, the node/time budgets, the PAC δ-stop, and
+// (1+ε)-relaxed skip predicate, the node budget, the PAC δ-stop, and
 // the visit counter behind stats.QueryStats.NodesVisited. An exact spec
 // yields a degenerate pruner whose predicate is bit-identical to the
 // unrelaxed comparison (factor 1 multiplies nothing), so the exact and
 // approximate query paths share one traversal implementation per method.
 // The zero value prunes exactly and never stops; construct with NewPruner.
 type Pruner struct {
-	factor   float64
-	stop2    float64 // (1+ε)²·r_δ²; 0 disables the δ-stop
-	budget   int64   // 0 = unlimited
-	deadline time.Time
-	visits   int64
-	stopped  string // why the traversal ended early ("" = it didn't)
+	factor  float64
+	stop2   float64 // (1+ε)²·r_δ²; 0 disables the δ-stop
+	budget  int64   // 0 = unlimited
+	visits  int64
+	stopped string // why the traversal ended early ("" = it didn't)
 }
 
 // NewPruner builds the pruner for one query under spec. rdelta2 is the
@@ -189,9 +179,6 @@ func NewPruner(spec ApproxSpec, rdelta2 float64) Pruner {
 	}
 	if spec.Mode == ModeDeltaEps && spec.Delta > 0 && spec.Delta < 1 && rdelta2 > 0 {
 		p.stop2 = p.factor * rdelta2
-	}
-	if spec.TimeBudget > 0 {
-		p.deadline = time.Now().Add(spec.TimeBudget)
 	}
 	return p
 }
@@ -208,17 +195,13 @@ func (p *Pruner) Prune(lb, bound float64) bool {
 	return lb*p.factor >= bound
 }
 
-// Visit records one node visit and reports whether a budget commands
-// stopping: the node budget is spent, or the wall-clock deadline passed.
-// Call it once per popped tree node / verified candidate.
+// Visit records one node visit and reports whether the node budget is
+// spent, commanding the traversal to stop. Call it once per popped tree
+// node / verified candidate.
 func (p *Pruner) Visit() bool {
 	p.visits++
 	if p.budget > 0 && p.visits >= p.budget {
 		p.stopped = "nodes"
-		return true
-	}
-	if !p.deadline.IsZero() && time.Now().After(p.deadline) {
-		p.stopped = "time"
 		return true
 	}
 	return false

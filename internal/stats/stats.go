@@ -58,8 +58,7 @@ type QueryStats struct {
 	Delta float64
 	// EarlyStop names the condition that ended an approximate traversal
 	// before exhausting it: "" (ran to its pruning-complete end), "delta"
-	// (the probabilistic r_δ stop fired), "nodes" (node budget), or "time"
-	// (wall-clock budget).
+	// (the probabilistic r_δ stop fired), or "nodes" (node budget).
 	EarlyStop string
 }
 

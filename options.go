@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"time"
 
 	"hydra/internal/core"
 	"hydra/internal/methods"
@@ -51,7 +50,6 @@ type config struct {
 	opts         core.Options
 
 	partialOnDeadline bool
-	snapshotRetries   int
 	rebuildMethod     string
 
 	// Matrix-profile options (WithExclusionZone / WithTopK). exclusionSet
@@ -81,8 +79,7 @@ type config struct {
 	epsilon    float64
 	delta      float64
 	nodeBudget int
-	timeBudget time.Duration
-	// spec is the resolved form of the five fields above; set by
+	// spec is the resolved form of the four fields above; set by
 	// resolveQuerySpec before any engine is constructed.
 	spec core.ApproxSpec
 }
@@ -169,7 +166,7 @@ func (c *config) resolvedTopK() int {
 }
 
 // WithShard restricts the engine to the index-th of count contiguous
-// partitions of the configured dataset (the ShardRange split, identical to
+// partitions of the configured dataset (the Dataset.Shard split, identical to
 // the parallel scan's per-worker sharding) — the building block of
 // scatter-gather serving: N processes each build or scan one shard, and a
 // coordinator merges their answers with Gather. The shard view aliases the
@@ -221,38 +218,10 @@ func WithWALSync(policy string) Option { return func(c *config) { c.walSync = po
 // default scaled to the collection).
 func WithLeafSize(n int) Option { return func(c *config) { c.opts.LeafSize = n } }
 
-// WithSegments sets the number of segments/coefficients for fixed
-// summarizations (0 = the paper's 16).
-func WithSegments(n int) Option { return func(c *config) { c.opts.Segments = n } }
-
-// WithSAXBits sets the per-segment cardinality in bits for iSAX-based
-// methods (0 = the paper's 8).
-func WithSAXBits(n int) Option { return func(c *config) { c.opts.SAXBits = n } }
-
-// WithSFAAlphabet sets the SFA alphabet size (0 = the paper's tuned 8).
-func WithSFAAlphabet(n int) Option { return func(c *config) { c.opts.SFAAlphabet = n } }
-
-// WithVAQBitsPerDim sets the VA+file's average per-dimension bit budget
-// (0 = the default 8).
-func WithVAQBitsPerDim(n int) Option { return func(c *config) { c.opts.VAQBitsPerDim = n } }
-
-// WithSampleSize bounds the training sample for trained summarizations
-// (SFA bins, VA+ k-means; 0 = train on everything).
-func WithSampleSize(n int) Option { return func(c *config) { c.opts.SampleSize = n } }
-
-// WithMemoryBudget caps the construction buffer of leaf-materializing
-// indexes in bytes (0 = unlimited); see the paper's §4.3.1 buffer knob.
-func WithMemoryBudget(bytes int64) Option {
-	return func(c *config) { c.opts.MemoryBudgetBytes = bytes }
-}
-
-// WithSeed drives randomized tie-breaking during index construction.
-func WithSeed(seed int64) Option { return func(c *config) { c.opts.Seed = seed } }
-
 // approxSpec resolves the configured approximate-query defaults into the
 // core spec every query threads, validating mode name and parameters. The
-// spec's δ-stop RNG seed rides on WithSeed, so repeated queries are
-// deterministic per engine.
+// spec's δ-stop RNG seed is the zero seed, so repeated queries are
+// deterministic.
 func (c *config) approxSpec() (core.ApproxSpec, error) {
 	mode, err := core.ParseApproxMode(c.approxMode)
 	if err != nil {
@@ -263,8 +232,6 @@ func (c *config) approxSpec() (core.ApproxSpec, error) {
 		Epsilon:    c.epsilon,
 		Delta:      c.delta,
 		NodeBudget: int64(c.nodeBudget),
-		TimeBudget: c.timeBudget,
-		Seed:       c.opts.Seed,
 	}
 	if spec.Mode == core.ModeDeltaEps && spec.Delta == 0 {
 		spec.Delta = 1 // unset confidence means the deterministic ε guarantee
@@ -296,8 +263,8 @@ func (c *config) resolveQuerySpec() error {
 //     (1+ε) (WithEpsilon), so the answer's k-th distance is within (1+ε) of
 //     the true one, with confidence δ (WithDelta; 1 = deterministic).
 //     ε=0, δ=1 degenerates to exact search with bit-identical answers.
-//   - "budget": exact search early-stopped by WithNodeBudget and/or
-//     WithTimeBudget, returning the best-so-far when a budget runs out.
+//   - "budget": exact search early-stopped by WithNodeBudget, returning
+//     the best-so-far when the budget runs out.
 //
 // Non-exact modes are answered by the five methods with lower-bounding
 // index structures (ADS+, DSTree, iSAX2+, SFA, VA+file); querying any other
@@ -321,34 +288,22 @@ func WithDelta(delta float64) Option { return func(c *config) { c.delta = delta 
 // WithNodeBudget bounds how many index nodes (tree pops and leaf visits, or
 // verified candidates for the filter-file methods) a "budget" or
 // "delta-eps" query may visit before returning its best-so-far; 0 means
-// unlimited. Deterministic, unlike WithTimeBudget.
+// unlimited. The budget counts work, not wall time, so answers are
+// deterministic.
 func WithNodeBudget(n int) Option { return func(c *config) { c.nodeBudget = n } }
-
-// WithTimeBudget bounds a "budget" or "delta-eps" query's wall-clock time:
-// the traversal stops and returns its best-so-far once d has elapsed; 0
-// means unlimited. Answers under a time budget depend on machine speed —
-// prefer WithNodeBudget when determinism matters.
-func WithTimeBudget(d time.Duration) Option { return func(c *config) { c.timeBudget = d } }
 
 // WithPartialOnDeadline turns deadline overruns into degraded answers
 // instead of failures: when a query's context deadline expires mid-query,
-// Query and QueryWithStats return the best-so-far k-NN candidates found up
-// to that moment with QueryStats.Partial set and a nil error, rather than
-// context.DeadlineExceeded and nothing. Exact-completing queries are
+// Query, QueryWithStats and each query of QueryBatch return the best-so-far
+// k-NN candidates found up to that moment with a nil error, rather than
+// context.DeadlineExceeded and nothing (QueryWithStats marks the answer
+// with QueryStats.Partial), and QueryStream ends with that answer as its
+// terminal event instead of an Err event. Exact-completing queries are
 // unaffected and never marked partial; explicit cancellation (Canceled, not
 // DeadlineExceeded) still fails, since the caller walked away. See doc.go
 // "Partial answers and failure semantics" for the contract.
 func WithPartialOnDeadline() Option {
 	return func(c *config) { c.partialOnDeadline = true }
-}
-
-// WithSnapshotRetries sets how many times LoadIndex attempts a snapshot
-// read that fails with a transient error (an I/O error from the filesystem
-// — not corruption, version skew, or mismatch, which retrying cannot cure)
-// before giving up, with a short doubling backoff between attempts.
-// 0 selects the default of 3 attempts; 1 disables retrying.
-func WithSnapshotRetries(n int) Option {
-	return func(c *config) { c.snapshotRetries = n }
 }
 
 // WithRebuildFallback arms LoadIndex's last line of defense: when the

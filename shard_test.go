@@ -13,7 +13,7 @@ func TestShardRangeTilesCollection(t *testing.T) {
 		for count := 1; count <= 8; count++ {
 			next := 0
 			for i := 0; i < count; i++ {
-				lo, hi := ShardRange(n, i, count)
+				lo, hi := shardRange(n, i, count)
 				if lo != next || hi < lo || hi > n {
 					t.Fatalf("n=%d count=%d shard %d: range [%d,%d) after %d", n, count, i, lo, hi, next)
 				}
@@ -37,7 +37,7 @@ func TestWithShardOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := ShardRange(100, 1, 3)
+	lo, hi := shardRange(100, 1, 3)
 	if e.Len() != hi-lo {
 		t.Fatalf("shard engine serves %d series, want %d", e.Len(), hi-lo)
 	}

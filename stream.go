@@ -2,10 +2,8 @@ package hydra
 
 import (
 	"context"
-	"fmt"
 
 	"hydra/internal/core"
-	"hydra/internal/series"
 )
 
 // StreamUpdate is one event of a QueryStream. A stream delivers zero or
@@ -54,6 +52,10 @@ const streamBuffer = 16
 //     query. The extra approximate pass charges its own simulated I/O.
 //   - Other methods deliver only the terminal event.
 //
+// Under WithPartialOnDeadline a deadline that expires mid-query ends the
+// stream with the best-so-far answer, Stats.Partial set, exactly as
+// QueryWithStats answers; the head start still runs once.
+//
 // On a non-exact engine (WithApproxMode) the head-start is skipped — the
 // query already answers in an approximate mode — and the stream delivers
 // the mode's answer as its terminal event, tagged with the answering mode.
@@ -67,68 +69,19 @@ const streamBuffer = 16
 // abandoned, never-drained stream costs the remainder of the (cancellable)
 // query and a buffered channel, not a leaked goroutine.
 func (e *Engine) QueryStream(ctx context.Context, q []float32, k int) <-chan StreamUpdate {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ch := make(chan StreamUpdate, streamBuffer)
 	go func() {
 		defer close(ch)
-		progress := func(u StreamUpdate) {
+		// The query runs inside the panic boundary QueryBatch shares: a
+		// panicking method (or an armed query/panic faultpoint) surfaces as
+		// a terminal Err event on this stream, never as a process crash from
+		// an unattended goroutine.
+		matches, qs, err := e.guardedQuery(ctx, q, k, func(u StreamUpdate) {
 			select {
 			case ch <- u:
 			default: // consumer lagging: drop the update, keep scanning
 			}
-		}
-
-		var (
-			matches []Match
-			qs      QueryStats
-			err     error
-		)
-		// The query runs inside a panic boundary: a panicking method (or an
-		// armed query/panic faultpoint) must surface as a terminal Err event
-		// on this stream, never as a process crash from an unattended
-		// goroutine.
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					matches, err = nil, fmt.Errorf("%w: %v", ErrQueryPanic, p)
-				}
-			}()
-			if e.spec.Mode != core.ModeExact {
-				// Non-exact engines answer in their own mode; the exact-path
-				// head-start would be redundant work under a weaker guarantee.
-				// QueryWithStats takes the ingest read lock itself.
-				matches, qs, err = e.QueryWithStats(ctx, q, k)
-				return
-			}
-			// One ingest read lock spans the whole streamed query, so the
-			// approximate head-start and the exact refinement answer over the
-			// same collection extent even while appends are arriving. The
-			// lock-free queryWithStatsLocked avoids re-entering RLock under a
-			// possibly blocked writer, which would deadlock.
-			if ing := e.ing; ing != nil {
-				ing.mu.RLock()
-				defer ing.mu.RUnlock()
-			}
-			switch m := e.m.(type) {
-			case core.KNNStreamer:
-				matches, qs, err = core.RunQueryStream(ctx, m, e.coll, series.Series(q), k, func(b Match) {
-					progress(StreamUpdate{Best: b})
-				})
-			case core.ApproxSearcher:
-				var approx []Match
-				approx, _, err = m.KNNApprox(ctx, series.Series(q), k, core.ApproxSpec{Mode: core.ModeNG})
-				if err == nil {
-					if len(approx) > 0 {
-						progress(StreamUpdate{Best: approx[0], Mode: core.ModeNG.String()})
-					}
-					matches, qs, err = e.queryWithStatsLocked(ctx, q, k)
-				}
-			default:
-				matches, qs, err = e.queryWithStatsLocked(ctx, q, k)
-			}
-		}()
+		})
 
 		mode := qs.Mode
 		if mode == "" {
