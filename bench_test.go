@@ -28,10 +28,8 @@ import (
 	"hydra/internal/experiments"
 	_ "hydra/internal/methods"
 	"hydra/internal/scan/ucr"
-	"hydra/internal/scan/ucrdtw"
 	"hydra/internal/series"
 	"hydra/internal/storage"
-	"hydra/internal/subseq"
 )
 
 // benchConfig is the reduced scale used by the bench harness.
@@ -265,46 +263,6 @@ func BenchmarkBufferTuning(b *testing.B) {
 			b.Fatal(err)
 		}
 		reportRows(b, rep)
-	}
-}
-
-// BenchmarkUCRDTW measures exact DTW 1-NN with the LB_Keogh cascade at
-// several warping bands (the paper's named carry-over setting).
-func BenchmarkUCRDTW(b *testing.B) {
-	ds := dataset.RandomWalk(2000, 128, 42)
-	queries := dataset.Ctrl(ds, 16, 0.3, 7).Queries
-	for _, w := range []int{0, 6, 12} {
-		w := w
-		b.Run("band="+strconv.Itoa(w), func(b *testing.B) {
-			s := ucrdtw.New(w)
-			coll := core.NewCollection(ds)
-			if err := s.Build(coll); err != nil {
-				b.Fatal(err)
-			}
-			var pruned int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, qs, err := s.KNN(context.Background(), queries[i%len(queries)], 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pruned += qs.LBCalcs - qs.DistCalcs
-			}
-			b.ReportMetric(float64(pruned)/float64(b.N), "dtw-pruned/query")
-		})
-	}
-}
-
-// BenchmarkSubsequenceMASS measures exact subsequence matching over a long
-// series (MASS's native domain).
-func BenchmarkSubsequenceMASS(b *testing.B) {
-	long := dataset.RandomWalk(1, 1<<16, 9).Series[0]
-	q := dataset.SynthRand(1, 256, 10).Queries[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := subseq.MASS(long, q, 1); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

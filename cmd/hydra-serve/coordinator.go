@@ -43,7 +43,10 @@ import (
 //     re-admitted without burning a client request on the discovery;
 //   - quorum semantics: if at least -min-shards answered, the merged
 //     best-so-far is returned with "partial":true and a per-shard status
-//     block; below quorum the query fails 503 + Retry-After.
+//     block; below quorum the query fails 503 + Retry-After;
+//   - a request every shard refuses (a 4xx other than 429, e.g. a query of
+//     the wrong length) is relayed as that 4xx, and a refusal never counts
+//     against a shard's breaker.
 //
 // The rpc/* faultpoints (error, slow, drop, flap) are compiled into the
 // client-side attempt path — each retry and hedge traverses them
@@ -145,31 +148,43 @@ type shardStatusJSON struct {
 
 // scatter fans one request body out to every shard and returns the raw 200
 // bodies (nil for shards that failed or were skipped) plus the per-shard
-// status block.
-func (c *coordinator) scatter(ctx context.Context, path string, body []byte, rid string) ([][]byte, []shardStatusJSON) {
-	raws := make([][]byte, len(c.shards))
-	statuses := make([]shardStatusJSON, len(c.shards))
+// status block. refusal is set when every shard refused the request itself
+// (a 4xx other than 429): it is the first shard's answer, for the handler
+// to relay — the request is at fault, not the fleet.
+func (c *coordinator) scatter(ctx context.Context, path string, body []byte, rid string) (raws [][]byte, statuses []shardStatusJSON, refusal *shardHTTPError) {
+	raws = make([][]byte, len(c.shards))
+	statuses = make([]shardStatusJSON, len(c.shards))
+	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
 	for i, sc := range c.shards {
 		wg.Add(1)
 		go func(i int, sc *shardClient) {
 			defer wg.Done()
-			raws[i], statuses[i] = c.callShard(ctx, sc, path, body, rid)
+			raws[i], statuses[i], errs[i] = c.callShard(ctx, sc, path, body, rid)
 		}(i, sc)
 	}
 	wg.Wait()
-	return raws, statuses
+	for i, err := range errs {
+		if err == nil || retriable(err) {
+			return raws, statuses, nil
+		}
+		if i == 0 {
+			errors.As(err, &refusal)
+		}
+	}
+	return raws, statuses, refusal
 }
 
 // callShard runs one shard call end to end: breaker admission, the
-// retry/hedge exchange, counter updates, status block.
-func (c *coordinator) callShard(ctx context.Context, sc *shardClient, path string, body []byte, rid string) ([]byte, shardStatusJSON) {
+// retry/hedge exchange, counter updates, status block. A skipped shard
+// returns neither a body nor an error.
+func (c *coordinator) callShard(ctx context.Context, sc *shardClient, path string, body []byte, rid string) ([]byte, shardStatusJSON, error) {
 	st := shardStatusJSON{Addr: sc.addr}
 	if !sc.br.allow(time.Now()) {
 		st.State = "skipped"
 		st.Error = "circuit breaker open"
 		st.Breaker, _ = sc.br.snapshot()
-		return nil, st
+		return nil, st, nil
 	}
 	sc.requests.Add(1)
 	raw, retries, hedged, err := c.exchange(ctx, sc, path, body, rid)
@@ -183,7 +198,7 @@ func (c *coordinator) callShard(ctx context.Context, sc *shardClient, path strin
 		st.State = "ok"
 	}
 	st.Breaker, _ = sc.br.snapshot()
-	return raw, st
+	return raw, st, err
 }
 
 // exchange races the primary attempt loop against an optional hedged
@@ -291,7 +306,9 @@ func (c *coordinator) attempts(ctx context.Context, sc *shardClient, path string
 // each retry and hedge traverses them independently, which is what makes
 // the drills exercise the retry/hedge/breaker machinery rather than a
 // single shot. Every outcome feeds the breaker; successes also feed the
-// latency ring behind adaptive hedging.
+// latency ring behind adaptive hedging. A shard's refusal of the request
+// itself (a non-retriable 4xx) counts as a breaker success: the shard
+// answered, so one client's bad requests cannot open the fleet's breakers.
 func (c *coordinator) attempt(ctx context.Context, sc *shardClient, path string, body []byte, rid string) ([]byte, error) {
 	actx := ctx
 	if c.cfg.shardTimeout > 0 {
@@ -340,7 +357,9 @@ func (c *coordinator) attempt(ctx context.Context, sc *shardClient, path string,
 		// (ctx here is the exchange context, cancelled on first success; the
 		// per-attempt deadline expiring leaves it live, so real timeouts
 		// still count.)
-		if ctx.Err() == nil {
+		if !retriable(err) {
+			sc.br.success()
+		} else if ctx.Err() == nil {
 			sc.br.failure(time.Now())
 		}
 		return nil, err
@@ -391,9 +410,11 @@ func shardErrMsg(data []byte) string {
 
 // handleQuery fans one query out to every shard and merges the per-shard
 // top-k through hydra.Gather. All shards answered: the merge is exactly the
-// whole-collection answer. Some failed but quorum held: merged best-so-far,
-// "partial":true, per-shard status attached. Below quorum: 503 +
-// Retry-After with the status block in the error body.
+// whole-collection answer. Every shard refused the request (a 4xx): the
+// first shard's status and message are relayed, without Retry-After. Some
+// failed but quorum held: merged best-so-far, "partial":true, per-shard
+// status attached. Below quorum: 503 + Retry-After with the status block
+// in the error body.
 func (c *coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if !readJSON(w, r, &req) {
@@ -409,7 +430,11 @@ func (c *coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := c.requestContext(r)
 	defer cancel()
-	raws, statuses := c.scatter(ctx, "/query", body, requestID(r))
+	raws, statuses, refusal := c.scatter(ctx, "/query", body, requestID(r))
+	if refusal != nil {
+		writeError(w, r, refusal.status, refusal.msg)
+		return
+	}
 
 	g := hydra.NewGather(req.K)
 	var agg statsJSON
@@ -469,7 +494,11 @@ func (c *coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := c.requestContext(r)
 	defer cancel()
-	raws, statuses := c.scatter(ctx, "/batch", body, requestID(r))
+	raws, statuses, refusal := c.scatter(ctx, "/batch", body, requestID(r))
+	if refusal != nil {
+		writeError(w, r, refusal.status, refusal.msg)
+		return
+	}
 
 	perShard := make([]*batchResponse, len(raws))
 	answered := 0

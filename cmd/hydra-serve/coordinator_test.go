@@ -319,6 +319,76 @@ func TestCoordinatorQuorum(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRelaysBadRequest pins that a client's bad request is the
+// client's problem: when every shard refuses it (a wrong-length query, an
+// unknown mode), the coordinator relays the 400 without Retry-After, no
+// breaker opens however often it is sent, and the next valid query gets
+// the exact whole-collection answer. A refusal beside a down shard stays a
+// 503.
+func TestCoordinatorRelaysBadRequest(t *testing.T) {
+	d, err := hydra.Generate("synthetic", 120, 64, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := hydra.Open("", hydra.WithData(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := newTestFleet(t, d, "UCR-Suite", 2)
+	h := fleetCoordinator(fleet, testCoordCfg()).handler()
+
+	short := make([]float32, 10)
+	bogus := approxRequest{Mode: "bogus"}
+	bad := []struct {
+		path string
+		body any
+	}{
+		// Three times, the breaker threshold: a refusal counted as a
+		// failure would open every breaker.
+		{"/query", queryRequest{Query: short, K: 1}},
+		{"/query", queryRequest{Query: short, K: 1}},
+		{"/query", queryRequest{Query: short, K: 1}},
+		{"/query", queryRequest{Query: d.Series(0), K: 1, approxRequest: bogus}},
+		{"/batch", batchRequest{Queries: [][]float32{d.Series(0)}, K: 1, approxRequest: bogus}},
+	}
+	for i, b := range bad {
+		rec := postJSON(t, h, b.path, b.body)
+		if rec.Code != http.StatusBadRequest || rec.Header().Get("Retry-After") != "" {
+			t.Fatalf("bad request %d (%s): status %d, Retry-After %q, want 400 and none: %s",
+				i, b.path, rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statusz", nil))
+	var sz statuszResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &sz); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range sz.Shards {
+		if sh.Breaker != "closed" || sh.BreakerOpens != 0 {
+			t.Fatalf("after bad requests: shard %s breaker %s, %d opens", sh.Addr, sh.Breaker, sh.BreakerOpens)
+		}
+	}
+
+	q := d.Series(7)
+	want, err := whole.Query(context.Background(), q, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qrec, resp := postCoordQuery(t, h, q, 3)
+	if qrec.Code != http.StatusOK || resp.Partial {
+		t.Fatalf("valid query after bad ones: status %d, partial %v: %s", qrec.Code, resp.Partial, qrec.Body)
+	}
+	assertBitIdentical(t, resp.Matches, want, "valid /query after bad requests")
+
+	// A mix — one shard refuses, the other is down — is a fleet failure.
+	fleet[1].down.Store(true)
+	if rec := postJSON(t, h, "/query", queryRequest{Query: short, K: 1}); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("one shard refusing, one down: status %d, want 503: %s", rec.Code, rec.Body)
+	}
+}
+
 // TestCoordinatorFaultDrills drives the rpc/* faultpoints through the
 // coordinator's client path: transient errors are absorbed by retries,
 // blackholes are bounded by the per-attempt deadline and never hang, and a

@@ -129,7 +129,7 @@ func main() {
 			accessLog:     *accessLog,
 		})
 		go coord.probeLoop(ctx)
-		srv := &http.Server{Addr: *addr, Handler: coord.handler()}
+		srv := newHTTPServer(*addr, coord.handler())
 		errCh := make(chan error, 1)
 		go func() { errCh <- srv.ListenAndServe() }()
 		fmt.Printf("hydra-serve: coordinator over %d shards on %s (quorum=%d, shard-timeout=%s)\n",
@@ -182,10 +182,7 @@ func main() {
 
 	app := newServer(engine, *timeout, *inflight)
 	app.accessLog = *accessLog
-	srv := &http.Server{
-		Addr:    *addr,
-		Handler: app.handler(),
-	}
+	srv := newHTTPServer(*addr, app.handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	placement := ""
@@ -213,6 +210,21 @@ func main() {
 		if err := engine.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "hydra-serve: closing ingest log: %v\n", err)
 		}
+	}
+}
+
+// newHTTPServer returns the http.Server both serving modes listen with. A
+// client must send its whole request header within 5 s, so one that
+// trickles header bytes cannot hold a connection and a goroutine outside
+// the admission gate; idle keep-alive connections close after 2 min, and
+// headers are capped at 64 KiB.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+		MaxHeaderBytes:    64 << 10,
 	}
 }
 

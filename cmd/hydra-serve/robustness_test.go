@@ -2,6 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -182,5 +185,37 @@ func TestServePartialOnDeadline(t *testing.T) {
 	}
 	if resp.Partial || len(resp.Matches) != 1 || resp.Matches[0].ID != 0 {
 		t.Fatalf("exact answer wrong or mismarked: %s", rec.Body)
+	}
+}
+
+// TestServeSlowHeaderDisconnected pins the header deadline of
+// newHTTPServer: a client that sends part of a request header and then
+// stalls is disconnected once ReadHeaderTimeout passes, before any handler
+// or admission slot is involved.
+func TestServeSlowHeaderDisconnected(t *testing.T) {
+	e, _ := testEngine(t)
+	srv := newHTTPServer("", newServer(e, time.Second, 0).handler())
+	srv.ReadHeaderTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /query HTTP/1.1\r\nHost: hydra\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatal("connection with a partial header still open after 5s")
+		}
 	}
 }

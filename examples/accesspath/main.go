@@ -14,46 +14,51 @@ import (
 	"log"
 	"os"
 	"text/tabwriter"
+	"time"
 
-	"hydra/internal/core"
-	"hydra/internal/dataset"
-	_ "hydra/internal/methods"
-	"hydra/internal/storage"
+	"hydra"
 )
 
 func main() {
-	ds := dataset.Deep1B(30000, 96, 7)    // the hardest-to-summarize collection
-	easy := dataset.Ctrl(ds, 20, 0.05, 1) // near-duplicates: high pruning
-	easy.Name = "easy (low noise)"
-	hard := dataset.DeepOrig(20, 96, 2) // independent vectors: low pruning
-	hard.Name = "hard (independent)"
+	ds, err := hydra.Generate("deep", 30000, 96, 7) // the hardest-to-summarize collection
+	if err != nil {
+		log.Fatal(err)
+	}
+	workloads := []struct {
+		name string
+		w    *hydra.Workload
+	}{
+		{"easy (low noise)", hydra.ControlledWorkload(ds, 20, 0.05, 1)}, // near-duplicates: high pruning
+		{"hard (independent)", hydra.DeepOrigWorkload(20, 96, 2)},       // independent vectors: low pruning
+	}
 
-	methods := []string{"UCR-Suite", "VA+file", "DSTree"}
+	ctx := context.Background()
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Workload\tMethod\tPruning\tSeeks/q\tHDD time/q\tSSD time/q")
-
-	for _, wl := range []*dataset.Workload{easy, hard} {
-		for _, name := range methods {
-			m, err := core.New(name, core.Options{})
+	for _, wl := range workloads {
+		for _, method := range []string{"UCR-Suite", "VA+file", "DSTree"} {
+			e, err := hydra.BuildIndex(ctx, method, hydra.WithData(ds))
 			if err != nil {
 				log.Fatal(err)
 			}
-			coll := core.NewCollection(ds)
-			if _, err := core.BuildInstrumented(m, coll); err != nil {
-				log.Fatal(err)
+			var pruning float64
+			var seeks int64
+			var hdd, ssd time.Duration
+			for _, q := range wl.w.Queries() {
+				_, qs, err := e.QueryWithStats(ctx, q, 1)
+				if err != nil {
+					log.Fatal(err)
+				}
+				pruning += qs.PruningRatio()
+				seeks += qs.IO.RandOps
+				hdd += qs.TotalTime(hydra.HDD)
+				ssd += qs.TotalTime(hydra.SSD)
 			}
-			ws, err := core.RunWorkload(context.Background(), m, coll, wl, 1)
-			if err != nil {
-				log.Fatal(err)
-			}
-			tot := ws.Total()
-			nq := len(ws.Queries)
-			fmt.Fprintf(tw, "%s\t%s\t%.3f\t%d\t%v\t%v\n",
-				wl.Name, name, ws.MeanPruningRatio(),
-				tot.IO.RandOps/int64(nq),
-				(ws.TotalTime(storage.HDD)/1).Round(1e6)/1/1,
-				(ws.TotalTime(storage.SSD)/1).Round(1e6)/1/1,
-			)
+			nq := wl.w.Len()
+			fmt.Fprintf(tw, "%s\t%s\t%.3f\t%d\t%v\t%v\n", wl.name, method,
+				pruning/float64(nq), seeks/int64(nq),
+				(hdd / time.Duration(nq)).Round(100*time.Microsecond),
+				(ssd / time.Duration(nq)).Round(100*time.Microsecond))
 		}
 	}
 	tw.Flush()

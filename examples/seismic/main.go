@@ -14,10 +14,7 @@ import (
 	"fmt"
 	"log"
 
-	"hydra/internal/core"
-	"hydra/internal/dataset"
-	_ "hydra/internal/methods"
-	"hydra/internal/storage"
+	"hydra"
 )
 
 func main() {
@@ -25,23 +22,23 @@ func main() {
 		archiveSize = 50000 // historical recordings
 		length      = 256   // samples per recording window
 	)
-	archive := dataset.Seismic(archiveSize, length, 2024)
+	archive, err := hydra.Generate("seismic", archiveSize, length, 2024)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("seismic archive: %d recordings × %d samples\n", archive.Len(), archive.SeriesLen())
 
 	// The "event of interest": a real recording from the archive with sensor
 	// noise on top — exactly how the paper builds its controlled workloads.
-	event := dataset.Ctrl(archive, 1, 0.5, 99).Queries[0]
+	event := hydra.ControlledWorkload(archive, 1, 0.5, 99).Query(0)
 
+	ctx := context.Background()
 	for _, name := range []string{"VA+file", "DSTree", "UCR-Suite"} {
-		m, err := core.New(name, core.Options{})
+		e, err := hydra.BuildIndex(ctx, name, hydra.WithData(archive))
 		if err != nil {
 			log.Fatal(err)
 		}
-		coll := core.NewCollection(archive)
-		if _, err := core.BuildInstrumented(m, coll); err != nil {
-			log.Fatal(err)
-		}
-		matches, qs, err := core.RunQuery(context.Background(), m, coll, event, 5)
+		matches, qs, err := e.QueryWithStats(ctx, event, 5)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,6 +48,6 @@ func main() {
 		}
 		fmt.Printf("  cost: %.2f MB moved, %d seeks, pruning %.3f, simulated HDD I/O %v\n",
 			float64(qs.IO.TotalBytes())/1e6, qs.IO.RandOps, qs.PruningRatio(),
-			qs.IO.IOTime(storage.HDD).Round(1e6))
+			qs.IO.IOTime(hydra.HDD).Round(1e6))
 	}
 }

@@ -36,10 +36,10 @@ type Collection struct {
 }
 
 // NewCollection wraps a dataset with fresh counters and a simulated file.
-// Datasets built arena-first (generators, dataset.Load, subseq.Chop) are
-// aliased — the file shares the dataset's flat backing, so replicas over one
-// dataset cost no extra series memory; hand-assembled datasets are copied
-// into a fresh arena once, here.
+// Datasets built arena-first (generators, dataset.Load) are aliased — the
+// file shares the dataset's flat backing, so replicas over one dataset cost
+// no extra series memory; hand-assembled datasets are copied into a fresh
+// arena once, here.
 func NewCollection(d *dataset.Dataset) *Collection {
 	c := &storage.Counters{}
 	var f *storage.SeriesFile

@@ -79,8 +79,8 @@ func (s *Scratch) IDs(n int) []int {
 	return s.ids
 }
 
-// F32 returns a length-n float32 buffer (normalized query/window copies of
-// the subsequence paths). Contents are undefined.
+// F32 returns a length-n float32 buffer (the query's block-moment synopsis
+// in DSTree and M-tree). Contents are undefined.
 func (s *Scratch) F32(n int) []float32 {
 	if cap(s.f32) < n {
 		s.f32 = make([]float32, n)

@@ -12,7 +12,7 @@
 // so one O(m) dot product seeds the diagonal and every further cell costs a
 // constant: O(n·m) dot work for the whole profile instead of the brute
 // force's O(n²·m). Z-normalized distances come from the dots through rolling
-// window mean/std statistics (the same prefix-sum machinery as subseq.MASS):
+// window mean/std statistics (from prefix sums of x and x²):
 //
 //	d²(i, j) = 2m·(1 − (QT(i,j) − m·μ_i·μ_j) / (m·σ_i·σ_j))
 //

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hydra/internal/series"
-	"hydra/internal/subseq"
 )
 
 // oracleProfile is the brute-force all-pairs oracle: per-window float64
@@ -259,10 +258,10 @@ func TestParallelBitIdenticalToSerial(t *testing.T) {
 }
 
 func TestProfileCrossCheckSubseqBruteForce(t *testing.T) {
-	// Independent oracle from another package: for a sample of windows, ask
-	// subseq.BruteForce (float32 Chop + SquaredDist) for the nearest
-	// non-trivial window and compare distances. float32 normalization means
-	// a looser tolerance than the in-package float64 oracle.
+	// Independent oracle: for a sample of windows, a float32 brute force
+	// (per-window ZNormalize + SquaredDist) finds the nearest non-trivial
+	// window. float32 normalization means a looser tolerance than the
+	// float64 oracle above.
 	long := randomWalk(300, 5)
 	for i := 100; i < 140; i++ {
 		long[i] = 4 // exactly-constant shelf
@@ -273,31 +272,23 @@ func TestProfileCrossCheckSubseqBruteForce(t *testing.T) {
 		t.Fatalf("Compute: %v", err)
 	}
 	n := len(long) - m + 1
+	window := func(i int) series.Series {
+		w := make(series.Series, m)
+		copy(w, long[i:i+m])
+		return w.ZNormalize()
+	}
 	for i := 0; i < n; i += 13 {
-		q := make(series.Series, m)
-		copy(q, long[i:i+m])
-		matches, err := subseq.BruteForce(long, q, n)
-		if err != nil {
-			t.Fatalf("BruteForce: %v", err)
-		}
-		best := math.Inf(1)
-		for _, mt := range matches {
-			d := mt.Offset - i
-			if d < 0 {
-				d = -d
-			}
-			if d <= p.Exclusion {
-				continue
-			}
-			if mt.Dist < best {
-				best = mt.Dist
+		q, best := window(i), math.Inf(1)
+		for j := 0; j < n; j++ {
+			if j-i > p.Exclusion || i-j > p.Exclusion {
+				best = math.Min(best, math.Sqrt(series.SquaredDist(q, window(j))))
 			}
 		}
 		if math.IsInf(best, 1) {
 			continue
 		}
 		if math.Abs(best-p.Dist[i]) > 1e-2 {
-			t.Fatalf("window %d: profile dist %g, subseq.BruteForce %g", i, p.Dist[i], best)
+			t.Fatalf("window %d: profile dist %g, brute force %g", i, p.Dist[i], best)
 		}
 	}
 }

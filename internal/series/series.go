@@ -89,31 +89,6 @@ func (s Series) ZNormalize() Series {
 	return s
 }
 
-// ZNormalizedInto writes the Z-normalized form of s into dst (which must
-// have length len(s)) and returns dst, leaving s untouched — the
-// aliasing-safe counterpart of ZNormalize for read-only arena views: query
-// preprocessing normalizes into a reusable buffer instead of Cloning the
-// view just to mutate the copy. dst may be s itself, reproducing ZNormalize.
-func (s Series) ZNormalizedInto(dst []float32) Series {
-	if len(dst) != len(s) {
-		panic(fmt.Sprintf("series: normalizing %d values into a %d-value buffer", len(s), len(dst)))
-	}
-	const eps = 1e-8
-	m := s.Mean()
-	sd := s.Std()
-	if sd < eps {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return dst
-	}
-	inv := 1.0 / sd
-	for i, v := range s {
-		dst[i] = float32((float64(v) - m) * inv)
-	}
-	return dst
-}
-
 // IsZNormalized reports whether s has mean≈0 and std≈1 (or is all zeros)
 // within tolerance tol.
 func (s Series) IsZNormalized(tol float64) bool {

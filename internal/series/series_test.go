@@ -202,36 +202,3 @@ func TestClone(t *testing.T) {
 		t.Errorf("Clone aliases the original")
 	}
 }
-
-func TestZNormalizedInto(t *testing.T) {
-	src := Series{3, 1, 4, 1, 5, 9, 2, 6}
-	orig := src.Clone()
-	dst := make(Series, len(src))
-	got := src.ZNormalizedInto(dst)
-	want := src.Clone().ZNormalize()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dst[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	for i := range src {
-		if src[i] != orig[i] {
-			t.Fatalf("source mutated at %d: %v != %v", i, src[i], orig[i])
-		}
-	}
-	// Constant series normalize to all zeros, and dst == s reproduces the
-	// in-place form.
-	c := Series{2, 2, 2}
-	if out := c.ZNormalizedInto(c); out[0] != 0 || out[1] != 0 || out[2] != 0 {
-		t.Fatalf("constant series normalized to %v, want zeros", out)
-	}
-}
-
-func TestZNormalizedIntoLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on mismatched buffer length")
-		}
-	}()
-	Series{1, 2, 3}.ZNormalizedInto(make(Series, 2))
-}

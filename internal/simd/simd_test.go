@@ -31,7 +31,8 @@ func tailLengths() []int {
 
 // misalign returns a view of length n starting at element off of a larger
 // backing array, mimicking the capped arena views of storage.SeriesFile
-// (odd offsets are reachable in production via subsequence chopping).
+// (odd offsets are reachable in production: series i starts at element
+// i·length, so an odd length puts series starts at odd offsets).
 func misalignF32(rng *rand.Rand, n, off int) []float32 {
 	b := make([]float32, n+off+3)
 	for i := range b {

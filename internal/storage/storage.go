@@ -208,9 +208,9 @@ func (st *fileState) at(i, length int) series.Series {
 
 // NewSeriesFile copies data (all series must share the same length) into a
 // fresh aligned arena and wraps it in a simulated file charging accesses to
-// c. Input built over a flat backing already (dataset generators, Chop)
-// should go through NewSeriesFileFlat instead, which aliases without
-// copying — that is what lets query replicas share one arena.
+// c. Input built over a flat backing already (dataset generators,
+// dataset.Load) should go through NewSeriesFileFlat instead, which aliases
+// without copying — that is what lets query replicas share one arena.
 func NewSeriesFile(data []series.Series, c *Counters) *SeriesFile {
 	length := 0
 	if len(data) > 0 {

@@ -16,8 +16,7 @@
 // VA+file keep 9 of 256) says so, and the transform skips every butterfly no
 // kept output depends on; the kept outputs are bit-identical to a full
 // transform's. Nothing here holds per-call state: workspaces belong to the
-// caller (FFT and FFTReal allocate theirs, Forward and ConvolveInto take
-// one).
+// caller (FFT, FFTReal and Convolve allocate theirs, Forward takes one).
 package fft
 
 import (
@@ -201,31 +200,12 @@ func bluestein(x []complex128) []complex128 {
 // IFFT(FFT(x)·FFT(rev(q) zero-padded)). The returned slice has length
 // len(x); entry i (for i ≥ len(q)−1) is Σ_j q[j]·x[i−len(q)+1+j].
 func Convolve(x, q []float64) []float64 {
-	size := mathx.NextPow2(len(x) + len(q))
-	return ConvolveInto(x, q, make([]complex128, 2*size), make([]float64, len(x)))
-}
-
-// ConvolveScratchLen returns the complex-workspace length ConvolveInto
-// needs for inputs of the given lengths.
-func ConvolveScratchLen(n, m int) int { return 2 * mathx.NextPow2(n+m) }
-
-// ConvolveInto is Convolve with caller-supplied buffers for the repeated-
-// invocation paths (pooled MASS scratch): cbuf must have at least
-// ConvolveScratchLen(len(x), len(q)) entries and out at least len(x).
-// The result is written to (and returned as) out[:len(x)]; cbuf contents
-// are overwritten.
-func ConvolveInto(x, q []float64, cbuf []complex128, out []float64) []float64 {
 	n := len(x)
 	m := len(q)
 	size := mathx.NextPow2(n + m)
+	cbuf := make([]complex128, 2*size)
 	xa := cbuf[:size]
-	qa := cbuf[size : 2*size]
-	for i := range xa {
-		xa[i] = 0
-	}
-	for i := range qa {
-		qa[i] = 0
-	}
+	qa := cbuf[size:]
 	for i, v := range x {
 		xa[i] = complex(v, 0)
 	}
@@ -239,8 +219,8 @@ func ConvolveInto(x, q []float64, cbuf []complex128, out []float64) []float64 {
 	}
 	radix2(xa, true, size)
 	inv := 1 / float64(size)
-	out = out[:n]
-	for i := 0; i < n; i++ {
+	out := make([]float64, n)
+	for i := range out {
 		out[i] = real(xa[i]) * inv
 	}
 	return out

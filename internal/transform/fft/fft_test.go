@@ -54,7 +54,7 @@ func TestFFTMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestIFFTRoundTrip: the inverse radix-2 transform ConvolveInto applies,
+// TestIFFTRoundTrip: the inverse radix-2 transform Convolve applies,
 // scaled by 1/n, undoes the forward one.
 func TestIFFTRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))

@@ -11,12 +11,13 @@ import (
 
 // TestKernelTailsOnArenaViews pins the dispatched distance kernels on the
 // inputs production actually feeds them: capped subslice views of a shared
-// flat arena (storage.SeriesFile hands these out, and subsequence chopping
-// makes every element offset reachable), at every length from empty through
-// twice the 16-element abandon block. For each (length, offset) shape the
-// kernel must return bit-identical results on the view and on an aligned
-// private copy — alignment must never change an answer — and the blocked
-// kernels must stay within reassociation tolerance of the scalar reference.
+// flat arena (storage.SeriesFile hands these out, and series i starts at
+// element i·length, so lengths that are not a multiple of 16 make every
+// element offset reachable), at every length from empty through twice the
+// 16-element abandon block. For each (length, offset) shape the kernel must
+// return bit-identical results on the view and on an aligned private copy —
+// alignment must never change an answer — and the blocked kernels must stay
+// within reassociation tolerance of the scalar reference.
 func TestKernelTailsOnArenaViews(t *testing.T) {
 	t.Logf("kernel backend: %s", simd.Backend())
 	long := dataset.RandomWalk(1, 4096, 5).Series[0]

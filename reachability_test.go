@@ -18,12 +18,10 @@ import (
 // shipped code reaches anyway, fails the gate, so the list cannot go stale.
 var reachabilityAllow = map[string]string{
 	// Test oracles.
-	"internal/core.BruteForceKNN":        "TestBruteForceKNN, the methods conformance suite and the index tests' exact reference",
-	"internal/scan/ucrdtw.BruteForceKNN": "TestExactAgainstBruteForce",
-	"internal/subseq.BruteForce":         "TestProfileCrossCheckSubseqBruteForce",
+	"internal/core.BruteForceKNN": "TestBruteForceKNN, the methods conformance suite and the index tests' exact reference",
 	// Kernel references.
+	"internal/series.SquaredDistEA":        "TestSquaredDistEAProperty, TestBlockedPruningParity, TestKernelTailsOnArenaViews and BenchmarkKernels",
 	"internal/series.SquaredDistEAOrdered": "TestSquaredDistEAOrderedExact, TestBlockedPruningParity and BenchmarkKernels",
-	"internal/distance/dtw.LBKeogh":        "TestLBKeoghEAConsistent",
 	"internal/transform/fft.FFTReal":       "TestFFTReal, TestGeneratorsHaveDistinctSpectra and dft's TestFeatureScalingMonotone",
 	// Test hooks.
 	"internal/faultpoint.Armed":                    "TestFaultEnvArmed and TestIngestFaultTornTail",
@@ -64,7 +62,8 @@ type reachDecl struct {
 }
 
 // reachGraph holds every declaration of the module's non-test Go files,
-// bench/ and examples/ included.
+// bench/ included. examples/ is left out: an example is a client of package
+// hydra (TestExamplesUsePublicAPI), so it keeps nothing else alive.
 type reachGraph struct {
 	all    []*reachDecl
 	byName map[string][]*reachDecl // across packages, methods included
@@ -72,12 +71,12 @@ type reachGraph struct {
 
 // TestInternalReachability is the reachability gate. Every declaration under
 // internal/, and every unexported one in cmd/ and tools/, must be reached
-// from a shipped entry point — a main function, package hydra's exported
-// API, an init function, or a method only the standard library calls —
-// unless reachabilityAllow keeps it for a test. Reachability is transitive,
-// so code only dead code uses is dead too. References match by name alone:
-// an identifier Name, bare or in a selector x.Name, reaches every
-// declaration called Name in any package, methods included. A name
+// from a shipped entry point — a main function outside examples/, package
+// hydra's exported API, an init function, or a method only the standard
+// library calls — unless reachabilityAllow keeps it for a test. Reachability
+// is transitive, so code only dead code uses is dead too. References match
+// by name alone: an identifier Name, bare or in a selector x.Name, reaches
+// every declaration called Name in any package, methods included. A name
 // collision can hide dead code but cannot flag live code.
 func TestInternalReachability(t *testing.T) {
 	g, err := parseReachGraph(".")
@@ -165,7 +164,7 @@ func (g *reachGraph) reach(roots []*reachDecl) map[*reachDecl]bool {
 }
 
 // parseReachGraph parses every non-test .go file under root, skipping
-// testdata, hidden directories and bench/out.
+// testdata, hidden directories, examples and bench/out.
 func parseReachGraph(root string) (*reachGraph, error) {
 	fset := token.NewFileSet()
 	g := &reachGraph{byName: map[string][]*reachDecl{}}
@@ -179,7 +178,7 @@ func parseReachGraph(root string) (*reachGraph, error) {
 		}
 		rel = filepath.ToSlash(rel)
 		if d.IsDir() {
-			if rel != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") || rel == "bench/out") {
+			if rel != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") || rel == "examples" || rel == "bench/out") {
 				return filepath.SkipDir
 			}
 			return nil
@@ -270,5 +269,30 @@ func receiverName(recv *ast.FieldList) string {
 		default:
 			return star + "?"
 		}
+	}
+}
+
+// TestExamplesUsePublicAPI keeps the examples on the public surface: no Go
+// file under examples/ may import the module's internal packages, so an
+// example shows only what a user of package hydra can write.
+func TestExamplesUsePublicAPI(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("examples", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if p := strings.Trim(imp.Path.Value, `"`); p == "hydra/internal" || strings.HasPrefix(p, "hydra/internal/") {
+				t.Errorf("%s imports %s: examples use package hydra only", fset.Position(imp.Pos()), p)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
