@@ -94,9 +94,10 @@ type shardClient struct {
 // gate as the single-engine server.
 type coordinator struct {
 	*gate
-	cfg     coordConfig
-	shards  []*shardClient
-	started time.Time
+	cfg        coordConfig
+	shards     []*shardClient
+	started    time.Time
+	queryStats endpointStats // /query + /batch traffic for /statusz
 }
 
 // newCoordinator builds the shard client pool. Addresses without a scheme
@@ -420,6 +421,8 @@ func (c *coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
+	done := c.queryStats.track()
+	defer done()
 	if req.K <= 0 {
 		req.K = 1
 	}
@@ -484,6 +487,8 @@ func (c *coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
+	done := c.queryStats.track()
+	defer done()
 	if req.K <= 0 {
 		req.K = 1
 	}
@@ -658,13 +663,15 @@ func (c *coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// statuszResponse is the coordinator's /statusz body: cumulative fan-out
-// counters and latency quantiles per shard — the numbers hydraload records
-// next to its tail latencies.
+// statuszResponse is the coordinator's /statusz body: its own query block,
+// the one server mode renders, then cumulative fan-out counters and latency
+// quantiles per shard — the numbers hydraload records next to its tail
+// latencies.
 type statuszResponse struct {
-	Mode      string          `json:"mode"`
-	UptimeSec int64           `json:"uptime_sec"`
-	Shards    []shardStatJSON `json:"shards"`
+	Mode      string             `json:"mode"`
+	UptimeSec int64              `json:"uptime_sec"`
+	Query     *endpointStatsJSON `json:"query,omitempty"`
+	Shards    []shardStatJSON    `json:"shards"`
 }
 
 type shardStatJSON struct {
@@ -688,6 +695,7 @@ func (c *coordinator) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	resp := statuszResponse{
 		Mode:      "coordinator",
 		UptimeSec: int64(time.Since(c.started).Seconds()),
+		Query:     c.queryStats.snapshot(),
 	}
 	for _, sc := range c.shards {
 		state, opens := sc.br.snapshot()

@@ -191,6 +191,18 @@ func TestCoordinatorBitIdentical(t *testing.T) {
 			}
 			assertBitIdentical(t, res.Matches, want, method+" /batch")
 		}
+
+		// The coordinator tracks its own latency, in server mode's block:
+		// every /query above plus the one /batch.
+		srec := httptest.NewRecorder()
+		h.ServeHTTP(srec, httptest.NewRequest(http.MethodGet, "/statusz", nil))
+		var st statuszResponse
+		if err := json.Unmarshal(srec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Query == nil || st.Query.Requests != int64(len(batch)+1) || st.Query.InFlight != 0 || st.Query.P50Micros <= 0 {
+			t.Fatalf("%s /statusz query block %+v, want %d drained requests with a p50: %s", method, st.Query, len(batch)+1, srec.Body)
+		}
 	}
 }
 

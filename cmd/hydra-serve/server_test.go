@@ -194,3 +194,40 @@ func TestServeConcurrentQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestServeConcurrentQueryStats: the cost block of a /query response is the
+// request's own. Two streams of queries run at once against one engine,
+// and every response must report the seq_ops and rand_ops the same query
+// reports when it runs alone.
+func TestServeConcurrentQueryStats(t *testing.T) {
+	e, d := testEngine(t)
+	h := newServer(e, time.Second, 0).handler()
+	const n = 20
+	query := func(i int) statsJSON {
+		rec := postJSON(t, h, "/query", queryRequest{Query: d.Series(i % d.Len()), K: 2})
+		var resp queryResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
+			t.Errorf("query %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+		return resp.Stats
+	}
+	serial := make([]statsJSON, n)
+	for i := range serial {
+		serial[i] = query(i)
+	}
+	done := make(chan struct{})
+	for stream := 0; stream < 2; stream++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for j := 0; j < n; j++ {
+				i := (stream*n/2 + j) % n
+				if got := query(i); got.SeqOps != serial[i].SeqOps || got.RandOps != serial[i].RandOps {
+					t.Errorf("stream %d query %d: seq_ops %d rand_ops %d, alone %d and %d",
+						stream, i, got.SeqOps, got.RandOps, serial[i].SeqOps, serial[i].RandOps)
+				}
+			}
+		}()
+	}
+	<-done
+	<-done
+}

@@ -164,8 +164,8 @@
 //
 // The raw data of a collection lives in one flat, 64-byte-aligned float32
 // arena (storage.NewArena), series stored back-to-back exactly as the
-// simulated disk lays them out; storage.SeriesFile.Read/FlatRange/Peek hand
-// out capped subslice views of it. Views are read-only — mutating one
+// simulated disk lays them out; storage.SeriesFile.Peek and the reads of a
+// storage.Cursor hand out capped subslice views of it. Views are read-only — mutating one
 // corrupts the arena for every reader; Clone first (the aliasing contract
 // is specified in the internal/series package docs). Index summaries follow
 // the same discipline: iSAX words and PAA vectors, SFA features and words,
@@ -206,7 +206,7 @@
 // the paper's serial semantics without changing any answer:
 //
 //   - Intra-query: core.ParallelScanKNN splits the raw file into one
-//     contiguous shard per worker (storage.SeriesFile.Shards) and scans the
+//     contiguous shard per worker (storage.Cursor.Slice) and scans the
 //     shards concurrently against a lock-free shared best-so-far bound
 //     (core.BestSoFar, atomic float64 bits, the MESSI coordination scheme).
 //     The UCR-Suite method exposes this as core.Options.Workers.
@@ -215,16 +215,18 @@
 //     and share the one built method; results stay aligned with the batch,
 //     so the answer does not depend on scheduling.
 //
-// Sharing rules. storage.Counters is atomic and may be charged from any
-// number of goroutines. A storage.SeriesFile has an atomic scan cursor, so
-// concurrent reads are race-free, but goroutines interleaving reads on one
-// shared cursor scramble the sequential/random attribution — concurrent
-// scans that need the paper's exact §4.2 accounting must take per-shard
-// views from SeriesFile.Shards (each shard has its own cursor and charges
-// the shared counters; a full sharded pass moves exactly the file size with
-// at most one seek per shard). Built methods are read-only during queries
-// and safe for concurrent KNN calls on one shared collection (ADS+ guards
-// its adaptive leaf materialization with a mutex).
+// Sharing rules. A query's reads go through its own storage.Cursor, made
+// on its stack: the cursor pins the file's published extent, keeps the
+// query's sequential position and counts its accesses in plain fields, and
+// the query flushes that record to the collection's atomic
+// storage.Counters once when it ends (each parallel-scan worker flushes
+// its own shard's cursor once). Concurrent queries therefore share no
+// cursor and no counter on the per-series read path, every query's
+// QueryStats.IO holds exactly its own accesses under any concurrency, and
+// the Counters still sum every query's and every build's charges. Built
+// methods are read-only during queries and safe for concurrent KNN calls
+// on one shared collection (ADS+ guards its adaptive leaf materialization
+// with a mutex).
 //
 // # Determinism guarantees
 //

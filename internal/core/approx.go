@@ -313,10 +313,9 @@ func RunQueryApprox(ctx context.Context, m Method, c *Collection, q series.Serie
 	if !ok {
 		return nil, stats.QueryStats{}, fmt.Errorf("%w: method %s answers only exact queries", ErrApproxUnsupported, m.Name())
 	}
-	before := c.Counters.Snapshot()
 	start := time.Now()
 	matches, qs, err := as.KNNApprox(ctx, q, k, spec)
-	finishQueryStats(c, before, start, &qs)
+	finishQueryStats(c, start, &qs)
 	if err == nil {
 		qs.Mode = spec.Mode.String()
 		if spec.Mode == ModeDeltaEps {

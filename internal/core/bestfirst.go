@@ -5,6 +5,7 @@ import (
 
 	"hydra/internal/series"
 	"hydra/internal/stats"
+	"hydra/internal/storage"
 )
 
 // Tree is what one index supplies to BestFirst for one query: where the
@@ -31,13 +32,14 @@ type Tree[N comparable] interface {
 
 // Frontier is a best-first walk's per-query state: the queue of nodes not
 // yet visited, ordered by squared lower bound, with the pruner, result set,
-// refine loop and stats record they are judged and charged against. It
-// lives in the query's Scratch.
+// refine loop, cursor and stats record they are judged and charged against.
+// It lives in the query's Scratch.
 type Frontier[N any] struct {
 	h   BoundHeap[N]
 	pr  Pruner
 	set *KNNSet
 	rf  Refiner
+	cur storage.Cursor
 	qs  stats.QueryStats
 }
 
@@ -72,7 +74,8 @@ func BestFirst[N comparable, T Tree[N]](ctx context.Context, sc *Scratch, c *Col
 	}
 	f.set = sc.KNN(k)
 	f.pr = NewQueryPruner(c, q, spec, qs)
-	f.rf = NewRefiner(c, q, sc.Order(q), f.set)
+	f.cur = c.File.Cursor()
+	f.rf = NewRefiner(&f.cur, q, sc.Order(q), f.set)
 
 	ng, members, hasNG := t.Descend()
 	if hasNG {
@@ -87,6 +90,7 @@ func BestFirst[N comparable, T Tree[N]](ctx context.Context, sc *Scratch, c *Col
 	t.Roots(f, qs)
 	for f.h.Len() > 0 {
 		if err := Canceled(ctx); err != nil {
+			qs.IO = f.cur.Flush()
 			return nil, *qs, err
 		}
 		lb, n := f.h.PopMin()
@@ -111,5 +115,6 @@ func BestFirst[N comparable, T Tree[N]](ctx context.Context, sc *Scratch, c *Col
 
 func (f *Frontier[N]) finish() ([]Match, stats.QueryStats, error) {
 	f.pr.Finish(&f.qs)
+	f.qs.IO = f.cur.Flush()
 	return f.set.Results(), f.qs, nil
 }

@@ -316,10 +316,11 @@ func ChargeMaterialization(c *Collection, opts Options) {
 // it is the correctness oracle of the test suite.
 func BruteForceKNN(c *Collection, q series.Series, k int) []Match {
 	set := NewKNNSet(k)
-	c.File.Rewind()
-	for i := 0; i < c.File.Len(); i++ {
-		set.Add(i, series.SquaredDist(q, c.File.Read(i)))
+	cur := c.File.Cursor()
+	for i := 0; i < cur.Len(); i++ {
+		set.Add(i, series.SquaredDist(q, cur.Read(i)))
 	}
+	cur.Flush()
 	return set.Results()
 }
 

@@ -115,11 +115,11 @@ func TestBruteForceKNN(t *testing.T) {
 		t.Errorf("self-query should find itself first: %v", res[0])
 	}
 	// Brute force charges a full sequential scan.
-	if c.Counters.SeqOps() == 0 {
+	if c.Counters.Snapshot().SeqOps == 0 {
 		t.Errorf("brute force should charge sequential reads")
 	}
-	if c.Counters.RandOps() > 1 {
-		t.Errorf("brute force should be sequential, got %d seeks", c.Counters.RandOps())
+	if c.Counters.Snapshot().RandOps > 1 {
+		t.Errorf("brute force should be sequential, got %d seeks", c.Counters.Snapshot().RandOps)
 	}
 }
 
@@ -182,28 +182,28 @@ func TestChargeMaterialization(t *testing.T) {
 	// Unlimited budget: exactly one write.
 	c := NewCollection(ds)
 	ChargeMaterialization(c, Options{})
-	if got := c.Counters.SeqBytes(); got != size {
+	if got := c.Counters.Snapshot().SeqBytes; got != size {
 		t.Errorf("unlimited budget moved %d bytes, want %d", got, size)
 	}
 
 	// Budget of half the data: two passes → write + 1×(re-read+re-write).
 	c2 := NewCollection(ds)
 	ChargeMaterialization(c2, Options{MemoryBudgetBytes: size / 2})
-	if got := c2.Counters.SeqBytes(); got != 3*size {
+	if got := c2.Counters.Snapshot().SeqBytes; got != 3*size {
 		t.Errorf("half budget moved %d bytes, want %d", got, 3*size)
 	}
 
 	// Budget of a quarter: four passes → write + 3×(re-read+re-write).
 	c3 := NewCollection(ds)
 	ChargeMaterialization(c3, Options{MemoryBudgetBytes: size / 4})
-	if got := c3.Counters.SeqBytes(); got != 7*size {
+	if got := c3.Counters.Snapshot().SeqBytes; got != 7*size {
 		t.Errorf("quarter budget moved %d bytes, want %d", got, 7*size)
 	}
 
 	// Budget >= size: no spill.
 	c4 := NewCollection(ds)
 	ChargeMaterialization(c4, Options{MemoryBudgetBytes: size})
-	if got := c4.Counters.SeqBytes(); got != size {
+	if got := c4.Counters.Snapshot().SeqBytes; got != size {
 		t.Errorf("exact budget moved %d bytes, want %d", got, size)
 	}
 }

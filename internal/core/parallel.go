@@ -72,10 +72,10 @@ func (s *KNNSet) Merge(o *KNNSet) {
 }
 
 // ParallelScanKNN answers an exact k-NN query with a parallel sequential
-// scan: the raw file is split into one contiguous shard per worker
-// (storage.SeriesFile.Shards), each worker runs the UCR-suite reordered
-// early-abandoning scan over its shard against min(its own bound, the
-// shared BestSoFar), and the per-shard result sets are merged
+// scan: the raw file is split into one contiguous shard per worker, read
+// through the worker's own storage.Cursor; each worker runs the UCR-suite
+// reordered early-abandoning scan over its shard against min(its own bound,
+// the shared BestSoFar), and the per-shard result sets are merged
 // deterministically (ties by ascending ID).
 //
 // The result is bit-identical to the serial UCR-suite scan for any worker
@@ -85,8 +85,10 @@ func (s *KNNSet) Merge(o *KNNSet) {
 // kernel, and the (distance, ID) selection is order-independent.
 //
 // I/O accounting keeps the paper's §4.2 convention exactly: the scan moves
-// the file size once, as sequential reads plus at most one seek per shard.
-// workers <= 0 selects runtime.GOMAXPROCS(0).
+// the file size once, as sequential reads plus one seek per shard except the
+// one at offset zero. Workers count their reads in their own cursors and
+// flush them once each, so they share only the best-so-far bound and the
+// final merge. workers <= 0 selects runtime.GOMAXPROCS(0).
 //
 // Per-query state (the query order, each worker's result set) comes from a
 // package-level ScratchPool, so a steady stream of parallel queries reuses
@@ -122,10 +124,12 @@ func scanKNN(ctx context.Context, c *Collection, q series.Series, k, workers int
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	shards := c.File.Shards(workers)
-	if len(shards) == 0 {
+	cur := c.File.Cursor()
+	n := cur.Len()
+	if n == 0 {
 		return nil, qs, nil
 	}
+	workers = min(workers, n)
 	ps := scanScratch.Get()
 	defer scanScratch.Put(ps)
 	ord := ps.Order(q)
@@ -134,9 +138,9 @@ func scanKNN(ctx context.Context, c *Collection, q series.Series, k, workers int
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	var workerPanic error
-	for w := range shards {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(sh *storage.Shard) {
+		go func(wc storage.Cursor) {
 			defer wg.Done()
 			// Worker panics (a bug in a kernel, or an armed faultpoint
 			// drill) are recovered here, at the goroutine boundary where
@@ -158,15 +162,15 @@ func scanKNN(ctx context.Context, c *Collection, q series.Series, k, workers int
 			defer scanScratch.Put(wsc)
 			set := wsc.KNN(k)
 			var ws stats.QueryStats
-			for i := sh.Lo(); i < sh.Hi(); i++ {
-				if (i-sh.Lo())%CancelBlock == 0 && Canceled(ctx) != nil {
+			for i := wc.Lo(); i < wc.Hi(); i++ {
+				if (i-wc.Lo())%CancelBlock == 0 && Canceled(ctx) != nil {
 					// Stop scanning but still merge the counters below: the
 					// caller reports ctx.Err() (results are discarded on the
 					// exact path), and a degraded partial answer must carry
 					// the work actually done, not zeros.
 					break
 				}
-				cand := sh.Read(i)
+				cand := wc.Read(i)
 				bound := set.Bound()
 				if g := shared.Load(); g < bound {
 					bound = g
@@ -185,12 +189,14 @@ func scanKNN(ctx context.Context, c *Collection, q series.Series, k, workers int
 					}
 				}
 			}
+			rec := wc.Flush()
 			mu.Lock()
 			merged.Merge(set)
 			qs.DistCalcs += ws.DistCalcs
 			qs.RawSeriesExamined += ws.RawSeriesExamined
+			qs.IO = qs.IO.Add(rec)
 			mu.Unlock()
-		}(&shards[w])
+		}(cur.Slice(w*n/workers, (w+1)*n/workers))
 	}
 	wg.Wait()
 	if workerPanic != nil {

@@ -17,9 +17,8 @@ import (
 func serialScanKNN(c *Collection, q series.Series, k int) []Match {
 	ord := series.NewOrder(q)
 	set := NewKNNSet(k)
-	c.File.Rewind()
 	for i := 0; i < c.File.Len(); i++ {
-		set.Add(i, series.SquaredDistEAOrderedBlocked(q, c.File.Read(i), ord, set.Bound()))
+		set.Add(i, series.SquaredDistEAOrderedBlocked(q, c.File.Peek(i), ord, set.Bound()))
 	}
 	return set.Results()
 }
@@ -90,16 +89,21 @@ func TestParallelScanTieBreaks(t *testing.T) {
 }
 
 // TestParallelScanAccounting: the sharded scan must charge exactly one pass
-// over the file with at most one seek per worker (§4.2 accounting).
+// over the file with at most one seek per worker (§4.2 accounting), and the
+// query's own record must be what reached the collection's counters.
 func TestParallelScanAccounting(t *testing.T) {
 	ds := dataset.RandomWalk(250, 32, 31)
 	q := dataset.SynthRand(1, 32, 32).Queries[0]
 	for _, workers := range []int{1, 2, 4, 8} {
 		coll := NewCollection(ds)
-		if _, _, err := ParallelScanKNN(context.Background(), coll, q, 5, workers); err != nil {
+		_, qs, err := ParallelScanKNN(context.Background(), coll, q, 5, workers)
+		if err != nil {
 			t.Fatal(err)
 		}
 		snap := coll.Counters.Snapshot()
+		if qs.IO != snap {
+			t.Errorf("w=%d: query recorded %v, counters hold %v", workers, qs.IO, snap)
+		}
 		if snap.TotalBytes() != coll.File.SizeBytes() {
 			t.Errorf("w=%d: moved %d bytes, want file size %d", workers, snap.TotalBytes(), coll.File.SizeBytes())
 		}

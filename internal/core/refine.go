@@ -16,10 +16,10 @@ type MemberBound func(id int) float64
 // leaf a traversal decides to read goes through Leaf, which owns the leaf's
 // I/O charge, the DistCalcs / RawSeriesExamined / LBCalcs accounting and the
 // early-abandoning kernel call. A Refiner serves one query and lives on its
-// stack; the query's stats record is passed to each call instead of bound,
-// because the escape analysis treats a struct's pointers as one and the file
-// pointer among them would move the record to the heap, one allocation per
-// query.
+// stack; it charges the query's own storage.Cursor, which the query flushes
+// when it ends. The query's stats record is passed to each call instead of
+// bound: the escape analysis treats a struct's pointers as one, so a bound
+// record would escape wherever any of the others does.
 //
 // With a MemberBound the leaf is filtered a second time, per member (the
 // ParIS+/MESSI step): a member's raw series is read only if its own bound
@@ -35,16 +35,16 @@ type MemberBound func(id int) float64
 // at 0, between duplicates; those summarize alike, share a leaf and are
 // listed in it by ascending id, so the smaller id is always the incumbent.)
 type Refiner struct {
-	file *storage.SeriesFile
-	q    series.Series
-	ord  series.Order
-	set  *KNNSet
+	cur *storage.Cursor
+	q   series.Series
+	ord series.Order
+	set *KNNSet
 }
 
-// NewRefiner binds the loop to one query's state: its reordered form and its
-// result set.
-func NewRefiner(c *Collection, q series.Series, ord series.Order, set *KNNSet) Refiner {
-	return Refiner{file: c.File, q: q, ord: ord, set: set}
+// NewRefiner binds the loop to one query's state: the cursor its reads are
+// charged to, its reordered form and its result set.
+func NewRefiner(cur *storage.Cursor, q series.Series, ord series.Order, set *KNNSet) Refiner {
+	return Refiner{cur: cur, q: q, ord: ord, set: set}
 }
 
 // Bound returns the result set's current pruning bound, the k-th best
@@ -58,7 +58,7 @@ func (r *Refiner) Leaf(ids []int, lb MemberBound, qs *stats.QueryStats) {
 	if len(ids) == 0 {
 		return
 	}
-	r.file.ChargeLeafRead(len(ids))
+	r.cur.Leaf(len(ids))
 	r.Members(ids, lb, qs)
 }
 
@@ -80,7 +80,7 @@ func (r *Refiner) Members(ids []int, lb MemberBound, qs *stats.QueryStats) {
 // set — the loop body, exported for the M-tree, whose leaf entries are
 // interleaved with its own triangle-inequality test.
 func (r *Refiner) Member(id int, qs *stats.QueryStats) {
-	d := series.SquaredDistEAOrderedBlocked(r.q, r.file.Peek(id), r.ord, r.set.Bound())
+	d := series.SquaredDistEAOrderedBlocked(r.q, r.cur.Peek(id), r.ord, r.set.Bound())
 	qs.DistCalcs++
 	qs.RawSeriesExamined++
 	r.set.Add(id, d)

@@ -17,7 +17,7 @@ func referenceVisitLeaf(c *Collection, ids []int, q series.Series, ord series.Or
 	if len(ids) == 0 {
 		return
 	}
-	c.File.ChargeLeafRead(len(ids))
+	c.Counters.ChargeRand(int64(len(ids)) * c.File.SeriesBytes()) // one leaf access
 	for _, id := range ids {
 		d := series.SquaredDistEAOrderedBlocked(q, c.File.Peek(id), ord, set.Bound())
 		qs.DistCalcs++
@@ -55,8 +55,9 @@ func TestRefinerMatchesReferenceLoop(t *testing.T) {
 				ord := series.NewOrder(q)
 				var refQS, plainQS, filtQS stats.QueryStats
 				refSet, plainSet, filtSet := NewKNNSet(k), NewKNNSet(k), NewKNNSet(k)
-				plainRF := NewRefiner(plain, q, ord, plainSet)
-				filtRF := NewRefiner(filtered, q, ord, filtSet)
+				plainCur, filtCur := plain.File.Cursor(), filtered.File.Cursor()
+				plainRF := NewRefiner(&plainCur, q, ord, plainSet)
+				filtRF := NewRefiner(&filtCur, q, ord, filtSet)
 				bound := func(id int) float64 { return tight * series.SquaredDist(q, ds.Series[id]) }
 				var members int64
 				perm := rng.Perm(len(group))
@@ -83,6 +84,8 @@ func TestRefinerMatchesReferenceLoop(t *testing.T) {
 						}
 					}
 				}
+				plainCur.Flush()
+				filtCur.Flush()
 				if plainQS != refQS || plain.Counters.Snapshot() != ref.Counters.Snapshot() {
 					t.Errorf("query %d k=%d: unfiltered counters %v io %v, reference %v io %v", qi, k,
 						plainQS, plain.Counters.Snapshot(), refQS, ref.Counters.Snapshot())

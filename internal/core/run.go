@@ -8,7 +8,6 @@ import (
 	"hydra/internal/faultpoint"
 	"hydra/internal/series"
 	"hydra/internal/stats"
-	"hydra/internal/storage"
 )
 
 // BuildInstrumented builds the method over the collection, measuring CPU
@@ -26,7 +25,9 @@ func BuildInstrumented(m Method, c *Collection) (stats.BuildStats, error) {
 }
 
 // RunQuery answers one query with full instrumentation: the method's own
-// counters plus the I/O delta and wall time around the call. The context is
+// counters, its I/O record included, plus the wall time around the call.
+// The method flushes that record to the collection's Counters itself, so
+// concurrent queries never see one another's reads. The context is
 // passed through to the method's KNN and honored under its block-granular
 // cancellation contract.
 func RunQuery(ctx context.Context, m Method, c *Collection, q series.Series, k int) ([]Match, stats.QueryStats, error) {
@@ -34,22 +35,19 @@ func RunQuery(ctx context.Context, m Method, c *Collection, q series.Series, k i
 	// it drills exactly the per-query isolation layers: QueryBatch's
 	// recover and the serve handlers' recovery middleware.
 	faultpoint.MaybePanic(faultpoint.QueryPanic)
-	before := c.Counters.Snapshot()
 	start := time.Now()
 	matches, qs, err := m.KNN(ctx, q, k)
-	finishQueryStats(c, before, start, &qs)
+	finishQueryStats(c, start, &qs)
 	return matches, qs, err
 }
 
 // finishQueryStats is the one attribution rule every instrumented query
-// shares (plain and streaming): wall time, the counter delta, and the
-// collection size land on the stats record the same way, so streamed
-// queries never report different cost accounting than plain ones. It is a
-// plain function (no closure) so the hot RunQuery path stays
-// allocation-free.
-func finishQueryStats(c *Collection, before storage.Snapshot, start time.Time, qs *stats.QueryStats) {
+// shares (plain, approximate and streaming): wall time and the collection
+// size land on the stats record the same way, so streamed queries never
+// report different cost accounting than plain ones. It is a plain function
+// (no closure) so the hot RunQuery path stays allocation-free.
+func finishQueryStats(c *Collection, start time.Time, qs *stats.QueryStats) {
 	qs.CPUTime = time.Since(start)
-	qs.IO = c.Counters.Snapshot().Sub(before)
 	qs.DatasetSize = int64(c.File.Len())
 }
 
@@ -67,10 +65,9 @@ type KNNStreamer interface {
 // RunQueryStream is RunQuery for streaming methods: same instrumentation,
 // with progress callbacks passed through.
 func RunQueryStream(ctx context.Context, m KNNStreamer, c *Collection, q series.Series, k int, emit func(Match)) ([]Match, stats.QueryStats, error) {
-	before := c.Counters.Snapshot()
 	start := time.Now()
 	matches, qs, err := m.KNNStream(ctx, q, k, emit)
-	finishQueryStats(c, before, start, &qs)
+	finishQueryStats(c, start, &qs)
 	return matches, qs, err
 }
 

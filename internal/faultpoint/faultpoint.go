@@ -63,7 +63,7 @@ const (
 	// before it starts reading (default 10ms).
 	PersistSlowIO = "persist/slow-io"
 	// StorageSlowRead delays bulk reads from the simulated series file
-	// (FlatRange — MASS's block scan) by the armed duration per firing
+	// (Cursor.Range — MASS's block scan) by the armed duration per firing
 	// (default 10ms).
 	StorageSlowRead = "storage/slow-read"
 	// ScanWorkerPanic panics inside a parallel-scan worker goroutine; the

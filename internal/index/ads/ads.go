@@ -27,6 +27,7 @@ import (
 	"hydra/internal/series"
 	"hydra/internal/simd"
 	"hydra/internal/stats"
+	"hydra/internal/storage"
 	"hydra/internal/transform/sax"
 )
 
@@ -61,10 +62,11 @@ type Index struct {
 	materialized map[*isaxtree.Node]bool
 }
 
-// chargeAdaptiveLeaf charges the I/O of visiting a leaf under the adaptive
-// materialization policy: random fetches from the raw file on first touch
-// (marking the leaf materialized), one leaf access afterwards.
-func (ix *Index) chargeAdaptiveLeaf(leaf *isaxtree.Node) {
+// chargeAdaptiveLeaf charges the I/O of visiting a leaf to the query's
+// cursor under the adaptive materialization policy: one random fetch from
+// the raw file per member on first touch (marking the leaf materialized),
+// one leaf access afterwards.
+func (ix *Index) chargeAdaptiveLeaf(leaf *isaxtree.Node, cur *storage.Cursor) {
 	ix.mu.Lock()
 	first := !ix.materialized[leaf]
 	if first {
@@ -73,10 +75,10 @@ func (ix *Index) chargeAdaptiveLeaf(leaf *isaxtree.Node) {
 	ix.mu.Unlock()
 	if first {
 		for range leaf.Members {
-			ix.c.Counters.ChargeRand(ix.c.File.SeriesBytes())
+			cur.Leaf(1)
 		}
 	} else {
-		ix.c.File.ChargeLeafRead(len(leaf.Members))
+		cur.Leaf(len(leaf.Members))
 	}
 }
 
@@ -205,6 +207,8 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 	set := sc.KNN(k)
 	pr := core.NewQueryPruner(ix.c, q, spec, &qs)
 	ng := spec.Mode == core.ModeNG
+	cur := f.Cursor()
+	n := cur.Len()
 
 	// Step 2 first (it depends only on the query): lower bounds against the
 	// whole in-memory summary array, scored by the batched kernel against a
@@ -217,13 +221,13 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 		widths := ix.tree.PAA.Widths()
 		table := sc.Table(sax.TableLen(seg))
 		ix.tree.Quant.MinDistTable(qpaa, widths, table)
-		lbs = sc.LB(f.Len())
+		lbs = sc.LB(n)
 		dense := len(ix.wordsT) / seg
 		sax.MinDistFullCardBatch(table, ix.wordsT, seg, lbs[:dense])
 		if len(ix.tailT) > 0 {
 			sax.MinDistFullCardBatch(table, ix.tailT, seg, lbs[dense:])
 		}
-		qs.LBCalcs += int64(f.Len())
+		qs.LBCalcs += int64(n)
 	}
 
 	// Step 1: approximate answer from the query's own leaf; materialize it
@@ -231,8 +235,8 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 	// Visited members have their bound forced to +Inf, which excludes them
 	// from step 3 exactly like the former visited set.
 	if leaf := ix.tree.ApproxLeaf(qword); leaf != nil {
-		ix.chargeAdaptiveLeaf(leaf)
-		rf := core.NewRefiner(ix.c, q, ord, set)
+		ix.chargeAdaptiveLeaf(leaf, &cur)
+		rf := core.NewRefiner(&cur, q, ord, set)
 		rf.Members(leaf.Members, nil, &qs)
 		if lbs != nil {
 			for _, id := range leaf.Members {
@@ -241,28 +245,31 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 		}
 		if pr.Visit() || pr.StopSatisfied(set.Bound()) {
 			pr.Finish(&qs)
+			qs.IO = cur.Flush()
 			return set.Results(), qs, nil
 		}
 	}
 	if ng {
 		pr.Finish(&qs)
+		qs.IO = cur.Flush()
 		return set.Results(), qs, nil
 	}
 
-	// Step 3: skip-sequential scan over the raw file. The SeriesFile charges
-	// a seek whenever the read does not continue the previous one — exactly
-	// the paper's "one random disk access corresponds to one skip".
-	f.Rewind()
-	for i := 0; i < f.Len(); i++ {
+	// Step 3: skip-sequential scan over the raw file. The cursor charges a
+	// seek whenever the read does not continue the previous one — exactly
+	// the paper's "one random disk access corresponds to one skip". Step 1
+	// charged leaf accesses only, so the cursor still stands at series 0.
+	for i := 0; i < n; i++ {
 		if i%core.CancelBlock == 0 {
 			if err := core.Canceled(ctx); err != nil {
+				qs.IO = cur.Flush()
 				return nil, qs, err
 			}
 		}
 		if pr.Prune(lbs[i], set.Bound()) {
 			continue
 		}
-		raw := f.Read(i)
+		raw := cur.Read(i)
 		d := series.SquaredDistEAOrderedBlocked(q, raw, ord, set.Bound())
 		qs.DistCalcs++
 		qs.RawSeriesExamined++
@@ -272,6 +279,7 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 		}
 	}
 	pr.Finish(&qs)
+	qs.IO = cur.Flush()
 	return set.Results(), qs, nil
 }
 

@@ -25,7 +25,9 @@ func (ix *Index) referenceSearch(ctx context.Context, q series.Series, k int, sp
 	ord := sc.Order(q)
 	set := sc.KNN(k)
 	pr := core.NewQueryPruner(ix.c, q, spec, &qs)
-	rf := core.NewRefiner(ix.c, q, ord, set)
+	cur := ix.c.File.Cursor()
+	defer cur.Flush()
+	rf := core.NewRefiner(&cur, q, ord, set)
 
 	approx := ix.root
 	for !approx.isLeaf {

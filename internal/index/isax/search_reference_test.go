@@ -80,7 +80,7 @@ func (ix *Index) referenceSearch(ctx context.Context, q series.Series, k int, sp
 }
 
 func (ix *Index) referenceVisitLeaf(n *isaxtree.Node, q series.Series, ord series.Order, set *core.KNNSet, qs *stats.QueryStats) {
-	ix.c.File.ChargeLeafRead(len(n.Members))
+	ix.c.Counters.ChargeRand(int64(len(n.Members)) * ix.c.File.SeriesBytes()) // one leaf access
 	for _, id := range n.Members {
 		d := series.SquaredDistEAOrderedBlocked(q, ix.c.File.Peek(id), ord, set.Bound())
 		qs.DistCalcs++

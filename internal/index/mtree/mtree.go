@@ -308,7 +308,10 @@ func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match,
 	defer ix.pool.Put(sc)
 	ord := sc.Order(q)
 	set := sc.KNN(k)
-	rf := core.NewRefiner(ix.c, q, ord, set)
+	// The M-tree is memory-resident: its members are compared in place and
+	// charge no I/O, so the cursor's record stays empty and is not flushed.
+	cur := ix.c.File.Cursor()
+	rf := core.NewRefiner(&cur, q, ord, set)
 	sq := ix.syn.Query(q, sc.F32(ix.syn.RecordLen()))
 
 	// sqBound is the result set's bound and bound its root, the unit the
@@ -360,7 +363,7 @@ func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match,
 				continue
 			}
 			qs.DistCalcs++
-			d := series.Dist(q, ix.c.File.Peek(e.id))
+			d := series.Dist(q, cur.Peek(e.id))
 			qs.LBCalcs++
 			lb := d - e.radius
 			if lb < 0 {

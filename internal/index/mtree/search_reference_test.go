@@ -25,7 +25,8 @@ func (ix *Index) referenceSearch(ctx context.Context, q series.Series, k int, _ 
 	defer ix.pool.Put(sc)
 	ord := sc.Order(q)
 	set := sc.KNN(k)
-	rf := core.NewRefiner(ix.c, q, ord, set)
+	cur := ix.c.File.Cursor()
+	rf := core.NewRefiner(&cur, q, ord, set)
 
 	h := core.HeapOf[visit](sc)
 	h.Push(0, visit{n: ix.root})

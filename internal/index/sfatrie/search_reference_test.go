@@ -82,7 +82,7 @@ func (n *node) visited(qw []uint8) bool {
 }
 
 func (ix *Index) referenceVisitLeaf(n *node, q series.Series, ord series.Order, set *core.KNNSet, qs *stats.QueryStats) {
-	ix.c.File.ChargeLeafRead(len(n.members))
+	ix.c.Counters.ChargeRand(int64(len(n.members)) * ix.c.File.SeriesBytes()) // one leaf access
 	for _, id := range n.members {
 		d := series.SquaredDistEAOrderedBlocked(q, ix.c.File.Peek(id), ord, set.Bound())
 		qs.DistCalcs++

@@ -149,7 +149,8 @@ func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match,
 	qc := dhwt.Transform(q)
 	qResid := residuals(qc, ix.filterLevels)
 
-	n := f.Len()
+	cur := f.Cursor()
+	n := cur.Len()
 	active := make([]cand, n)
 	for i := range active {
 		active[i] = cand{id: i}
@@ -158,6 +159,7 @@ func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match,
 	// Filter phase: one level at a time.
 	for lvl := 0; lvl < ix.filterLevels; lvl++ {
 		if err := core.Canceled(ctx); err != nil {
+			qs.IO = cur.Flush()
 			return nil, qs, err
 		}
 		lo, hi := dhwt.LevelRange(lvl)
@@ -165,11 +167,11 @@ func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match,
 
 		if float64(len(active)) >= seqReadThreshold*float64(n) {
 			// Read the whole level file sequentially.
-			ix.c.Counters.ChargeSeq(int64(n) * levelBytes)
+			cur.ChargeSeq(int64(n) * levelBytes)
 		} else {
 			// Locate each surviving candidate's entries: random I/O.
 			for range active {
-				ix.c.Counters.ChargeRand(levelBytes)
+				cur.ChargeRand(levelBytes)
 			}
 		}
 
@@ -212,18 +214,20 @@ func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match,
 	for ci, c := range active {
 		if ci%core.CancelBlock == 0 {
 			if err := core.Canceled(ctx); err != nil {
+				qs.IO = cur.Flush()
 				return nil, qs, err
 			}
 		}
 		if c.lb >= set.Bound() {
 			break
 		}
-		raw := f.Read(c.id)
+		raw := cur.Read(c.id)
 		d := series.SquaredDistEAOrderedBlocked(q, raw, ord, set.Bound())
 		qs.DistCalcs++
 		qs.RawSeriesExamined++
 		set.Add(c.id, d)
 	}
+	qs.IO = cur.Flush()
 	return set.Results(), qs, nil
 }
 

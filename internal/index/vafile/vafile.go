@@ -164,7 +164,8 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 
 	// Phase 1: sequential scan of the approximation file, one table lookup
 	// per (candidate, dimension).
-	ix.c.Counters.ChargeSeq(ix.ApproxFileBytes())
+	cur := ix.c.File.Cursor()
+	cur.ChargeSeq(ix.ApproxFileBytes())
 	n := ix.numCodes()
 	table := sc.Table(ix.quant.TableLen())
 	ix.quant.LowerBoundTable(qf, table)
@@ -183,10 +184,10 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 	// they leave has not already ruled out; an ng query (k up to the
 	// queue's selection cap) ends before it is built.
 	set := sc.KNN(k)
-	f := ix.c.File
 	for oi := 0; oi < ngBudget; oi++ {
 		if oi%core.CancelBlock == 0 {
 			if err := core.Canceled(ctx); err != nil {
+				qs.IO = cur.Flush()
 				return nil, qs, err
 			}
 		}
@@ -194,7 +195,7 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 		if !ok {
 			break
 		}
-		raw := f.Read(id) // charged as a seek (ascending-LB order is scattered)
+		raw := cur.Read(id) // charged as a seek (ascending-LB order is scattered)
 		d := series.SquaredDistEAOrderedBlocked(q, raw, ord, set.Bound())
 		qs.DistCalcs++
 		qs.RawSeriesExamined++
@@ -204,6 +205,7 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 		}
 	}
 	pr.Finish(&qs)
+	qs.IO = cur.Flush()
 	return set.Results(), qs, nil
 }
 

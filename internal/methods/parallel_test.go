@@ -8,6 +8,7 @@ import (
 
 	"hydra/internal/core"
 	"hydra/internal/dataset"
+	"hydra/internal/storage"
 )
 
 // TestParallelBuilds: separate method instances over separate collections
@@ -48,21 +49,36 @@ func TestParallelBuilds(t *testing.T) {
 
 // TestConcurrentQueriesOneCollection: one built method instance over ONE
 // shared collection must answer concurrent queries race-free (run under
-// -race) and return the same matches as serial execution. This is the
-// regression test for the shared SeriesFile cursor (now atomic) and for
-// ADS+'s adaptive materialization map (now mutex-guarded) — TestParallelBuilds
-// above only covers separate collections. It also pins that SFA and the
-// VA+file keep no DFT workspace on their shared transform: the workers start
-// at different queries, so a buffer on the transform would hold another
-// query's spectrum (wrong answers here, a reported race under -race).
+// -race) and return the same matches as serial execution — and the same
+// per-query I/O record: every query reads through its own storage.Cursor,
+// so another query's reads never land in its QueryStats.IO, and the
+// collection's Counters grow by exactly the sum of the records. It covers
+// ADS+'s adaptive materialization map (mutex-guarded), whose first touch is
+// stateful by design, so every method is compared after one serial warm-up
+// pass, and every other method must record the same I/O on both passes. It
+// also pins that SFA and the VA+file keep no DFT workspace on their shared
+// transform: the workers start at different queries, so a buffer on the
+// transform would hold another query's spectrum (wrong answers here, a
+// reported race under -race). TestParallelBuilds above only covers
+// separate collections.
 func TestConcurrentQueriesOneCollection(t *testing.T) {
 	ds := dataset.RandomWalk(300, 64, 81)
 	queries := dataset.SynthRand(6, 64, 82).Queries
 	const k = 3
+	type tc struct {
+		label string
+		name  string
+		opts  core.Options
+	}
+	var cases []tc
 	for _, name := range All() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			m, err := core.New(name, core.Options{LeafSize: 16})
+		cases = append(cases, tc{name, name, core.Options{LeafSize: 16}})
+	}
+	cases = append(cases, tc{"UCR-Suite workers=2", "UCR-Suite", core.Options{Workers: 2}})
+	ctx := context.Background()
+	for _, c := range cases {
+		t.Run(c.label, func(t *testing.T) {
+			m, err := core.New(c.name, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,20 +86,26 @@ func TestConcurrentQueriesOneCollection(t *testing.T) {
 			if err := m.Build(coll); err != nil {
 				t.Fatal(err)
 			}
-			// Serial reference answers from the same built instance (queries
-			// are read-only for every method, so asking first is safe).
-			preSerial := coll.Counters.Snapshot().TotalBytes()
+			// Serial reference answers and records from the same built
+			// instance (queries are read-only for every method but ADS+'s
+			// first touch, so asking first is safe).
 			want := make([][]core.Match, len(queries))
-			for qi, q := range queries {
-				res, _, err := m.KNN(context.Background(), q, k)
-				if err != nil {
-					t.Fatal(err)
+			wantIO := make([]storage.Snapshot, len(queries))
+			for pass := 0; pass < 2; pass++ {
+				for qi, q := range queries {
+					res, qs, err := core.RunQuery(ctx, m, coll, q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if pass == 1 && c.name != "ADS+" && qs.IO != wantIO[qi] {
+						t.Errorf("query %d: I/O %v on the second serial pass, %v on the first", qi, qs.IO, wantIO[qi])
+					}
+					want[qi], wantIO[qi] = res, qs.IO
 				}
-				want[qi] = res
 			}
-			postSerial := coll.Counters.Snapshot().TotalBytes()
-			serialBytes := postSerial - preSerial
+			before := coll.Counters.Snapshot()
 			const workers = 4
+			sums := make([]storage.Snapshot, workers)
 			var wg sync.WaitGroup
 			errCh := make(chan error, workers*len(queries))
 			for w := 0; w < workers; w++ {
@@ -92,15 +114,19 @@ func TestConcurrentQueriesOneCollection(t *testing.T) {
 					defer wg.Done()
 					for n := range queries {
 						qi := (first + n) % len(queries)
-						got, _, err := m.KNN(context.Background(), queries[qi], k)
+						got, qs, err := core.RunQuery(ctx, m, coll, queries[qi], k)
 						if err != nil {
 							errCh <- err
 							return
 						}
+						sums[first] = sums[first].Add(qs.IO)
+						if qs.IO != wantIO[qi] {
+							t.Errorf("query %d: concurrent I/O %v, serial %v", qi, qs.IO, wantIO[qi])
+						}
 						for i := range want[qi] {
 							if got[i].ID != want[qi][i].ID || got[i].Dist != want[qi][i].Dist {
-								t.Errorf("%s query %d match %d: (%d, %v), want (%d, %v)",
-									name, qi, i, got[i].ID, got[i].Dist, want[qi][i].ID, want[qi][i].Dist)
+								t.Errorf("query %d match %d: (%d, %v), want (%d, %v)",
+									qi, i, got[i].ID, got[i].Dist, want[qi][i].ID, want[qi][i].Dist)
 								return
 							}
 						}
@@ -112,12 +138,12 @@ func TestConcurrentQueriesOneCollection(t *testing.T) {
 			for err := range errCh {
 				t.Error(err)
 			}
-			// If serial queries charge I/O, the concurrent ones must have
-			// accumulated charges too (none lost); memory-resident methods
-			// legitimately charge nothing per query.
-			if after := coll.Counters.Snapshot().TotalBytes(); serialBytes > 0 && after == postSerial {
-				t.Errorf("%s: concurrent queries charged no I/O (serial pass charged %d bytes)",
-					name, serialBytes)
+			var sum storage.Snapshot
+			for _, s := range sums {
+				sum = sum.Add(s)
+			}
+			if grown := coll.Counters.Snapshot().Sub(before); grown != sum {
+				t.Errorf("counters grew by %v, the queries recorded %v", grown, sum)
 			}
 		})
 	}

@@ -72,19 +72,17 @@ func (s *Scan) KNN(ctx context.Context, q series.Series, k int) ([]core.Match, s
 	}
 
 	set := core.NewKNNSet(k)
-	f.Rewind()
-	for lo := 0; lo < f.Len(); lo += chunk {
+	cur := f.Cursor()
+	for lo := 0; lo < cur.Len(); lo += chunk {
 		if err := core.Canceled(ctx); err != nil {
+			qs.IO = cur.Flush()
 			return nil, qs, err
 		}
-		hi := lo + chunk
-		if hi > f.Len() {
-			hi = f.Len()
-		}
+		hi := min(lo+chunk, cur.Len())
 		// The flat arena view streams the block without materializing
 		// per-series slice headers; its values are series lo..hi-1
 		// back-to-back, exactly the widened layout Convolve wants.
-		block := f.FlatRange(lo, hi)
+		block := cur.Range(lo, hi)
 		x := make([]float64, (hi-lo)*n)
 		for i, v := range block {
 			x[i] = float64(v)
@@ -110,7 +108,8 @@ func (s *Scan) KNN(ctx context.Context, q series.Series, k int) ([]core.Match, s
 	// exact (the convolution carries ~1e-12 relative FFT rounding).
 	matches := set.Results()
 	for i := range matches {
-		matches[i].Dist = series.Dist(q, f.Peek(matches[i].ID))
+		matches[i].Dist = series.Dist(q, cur.Peek(matches[i].ID))
 	}
+	qs.IO = cur.Flush()
 	return matches, qs, nil
 }

@@ -73,20 +73,21 @@ func (s *Scan) KNN(ctx context.Context, q series.Series, k int) ([]core.Match, s
 	defer s.pool.Put(sc)
 	ord := sc.Order(q)
 	set := sc.KNN(k)
-	f := s.c.File
-	f.Rewind()
-	for i := 0; i < f.Len(); i++ {
+	cur := s.c.File.Cursor()
+	for i := 0; i < cur.Len(); i++ {
 		if i%core.CancelBlock == 0 {
 			if err := core.Canceled(ctx); err != nil {
+				qs.IO = cur.Flush()
 				return nil, qs, err
 			}
 		}
-		cand := f.Read(i)
+		cand := cur.Read(i)
 		d := series.SquaredDistEAOrderedBlocked(q, cand, ord, set.Bound())
 		qs.DistCalcs++
 		qs.RawSeriesExamined++
 		set.Add(i, d)
 	}
+	qs.IO = cur.Flush()
 	return set.Results(), qs, nil
 }
 

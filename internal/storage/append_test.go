@@ -42,9 +42,10 @@ func TestSeriesFileAppend(t *testing.T) {
 			t.Fatalf("appended value %d = %v, want %v", i, got, batch[i])
 		}
 	}
-	flat := f.FlatRange(0, 5)
+	cur := f.Cursor()
+	flat := cur.Range(0, 5)
 	if len(flat) != 5*length {
-		t.Fatalf("FlatRange over grown file: %d values", len(flat))
+		t.Fatalf("range over grown file: %d values", len(flat))
 	}
 	// The append was charged as one sequential write.
 	d := c.Snapshot().Sub(before)
@@ -108,9 +109,14 @@ func TestSeriesFileAppendConcurrentReaders(t *testing.T) {
 					t.Errorf("Len shrank to %d", n)
 					return
 				}
-				flat := f.FlatRange(0, n)
+				cur := f.Cursor()
+				if cur.Len() < n {
+					t.Errorf("cursor pinned %d series, Len was %d", cur.Len(), n)
+					return
+				}
+				flat := cur.Range(0, n)
 				if len(flat) != n*length {
-					t.Errorf("FlatRange(0,%d) returned %d values", n, len(flat))
+					t.Errorf("Range(0,%d) returned %d values", n, len(flat))
 					return
 				}
 				s := f.Peek(n - 1)
@@ -118,9 +124,10 @@ func TestSeriesFileAppendConcurrentReaders(t *testing.T) {
 					t.Errorf("Peek returned %d values", len(s))
 					return
 				}
-				for _, sh := range f.Shards(3) {
-					for i := sh.Lo(); i < sh.Hi(); i += 7 {
-						_ = sh.Peek(i)
+				for i := 0; i < cur.Len(); i += 7 {
+					if len(cur.Read(i)) != length {
+						t.Errorf("Read(%d) returned a short series", i)
+						return
 					}
 				}
 			}

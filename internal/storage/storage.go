@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hydra/internal/faultpoint"
 	"hydra/internal/series"
 )
 
@@ -57,8 +56,9 @@ func (d DeviceProfile) IOTime(randOps int64, bytes int64) time.Duration {
 	return seek + transfer
 }
 
-// Counters accumulates simulated disk accesses. All methods are safe for
-// concurrent use (benchmarks may build indexes in parallel).
+// Counters accumulates simulated disk accesses: build-time charges directly,
+// and each query's reads once, when its Cursor is flushed. All methods are
+// safe for concurrent use (benchmarks may build indexes in parallel).
 type Counters struct {
 	seqOps    atomic.Int64
 	seqBytes  atomic.Int64
@@ -67,37 +67,21 @@ type Counters struct {
 }
 
 // ChargeSeq records a sequential read of n bytes.
-func (c *Counters) ChargeSeq(n int64) {
-	if c == nil {
-		return
-	}
-	c.seqOps.Add(1)
-	c.seqBytes.Add(n)
-}
+func (c *Counters) ChargeSeq(n int64) { c.Add(Snapshot{SeqOps: 1, SeqBytes: n}) }
 
 // ChargeRand records a random read (one seek) of n bytes.
-func (c *Counters) ChargeRand(n int64) {
+func (c *Counters) ChargeRand(n int64) { c.Add(Snapshot{RandOps: 1, RandBytes: n}) }
+
+// Add records a whole access record at once: a flushed Cursor's.
+func (c *Counters) Add(s Snapshot) {
 	if c == nil {
 		return
 	}
-	c.randOps.Add(1)
-	c.randBytes.Add(n)
+	c.seqOps.Add(s.SeqOps)
+	c.seqBytes.Add(s.SeqBytes)
+	c.randOps.Add(s.RandOps)
+	c.randBytes.Add(s.RandBytes)
 }
-
-// SeqOps returns the number of sequential operations recorded.
-func (c *Counters) SeqOps() int64 { return c.seqOps.Load() }
-
-// SeqBytes returns the number of sequentially read bytes recorded.
-func (c *Counters) SeqBytes() int64 { return c.seqBytes.Load() }
-
-// RandOps returns the number of random operations (seeks) recorded.
-func (c *Counters) RandOps() int64 { return c.randOps.Load() }
-
-// RandBytes returns the number of randomly read bytes recorded.
-func (c *Counters) RandBytes() int64 { return c.randBytes.Load() }
-
-// TotalBytes returns all bytes moved.
-func (c *Counters) TotalBytes() int64 { return c.seqBytes.Load() + c.randBytes.Load() }
 
 // Snapshot captures the current counter values.
 func (c *Counters) Snapshot() Snapshot {
@@ -163,19 +147,14 @@ const BytesPerValue = 4
 // 64-byte-aligned float32 arena (series i occupies arena[i*L:(i+1)*L]), so
 // the in-memory layout matches the on-disk one: leaf scans and sequential
 // passes stream one contiguous region instead of pointer-chasing per-series
-// heap allocations. Read, FlatRange and Peek return subslices of the arena;
+// heap allocations. Cursor reads and Peek return subslices of the arena;
 // callers must treat them as immutable views (see the package series docs
-// for the aliasing contract). All reads are charged to the attached
-// Counters. Access position is tracked so that consecutive reads are charged
-// as sequential and everything else as a seek, mirroring how the paper
-// counts skip-sequential methods.
+// for the aliasing contract).
 //
-// Concurrency: the cursor is atomic, so concurrent Read/FlatRange calls are
-// race-free and never lose a charge — but goroutines interleaving reads on
-// one shared cursor scramble the seq/rand attribution (each one's read looks
-// like a seek to the next). Concurrent scans that need the paper's exact
-// accounting must use per-shard views from Shards, which give every worker
-// its own cursor while charging the same atomic Counters.
+// Charged reads go through a Cursor, which each query makes for itself: the
+// file keeps no read position, so concurrent queries never disturb one
+// another's sequential/random attribution, and the shared Counters see one
+// write per query. Build-time charges still go to the Counters directly.
 //
 // The file is growable: Append extends it at the tail (the live-ingestion
 // path). Arena and count are published together through one atomic pointer,
@@ -186,11 +165,10 @@ const BytesPerValue = 4
 // is copied into a larger aligned block with headroom — readers holding
 // views of the old arena keep valid immutable data either way.
 type SeriesFile struct {
-	state   atomic.Pointer[fileState]
-	length  int
-	c       *Counters
-	growMu  sync.Mutex   // serializes Append
-	nextSeq atomic.Int64 // index of the series a sequential read would hit next
+	state  atomic.Pointer[fileState]
+	length int
+	c      *Counters
+	growMu sync.Mutex // serializes Append
 }
 
 // fileState is one immutable published snapshot of the file's extent.
@@ -241,11 +219,6 @@ func NewSeriesFileFlat(flat []float32, count, length int, c *Counters) *SeriesFi
 	return f
 }
 
-// at returns the arena view of series i in the current published state.
-func (f *SeriesFile) at(i int) series.Series {
-	return f.state.Load().at(i, f.length)
-}
-
 // Len returns the number of series in the file.
 func (f *SeriesFile) Len() int { return f.state.Load().count }
 
@@ -258,54 +231,10 @@ func (f *SeriesFile) SeriesBytes() int64 { return int64(f.length) * BytesPerValu
 // SizeBytes returns the on-disk size of the whole file.
 func (f *SeriesFile) SizeBytes() int64 { return int64(f.Len()) * f.SeriesBytes() }
 
-// Counters returns the counters this file charges to.
-func (f *SeriesFile) Counters() *Counters { return f.c }
-
-// Rewind resets the sequential cursor to the start of the file (e.g., before
-// a full scan). It charges nothing: the first read of a scan is charged as
-// one seek by Read if the cursor had moved.
-func (f *SeriesFile) Rewind() { f.nextSeq.Store(0) }
-
-// Read returns series i, charging a sequential access if i continues the
-// previous read and a random access (seek) otherwise.
-func (f *SeriesFile) Read(i int) series.Series {
-	// The CAS advances the cursor and detects continuation in one step; on a
-	// miss (a seek, or another goroutine interleaving on the shared cursor)
-	// the read is charged as random and the cursor repositioned.
-	if f.nextSeq.CompareAndSwap(int64(i), int64(i)+1) {
-		f.c.ChargeSeq(f.SeriesBytes())
-	} else {
-		f.c.ChargeRand(f.SeriesBytes())
-		f.nextSeq.Store(int64(i) + 1)
-	}
-	return f.at(i)
-}
-
-// FlatRange returns the arena values of series [lo, hi) as one flat view
-// (stride SeriesLen), charged as exactly one sequential transfer of the
-// whole range, preceded by one seek (a zero-byte random op) when the cursor
-// was not already positioned at lo: the bytes always count as one
-// sequential operation, never as per-series random transfers. Block scans
-// that stream values (MASS) use it.
-func (f *SeriesFile) FlatRange(lo, hi int) []float32 {
-	st := f.state.Load()
-	if lo < 0 || hi > st.count || lo > hi {
-		panic(fmt.Sprintf("storage: FlatRange[%d,%d) out of bounds 0..%d", lo, hi, st.count))
-	}
-	faultpoint.Delay(faultpoint.StorageSlowRead)
-	n := int64(hi-lo) * f.SeriesBytes()
-	if !f.nextSeq.CompareAndSwap(int64(lo), int64(hi)) {
-		f.c.ChargeRand(0) // the seek repositioning the head
-		f.nextSeq.Store(int64(hi))
-	}
-	f.c.ChargeSeq(n)
-	return st.arena[lo*f.length : hi*f.length : hi*f.length]
-}
-
 // Peek returns series i without charging any I/O. It is used by index
 // construction paths whose I/O is charged at a coarser granularity (e.g.,
 // one sequential pass over the file) and by test oracles.
-func (f *SeriesFile) Peek(i int) series.Series { return f.at(i) }
+func (f *SeriesFile) Peek(i int) series.Series { return f.state.Load().at(i, f.length) }
 
 // PeekFlat returns the arena values of series [lo, hi) as one flat view
 // without charging any I/O — Peek for a range. The checkpoint path reads the
@@ -322,14 +251,6 @@ func (f *SeriesFile) PeekFlat(lo, hi int) []float32 {
 // bulk-loading index builders read their input.
 func (f *SeriesFile) ChargeFullScan() {
 	f.c.ChargeSeq(f.SizeBytes())
-	f.nextSeq.Store(int64(f.Len()))
-}
-
-// ChargeLeafRead charges one leaf access: a seek plus a sequential transfer
-// of n series, without moving the sequential cursor of the raw file (leaves
-// live in separate index files).
-func (f *SeriesFile) ChargeLeafRead(nSeries int) {
-	f.c.ChargeRand(int64(nSeries) * f.SeriesBytes())
 }
 
 // Append extends the file with len(values)/SeriesLen new series (values
@@ -363,6 +284,5 @@ func (f *SeriesFile) Append(values []float32) int {
 	copy(arena[first*f.length:], values)
 	f.state.Store(&fileState{arena: arena, count: newLen / f.length})
 	f.c.ChargeSeq(int64(len(values)) * BytesPerValue)
-	f.nextSeq.Store(int64(newLen / f.length))
 	return first
 }

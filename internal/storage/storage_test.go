@@ -20,126 +20,128 @@ func makeFile(n, l int) (*SeriesFile, *Counters) {
 	return NewSeriesFile(data, c), c
 }
 
+// TestSequentialVsRandomCharging: a cursor charges a read that continues its
+// previous one as sequential and any other as a seek, in its own record;
+// the file's Counters see the record only when it is flushed.
 func TestSequentialVsRandomCharging(t *testing.T) {
 	f, c := makeFile(10, 4)
-	f.Read(0) // first read from position 0: sequential
-	f.Read(1) // continues: sequential
-	f.Read(5) // skip: random
-	f.Read(6) // continues: sequential
-	f.Read(2) // backwards: random
-	if got := c.SeqOps(); got != 3 {
-		t.Errorf("SeqOps=%d want 3", got)
+	cur := f.Cursor()
+	cur.Read(0) // first read from position 0: sequential
+	cur.Read(1) // continues: sequential
+	cur.Read(5) // skip: random
+	cur.Read(6) // continues: sequential
+	cur.Read(2) // backwards: random
+	if got := c.Snapshot(); got != (Snapshot{}) {
+		t.Errorf("counters moved before the flush: %v", got)
 	}
-	if got := c.RandOps(); got != 2 {
-		t.Errorf("RandOps=%d want 2", got)
+	rec := cur.Flush()
+	if rec.SeqOps != 3 || rec.RandOps != 2 {
+		t.Errorf("record %v, want 3 sequential and 2 random ops", rec)
 	}
 	wantBytes := int64(5 * 4 * BytesPerValue)
-	if got := c.TotalBytes(); got != wantBytes {
-		t.Errorf("TotalBytes=%d want %d", got, wantBytes)
+	if rec.TotalBytes() != wantBytes {
+		t.Errorf("TotalBytes=%d want %d", rec.TotalBytes(), wantBytes)
+	}
+	if got := c.Snapshot(); got != rec {
+		t.Errorf("counters %v after the flush, want the record %v", got, rec)
+	}
+	if again := cur.Flush(); again != (Snapshot{}) || c.Snapshot() != rec {
+		t.Errorf("second flush returned %v and left counters %v", again, c.Snapshot())
 	}
 }
 
-func TestRewindMakesScanSequential(t *testing.T) {
-	f, c := makeFile(8, 2)
-	f.Read(3)
-	f.Rewind()
-	for i := 0; i < 8; i++ {
-		f.Read(i)
-	}
-	// Read(3) seq (from pos 0? no: first read at 0 expected; read 3 is a
-	// skip => rand), then after rewind reads 0..7: read 0 continues from
-	// nextSeq=0 => seq.
-	if got := c.RandOps(); got != 1 {
-		t.Errorf("RandOps=%d want 1", got)
-	}
-	if got := c.SeqOps(); got != 8 {
-		t.Errorf("SeqOps=%d want 8", got)
-	}
-}
-
-// TestReadRange pins FlatRange, the file's range read: a view of exactly
-// the range's values, sequential while ranges continue one another, one
-// seek when they do not.
+// TestReadRange pins Cursor.Range, the range read: a view of exactly the
+// range's values, sequential while ranges continue one another, one seek
+// when they do not.
 func TestReadRange(t *testing.T) {
-	f, c := makeFile(10, 4)
-	block := f.FlatRange(0, 5)
+	f, _ := makeFile(10, 4)
+	cur := f.Cursor()
+	block := cur.Range(0, 5)
 	if len(block) != 5*4 || block[len(block)-1] != 5*4-1 {
 		t.Fatalf("block %v", block)
 	}
-	if c.SeqOps() != 1 || c.SeqBytes() != 5*4*BytesPerValue {
-		t.Errorf("range read miscounted: %v", c.Snapshot())
+	if cur.io.SeqOps != 1 || cur.io.SeqBytes != 5*4*BytesPerValue {
+		t.Errorf("range read miscounted: %v", cur.io)
 	}
-	f.FlatRange(5, 10) // continues
-	if c.SeqOps() != 2 || c.RandOps() != 0 {
-		t.Errorf("contiguous range read should stay sequential: %v", c.Snapshot())
+	cur.Range(5, 10) // continues
+	if cur.io.SeqOps != 2 || cur.io.RandOps != 0 {
+		t.Errorf("contiguous range read should stay sequential: %v", cur.io)
 	}
-	f.FlatRange(0, 2) // seek back
-	if c.RandOps() != 1 {
-		t.Errorf("backwards range read should seek: %v", c.Snapshot())
+	cur.Range(0, 2) // seek back
+	if cur.io.RandOps != 1 {
+		t.Errorf("backwards range read should seek: %v", cur.io)
 	}
 }
 
-// TestReadRangeChargesOneSequentialOp pins FlatRange's charge model: a
-// range is always exactly one sequential transfer of its bytes, plus one
-// zero-byte seek when the cursor was elsewhere — never per-series random
-// transfers, and never range bytes drifting into the random-byte column.
+// TestReadRangeChargesOneSequentialOp pins Range's charge model: a range is
+// always exactly one sequential transfer of its bytes, plus one zero-byte
+// seek when the cursor was elsewhere — never per-series random transfers,
+// and never range bytes drifting into the random-byte column.
 func TestReadRangeChargesOneSequentialOp(t *testing.T) {
-	f, c := makeFile(10, 4)
-	f.FlatRange(0, 5) // cursor at 0: pure sequential
-	if got := c.Snapshot(); got != (Snapshot{SeqOps: 1, SeqBytes: 5 * 4 * BytesPerValue}) {
+	f, _ := makeFile(10, 4)
+	cur := f.Cursor()
+	cur.Range(0, 5) // cursor at 0: pure sequential
+	if got := cur.Flush(); got != (Snapshot{SeqOps: 1, SeqBytes: 5 * 4 * BytesPerValue}) {
 		t.Fatalf("aligned range: %v", got)
 	}
-	c.Reset()
-	f.FlatRange(2, 7) // cursor at 5: one seek, then one sequential transfer
+	cur.Range(2, 7) // cursor at 5: one seek, then one sequential transfer
 	want := Snapshot{SeqOps: 1, SeqBytes: 5 * 4 * BytesPerValue, RandOps: 1, RandBytes: 0}
-	if got := c.Snapshot(); got != want {
+	if got := cur.Flush(); got != want {
 		t.Fatalf("misaligned range: %v want %v", got, want)
 	}
-	c.Reset()
-	f.FlatRange(7, 10) // continues: sequential again, no seek
-	if got := c.Snapshot(); got != (Snapshot{SeqOps: 1, SeqBytes: 3 * 4 * BytesPerValue}) {
+	cur.Range(7, 10) // continues: sequential again, no seek
+	if got := cur.Flush(); got != (Snapshot{SeqOps: 1, SeqBytes: 3 * 4 * BytesPerValue}) {
 		t.Fatalf("continuing range: %v", got)
 	}
 	// The simulated time of a misaligned range equals seek + transfer —
 	// bytes never pay the seek latency twice.
-	c.Reset()
-	f.FlatRange(0, 10)
-	if got, wantT := c.Snapshot().IOTime(HDD), HDD.IOTime(1, 10*4*BytesPerValue); got != wantT {
+	cur.Range(0, 10)
+	if got, wantT := cur.Flush().IOTime(HDD), HDD.IOTime(1, 10*4*BytesPerValue); got != wantT {
 		t.Fatalf("IO time %v want %v", got, wantT)
 	}
 }
 
 func TestReadRangeBounds(t *testing.T) {
 	f, _ := makeFile(4, 2)
+	cur := f.Cursor()
 	defer func() {
 		if recover() == nil {
 			t.Errorf("expected panic for out-of-bounds range")
 		}
 	}()
-	f.FlatRange(2, 9)
+	cur.Range(2, 9)
 }
 
 func TestPeekChargesNothing(t *testing.T) {
 	f, c := makeFile(5, 3)
 	f.Peek(4)
-	if c.TotalBytes() != 0 || c.SeqOps() != 0 || c.RandOps() != 0 {
-		t.Errorf("Peek must be free: %v", c.Snapshot())
+	cur := f.Cursor()
+	cur.Peek(4)
+	if rec := cur.Flush(); rec != (Snapshot{}) || c.Snapshot() != (Snapshot{}) {
+		t.Errorf("Peek must be free: record %v, counters %v", rec, c.Snapshot())
 	}
 }
 
+// TestChargeHelpers: the build's full-scan charge goes to the Counters
+// directly; a leaf access and side-file reads go to the cursor's record and
+// leave its position alone.
 func TestChargeHelpers(t *testing.T) {
 	f, c := makeFile(6, 2)
 	f.ChargeFullScan()
-	if c.SeqBytes() != f.SizeBytes() {
-		t.Errorf("full scan bytes %d want %d", c.SeqBytes(), f.SizeBytes())
+	if c.Snapshot().SeqBytes != f.SizeBytes() {
+		t.Errorf("full scan bytes %d want %d", c.Snapshot().SeqBytes, f.SizeBytes())
 	}
-	before := c.RandOps()
-	f.ChargeLeafRead(3)
-	if c.RandOps() != before+1 {
-		t.Errorf("leaf read should be one seek")
+	cur := f.Cursor()
+	cur.Leaf(3)
+	if cur.io != (Snapshot{RandOps: 1, RandBytes: 3 * f.SeriesBytes()}) {
+		t.Errorf("leaf read should be one seek of 3 series: %v", cur.io)
 	}
-	if c.RandBytes() != 3*f.SeriesBytes() {
-		t.Errorf("leaf read bytes %d want %d", c.RandBytes(), 3*f.SeriesBytes())
+	cur.ChargeSeq(100)
+	cur.ChargeRand(10)
+	cur.Read(0) // the position is still 0: sequential
+	want := Snapshot{SeqOps: 2, SeqBytes: 100 + f.SeriesBytes(), RandOps: 2, RandBytes: 3*f.SeriesBytes() + 10}
+	if got := cur.Flush(); got != want {
+		t.Errorf("record %v, want %v", got, want)
 	}
 }
 
@@ -190,9 +192,14 @@ func TestCountersReset(t *testing.T) {
 	if c.Snapshot() != (Snapshot{}) {
 		t.Errorf("Reset left counters: %v", c.Snapshot())
 	}
+	c.Add(Snapshot{SeqOps: 1, SeqBytes: 2, RandOps: 3, RandBytes: 4})
+	if c.Snapshot() != (Snapshot{SeqOps: 1, SeqBytes: 2, RandOps: 3, RandBytes: 4}) {
+		t.Errorf("Add recorded %v", c.Snapshot())
+	}
 	var nilC *Counters
 	nilC.ChargeSeq(1) // must not panic
 	nilC.ChargeRand(1)
+	nilC.Add(Snapshot{SeqOps: 1})
 }
 
 func TestNewSeriesFileValidation(t *testing.T) {
