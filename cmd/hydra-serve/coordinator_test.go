@@ -3,10 +3,12 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -704,5 +706,70 @@ func TestBreakerLifecycle(t *testing.T) {
 	b.success()
 	if !b.allow(later) || !b.ready(later) {
 		t.Fatal("successful trial did not close the breaker")
+	}
+}
+
+// allocatedDuring returns the bytes the process allocated while f ran
+// (runtime.MemStats.TotalAlloc, which no collection lowers): an upper bound
+// on what f grew the heap by.
+func allocatedDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// requestSizedAllocLimit bounds what one request with an absurd k may
+// allocate: far above what answering it needs, far below what a k-sized
+// buffer would take.
+const requestSizedAllocLimit = 64 << 20
+
+// TestCoordinatorHugeKBoundedAlloc: the coordinator sizes its gather by
+// what the shards answer, not by the k in the body, so /query and /batch
+// with k = 2^40 answer every series, exactly, without allocating k of
+// anything.
+func TestCoordinatorHugeKBoundedAlloc(t *testing.T) {
+	d, err := hydra.Generate("synthetic", 200, 64, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := hydra.Open("", hydra.WithData(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := newTestFleet(t, d, "UCR-Suite", 2)
+	h := fleetCoordinator(fleet, testCoordCfg()).handler()
+	q := d.Series(17)
+	want, err := whole.Query(context.Background(), q, d.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 1 << 40
+	var rec *httptest.ResponseRecorder
+	var resp queryResponse
+	if n := allocatedDuring(func() { rec, resp = postCoordQuery(t, h, q, k) }); n >= requestSizedAllocLimit {
+		t.Errorf("/query with k=2^40 allocated %d bytes", n)
+	}
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/query with k=2^40: status %d: %s", rec.Code, rec.Body)
+	}
+	assertBitIdentical(t, resp.Matches, want, "/query k=2^40")
+
+	n := allocatedDuring(func() {
+		rec = postJSON(t, h, "/batch", batchRequest{Queries: [][]float32{q, q, q}, K: k})
+	})
+	if n >= requestSizedAllocLimit {
+		t.Errorf("/batch of 3 with k=2^40 allocated %d bytes", n)
+	}
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/batch with k=2^40: status %d: %s", rec.Code, rec.Body)
+	}
+	var batch batchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &batch); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range batch.Results {
+		assertBitIdentical(t, r.Matches, want, fmt.Sprintf("/batch[%d] k=2^40", i))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -187,5 +188,39 @@ func TestServeIngestRecovery(t *testing.T) {
 	}
 	if len(matches) != 1 || matches[0].ID != 200 || matches[0].Dist != 0 {
 		t.Fatalf("recovered query: %+v, want ID 200 at distance 0", matches)
+	}
+}
+
+// TestServeRefusesNonFinite: JSON has no NaN or infinity, and a number past
+// the float32 range fails to decode, so a request that would carry a
+// non-finite value into /query, /batch or /ingest is answered 400 and
+// reaches no engine: nothing is appended.
+func TestServeRefusesNonFinite(t *testing.T) {
+	s, d := ingestTestServer(t, t.TempDir())
+	h := s.handler()
+	row := func(v string) string {
+		vals := make([]string, d.SeriesLen())
+		for i := range vals {
+			vals[i] = "0.5"
+		}
+		vals[9] = v
+		return "[" + strings.Join(vals, ",") + "]"
+	}
+	for _, v := range []string{"NaN", "Infinity", "-Infinity", "1e39", "-1e39"} {
+		for _, c := range []struct{ path, body string }{
+			{"/query", `{"k":3,"query":` + row(v) + `}`},
+			{"/batch", `{"k":3,"queries":[` + row("0.25") + `,` + row(v) + `]}`},
+			{"/ingest", `{"series":[` + row(v) + `]}`},
+		} {
+			req := httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("%s with %s: status %d, want 400: %s", c.path, v, rec.Code, rec.Body)
+			}
+		}
+	}
+	if st, _ := s.engine.IngestStats(); st.Appended != 0 || s.engine.Len() != d.Len() {
+		t.Fatalf("refused ingests appended %d series", st.Appended)
 	}
 }

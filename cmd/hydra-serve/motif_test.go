@@ -125,3 +125,24 @@ func TestServeStatuszEndpointCounters(t *testing.T) {
 		t.Fatalf("motif quantiles inconsistent: p50=%d p99=%d", st.Motif.P50Micros, st.Motif.P99Micros)
 	}
 }
+
+// TestServeMotifHugeKBoundedAlloc: a /motif with k = 2^40 extracts what the
+// profile holds without allocating k of anything.
+func TestServeMotifHugeKBoundedAlloc(t *testing.T) {
+	h, pl := longWalkServer(t)
+	var rec *httptest.ResponseRecorder
+	n := allocatedDuring(func() { rec = postJSON(t, h, "/motif", motifRequest{M: pl.M, K: 1 << 40}) })
+	if n >= requestSizedAllocLimit {
+		t.Errorf("/motif with k=2^40 allocated %d bytes", n)
+	}
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/motif with k=2^40: status %d: %s", rec.Code, rec.Body)
+	}
+	var resp motifResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Motifs) == 0 || len(resp.Discords) == 0 {
+		t.Fatalf("k=2^40 extracted %d motifs and %d discords", len(resp.Motifs), len(resp.Discords))
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"hydra/internal/dataset"
 	"hydra/internal/series"
+	"hydra/internal/simd"
 	"hydra/internal/storage"
 )
 
@@ -16,11 +17,33 @@ type Dataset struct {
 	d *dataset.Dataset
 }
 
+// checkFinite is the one finite-values check of the public boundary. It
+// returns the input-validation error naming the argument (arg formatted
+// with args) when values holds a NaN or an infinity, and nil otherwise;
+// with l > 0 the values are series of length l laid back to back and the
+// error names the series too. Queries are refused before they reach a
+// method — a NaN distance passes every early-abandon test — and collection,
+// workload and appended rows before anything stores or logs them.
+func checkFinite(values []float32, l int, arg string, args ...any) error {
+	i := simd.FirstNonFinite(values)
+	if i < 0 {
+		return nil
+	}
+	v, name := values[i], fmt.Sprintf(arg, args...)
+	if l > 0 {
+		name, i = fmt.Sprintf("%s %d", name, i/l), i%l
+	}
+	return fmt.Errorf("hydra: %s holds %v at position %d: values must be finite", name, v, i)
+}
+
 // OpenDataset reads a collection file in the suite's binary format (written
 // by Dataset.Save or the hydra-gen CLI).
 func OpenDataset(path string) (*Dataset, error) {
 	d, err := dataset.LoadFile(path)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkFinite(d.Flat(), d.SeriesLen(), "%s: series", path); err != nil {
 		return nil, err
 	}
 	return &Dataset{d: d}, nil
@@ -44,6 +67,9 @@ func NewDataset(rows [][]float32) (*Dataset, error) {
 			return nil, fmt.Errorf("hydra: series %d has length %d, want %d", i, len(row), l)
 		}
 		copy(flat[i*l:(i+1)*l], row)
+	}
+	if err := checkFinite(flat, l, "series"); err != nil {
+		return nil, err
 	}
 	d := dataset.FromFlat("user", flat, len(rows), l)
 	for _, s := range d.Series {
@@ -120,6 +146,11 @@ func OpenWorkload(path string) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
+	for i, q := range w.Queries {
+		if err := checkFinite(q, 0, "%s: query %d", path, i); err != nil {
+			return nil, err
+		}
+	}
 	return &Workload{w: w}, nil
 }
 
@@ -133,6 +164,9 @@ func NewWorkload(rows [][]float32) (*Workload, error) {
 	for i, row := range rows {
 		if len(row) != len(rows[0]) {
 			return nil, fmt.Errorf("hydra: query %d has length %d, want %d", i, len(row), len(rows[0]))
+		}
+		if err := checkFinite(row, 0, "query %d", i); err != nil {
+			return nil, err
 		}
 		s := make(series.Series, len(row))
 		copy(s, row)

@@ -49,7 +49,10 @@
 // a context error passed through, one of the sentinels in errors.go
 // (matched with errors.Is: the ErrSnapshot* family, ErrSnapshotMismatch,
 // ErrUnknownMethod, ErrWorkerPanic, ErrQueryPanic), or an input-validation
-// error naming the bad argument.
+// error naming the bad argument. Values must be finite: every query entry
+// point, NewDataset, OpenDataset, NewWorkload, OpenWorkload and Append
+// refuse a NaN or an infinity with that error, before the query runs or
+// the row is stored or logged (cmd/hydra-serve answers 400).
 //
 // WithPartialOnDeadline opts a query path into graceful degradation: when
 // a context deadline expires mid-query, Query and QueryWithStats return
@@ -238,9 +241,11 @@
 // are full sums computed in the serial kernel's lane structure and
 // reduction order, and the (distance, ID) top-k selection is
 // insertion-order independent. The blocked distance kernels used by the
-// scans and every index's leaf refinement (series.SquaredDistEABlocked and
-// the block-reordered series.SquaredDistEAOrderedBlocked, whose full sums
-// depend on the query's block order and on nothing else) agree with the
+// scans and every index's leaf refinement (series.SquaredDistEABlocked, the
+// block-reordered series.SquaredDistEAOrderedBlocked, whose full sums
+// depend on the query's block order and on nothing else, and the scan's
+// series.ScanRun, which returns that kernel's full sums for the rows of a
+// run that pass the bound) agree with the
 // scalar kernels to within 1e-9 relative error, never abandon a candidate
 // the scalar kernels keep, and return bit-identical values on every SIMD
 // backend (the internal/simd contract). Simulated I/O counts, pruning ratios

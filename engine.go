@@ -403,6 +403,9 @@ func (e *Engine) query(ctx context.Context, q []float32, k int, progress func(St
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if err := checkFinite(q, 0, "query"); err != nil {
+		return nil, QueryStats{}, err
+	}
 	if ing := e.ing; ing != nil {
 		ing.mu.RLock()
 		defer ing.mu.RUnlock()

@@ -212,6 +212,9 @@ func (e *Engine) Append(ctx context.Context, batch ...[]float32) error {
 		}
 		values = append(values, s...)
 	}
+	if err := checkFinite(values, sl, "append series"); err != nil {
+		return err
+	}
 	// Normalize the copies before logging, so the bytes the log replays are
 	// the bytes the arena holds — replay cannot drift from the live apply.
 	for i := 0; i < len(batch); i++ {

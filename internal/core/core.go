@@ -182,12 +182,14 @@ type KNNSet struct {
 	heap []Match // max-heap by squared dist (Match.Dist holds squared here)
 }
 
-// NewKNNSet creates a result set of capacity k (k >= 1).
+// NewKNNSet creates a result set of capacity k (k >= 1). The heap backing
+// starts at min(k, 64) matches and grows as candidates arrive, so a k taken
+// from a request allocates by what the set holds, not by what was asked.
 func NewKNNSet(k int) *KNNSet {
 	if k < 1 {
 		k = 1
 	}
-	return &KNNSet{k: k, heap: make([]Match, 0, k)}
+	return &KNNSet{k: k, heap: make([]Match, 0, min(k, 64))}
 }
 
 // Reset empties the set and switches it to capacity k, reusing the heap

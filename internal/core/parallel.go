@@ -132,7 +132,7 @@ func scanKNN(ctx context.Context, c *Collection, q series.Series, k, workers int
 	workers = min(workers, n)
 	ps := scanScratch.Get()
 	defer scanScratch.Put(ps)
-	ord := ps.Order(q)
+	ord, qw := ps.Order(q), ps.Wide(q)
 	merged := ps.KNN(k)
 	shared := NewBestSoFar()
 	var mu sync.Mutex
@@ -162,33 +162,11 @@ func scanKNN(ctx context.Context, c *Collection, q series.Series, k, workers int
 			defer scanScratch.Put(wsc)
 			set := wsc.KNN(k)
 			var ws stats.QueryStats
-			for i := wc.Lo(); i < wc.Hi(); i++ {
-				if (i-wc.Lo())%CancelBlock == 0 && Canceled(ctx) != nil {
-					// Stop scanning but still merge the counters below: the
-					// caller reports ctx.Err() (results are discarded on the
-					// exact path), and a degraded partial answer must carry
-					// the work actually done, not zeros.
-					break
-				}
-				cand := wc.Read(i)
-				bound := set.Bound()
-				if g := shared.Load(); g < bound {
-					bound = g
-				}
-				d := series.SquaredDistEAOrderedBlocked(q, cand, ord, bound)
-				ws.DistCalcs++
-				ws.RawSeriesExamined++
-				if set.Add(i, d) {
-					// A candidate is progress when it tightens the shared
-					// cross-worker bound — or enters a still-filling heap
-					// (bound +Inf), so a deadline-degraded consumer sees
-					// the first k candidates too, not only the evictions.
-					improved := shared.Tighten(set.Bound())
-					if emit != nil && (improved || math.IsInf(set.Bound(), 1)) {
-						emit(Match{ID: i, Dist: math.Sqrt(d)})
-					}
-				}
-			}
+			// A cancel stops the scan, but the counters below still merge:
+			// the caller reports ctx.Err() (results are discarded on the
+			// exact path), and a degraded partial answer must carry the
+			// work actually done, not zeros.
+			_ = ScanRows(ctx, &wc, qw, ord, set, shared, emit, &ws)
 			rec := wc.Flush()
 			mu.Lock()
 			merged.Merge(set)

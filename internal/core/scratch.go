@@ -7,12 +7,13 @@ import (
 )
 
 // Scratch is the per-query reusable state of the zero-allocation query
-// paths: the reordered query, the query summary (PAA vector, DFT features,
-// …), the candidate lower-bound and id buffers, the k-NN heap backing, a
-// node priority queue, the BestFirst frontier and the index's own walk
-// state, a candidate-id queue for filter-file visits, and a lower-bound
-// lookup table for the batched kernels. Buffers grow on demand and never
-// shrink, so steady-state queries stop allocating after the first few.
+// paths: the reordered query and its float64 widening, the query summary
+// (PAA vector, DFT features, …), the candidate lower-bound and id buffers,
+// the k-NN heap backing, a node priority queue, the BestFirst frontier and
+// the index's own walk state, a candidate-id queue for filter-file visits,
+// and a lower-bound lookup table for the batched kernels. Buffers grow on
+// demand and never shrink, so steady-state queries stop allocating after
+// the first few.
 //
 // A Scratch serves one query at a time; concurrent queries each take their
 // own from a ScratchPool. Everything handed out by a Scratch (orders,
@@ -20,6 +21,7 @@ import (
 // results that outlive the query must be copied out (KNNSet.Results does).
 type Scratch struct {
 	ob       series.OrderBuilder
+	wide     []float64
 	summary  []float64
 	aux      []float64
 	table    []float64
@@ -39,6 +41,16 @@ type Scratch struct {
 // equivalent to series.NewOrder without allocating. Valid until the next
 // Order call.
 func (s *Scratch) Order(q series.Series) series.Order { return s.ob.Build(q) }
+
+// Wide returns q with every value widened to float64, the query form of the
+// scan's run kernel (series.ScanRun). Valid until the next Wide call.
+func (s *Scratch) Wide(q series.Series) []float64 {
+	s.wide = growFloats(s.wide, len(q))
+	for i, v := range q {
+		s.wide[i] = float64(v)
+	}
+	return s.wide
+}
 
 // Summary returns a length-n float64 buffer for the query's reduced
 // representation. Contents are undefined; the caller fills it.

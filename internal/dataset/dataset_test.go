@@ -2,8 +2,12 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"hydra/internal/series"
@@ -245,5 +249,55 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 	if err := ds2.Validate(); err == nil {
 		t.Errorf("unnormalized collection should fail validation")
+	}
+}
+
+// TestLoadFileSizedByFile: LoadFile allocates a whole payload up front only
+// when the file holds it. A header claiming 2^36 values in front of a few
+// bytes fails on the short read without allocating the claim; a file cut
+// inside its payload fails the same way; an intact file loads exactly what
+// Load reads from a stream.
+func TestLoadFileSizedByFile(t *testing.T) {
+	dir := t.TempDir()
+	d := RandomWalk(300, 64, 3)
+	var buf bytes.Buffer
+	if err := d.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := filepath.Join(dir, "good.hyd")
+	if err := os.WriteFile(good, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := LoadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromStream, err := Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromFile.Flat(), fromStream.Flat()) || fromFile.SeriesLen() != 64 || fromFile.Len() != 300 {
+		t.Fatalf("file load %d×%d differs from the stream load", fromFile.Len(), fromFile.SeriesLen())
+	}
+
+	hostile := append([]byte(nil), buf.Bytes()[:14+len(d.Name)+64]...)
+	binary.LittleEndian.PutUint32(hostile[4:], 1<<26)
+	binary.LittleEndian.PutUint32(hostile[8:], 1<<10)
+	cut := buf.Bytes()[:buf.Len()-5]
+	for name, blob := range map[string][]byte{"hostile": hostile, "cut": cut} {
+		path := filepath.Join(dir, name+".hyd")
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := LoadFile(path)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s file loaded", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<20 {
+			t.Errorf("%s file: allocated %d bytes before failing", name, n)
+		}
 	}
 }

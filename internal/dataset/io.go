@@ -46,7 +46,12 @@ func (d *Dataset) Save(w io.Writer) error {
 }
 
 // Load reads a collection previously written by Save.
-func Load(r io.Reader) (*Dataset, error) {
+func Load(r io.Reader) (*Dataset, error) { return load(r, -1) }
+
+// load is Load given size, the number of bytes r holds (-1 when unknown).
+// A header whose payload fits in size is allocated for at once; any other
+// grows with the data actually read.
+func load(r io.Reader, size int64) (*Dataset, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, 4)
 	if _, err := io.ReadFull(br, head); err != nil {
@@ -82,15 +87,16 @@ func Load(r io.Reader) (*Dataset, error) {
 	// Decode into one flat backing that grows with the data actually read
 	// (append doubling), so a hostile header claiming terabytes fails with
 	// a short-read error after the real payload ends instead of forcing the
-	// full claimed allocation up front. The loaded collection still has the
-	// contiguous layout, so wrapping it in a simulated file later aliases
-	// instead of copying. (Large Go allocations are page-aligned, which
-	// subsumes the arena's 64-byte alignment for any collection where the
-	// alignment matters.)
+	// full claimed allocation up front — unless the file is known to hold
+	// the whole payload, which then needs no growth copies. The loaded
+	// collection still has the contiguous layout, so wrapping it in a
+	// simulated file later aliases instead of copying. (Large Go
+	// allocations are page-aligned, which subsumes the arena's 64-byte
+	// alignment for any collection where the alignment matters.)
 	total := int(product)
-	startCap := total
-	if startCap > 1<<20 {
-		startCap = 1 << 20
+	startCap := min(total, 1<<20)
+	if payload := size - int64(14+len(name)); payload >= 0 && uint64(payload) >= 4*product {
+		startCap = total
 	}
 	flat := make([]float32, 0, startCap)
 	buf := make([]byte, 4*length)
@@ -125,7 +131,11 @@ func LoadFile(path string) (*Dataset, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Load(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return load(f, fi.Size())
 }
 
 // SaveFile writes the workload to the named file (same format; queries are

@@ -34,6 +34,7 @@ func (p *Profile) Motifs(k int) []Motif {
 	if k <= 0 {
 		return nil
 	}
+	k = min(k, len(p.Dist)) // a request-sized k allocates no more than the profile holds
 	order := p.byDistance(false)
 	motifs := make([]Motif, 0, k)
 	taken := make([]int, 0, 2*k)
@@ -67,6 +68,7 @@ func (p *Profile) Discords(k int) []Discord {
 	if k <= 0 {
 		return nil
 	}
+	k = min(k, len(p.Dist))
 	order := p.byDistance(true)
 	discords := make([]Discord, 0, k)
 	taken := make([]int, 0, k)

@@ -5,6 +5,14 @@
 // computation, and (c) reordered early abandoning on Z-normalized data.
 // Early abandoning of Z-normalization does not apply because all datasets
 // are normalized in advance (§4.2).
+//
+// The scan loop is core.ScanRows, shared with every worker of the parallel
+// scan and with the stream: it hands the run kernel (series.ScanRun)
+// core.CancelBlock consecutive rows of the arena at a time, with the query
+// widened to float64 once per query, and the kernel returns only at a row
+// within the k-th best distance. A candidate therefore costs no Go call,
+// only the blocks the kernel sums before it abandons; the answer, and every
+// counter, is the one a call per candidate gave.
 package ucr
 
 import (
@@ -71,23 +79,13 @@ func (s *Scan) KNN(ctx context.Context, q series.Series, k int) ([]core.Match, s
 	}
 	sc := s.pool.Get()
 	defer s.pool.Put(sc)
-	ord := sc.Order(q)
 	set := sc.KNN(k)
 	cur := s.c.File.Cursor()
-	for i := 0; i < cur.Len(); i++ {
-		if i%core.CancelBlock == 0 {
-			if err := core.Canceled(ctx); err != nil {
-				qs.IO = cur.Flush()
-				return nil, qs, err
-			}
-		}
-		cand := cur.Read(i)
-		d := series.SquaredDistEAOrderedBlocked(q, cand, ord, set.Bound())
-		qs.DistCalcs++
-		qs.RawSeriesExamined++
-		set.Add(i, d)
-	}
+	err := core.ScanRows(ctx, &cur, sc.Wide(q), sc.Order(q), set, nil, nil, &qs)
 	qs.IO = cur.Flush()
+	if err != nil {
+		return nil, qs, err
+	}
 	return set.Results(), qs, nil
 }
 

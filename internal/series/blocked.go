@@ -59,3 +59,20 @@ func SquaredDistEAOrderedBlocked(q, c Series, ord Order, bound float64) float64 
 	checkOrdered(q, c, ord)
 	return simd.SquaredDistEAOrderedBlocked(q, c, ord.starts, bound)
 }
+
+// ScanRun is SquaredDistEAOrderedBlocked over n series stored back to back
+// from rows[0] (an arena run, storage.Cursor.ReadRun), walked in one kernel
+// call: it returns the position of the first series whose squared distance
+// is within bound's early-abandon threshold, and that distance, or next = n
+// when none is (see simd.ScanRun). qWide is the query ord was built for,
+// widened to float64. The distance is bit-identical to
+// SquaredDistEAOrderedBlocked on that series, and every series it skipped
+// would have been abandoned, or kept at a distance above bound, by that
+// kernel. It panics unless len(qWide) equals the length ord was built for
+// and rows holds n such series.
+func ScanRun(qWide []float64, rows []float32, n int, ord Order, bound float64) (next int, sum float64) {
+	if len(qWide) != ord.n {
+		panicOrdered(len(qWide), len(qWide), ord.n)
+	}
+	return simd.ScanRun(qWide, rows, n, ord.starts, bound)
+}

@@ -141,6 +141,47 @@ func BenchmarkSquaredDistEA(b *testing.B) {
 	}
 }
 
+// BenchmarkScanRun is a scan's inner loop over the collection of
+// BenchmarkSquaredDistEA's abandon-ooc regime, against the query's real
+// 10th-best bound: "run" hands ScanRun runs of 1024 rows (what
+// core.ScanRows does), "per-candidate" calls SquaredDistEAOrderedBlocked
+// once a row (the loop ScanRun replaced). An op is one candidate, so ns/op
+// is the cost per candidate and MB/s the scan throughput.
+func BenchmarkScanRun(b *testing.B) {
+	const n, run = 256, 1024
+	set := newEABenchSet(32<<20/(4*n), n, 10, 1)
+	count, qw := len(set.data)/n, widen(set.q)
+	b.Run("per-candidate/dispatched", func(b *testing.B) {
+		b.SetBytes(4 * n)
+		var sum float64
+		for i := 0; i < b.N; i++ {
+			sum += SquaredDistEAOrderedBlocked(set.q, set.row(i%count), set.starts, set.kth)
+		}
+		sink = sum
+	})
+	runs := func(b *testing.B) {
+		b.SetBytes(4 * n)
+		var sum float64
+		for done := 0; done < b.N; {
+			lo := done % count
+			m := min(run, count-lo, b.N-done)
+			rows := set.data[lo*n : (lo+m)*n]
+			for j := 0; j < m; {
+				next, d := ScanRun(qw, rows[j*n:], m-j, set.starts, set.kth)
+				sum += d
+				j += next + 1
+			}
+			done += m
+		}
+		sink = sum
+	}
+	b.Run("run/dispatched", runs)
+	b.Run("run/go", func(b *testing.B) {
+		defer forceGoBackend()()
+		runs(b)
+	})
+}
+
 // BenchmarkCodeBoundBatch times the code-bound kernel on the shapes the
 // engine runs — ADS+ SIMS (16 segments at cardinality 256, uniform rows,
 // through CodeBoundBatchStride) and the VA+file (16 dimensions with a
@@ -247,6 +288,24 @@ func BenchmarkBlockMoments(b *testing.B) {
 			for s := 0; s < count; s++ {
 				BlockMoments(data[s*n:(s+1)*n], out[s*32:(s+1)*32])
 			}
+		}
+	}
+	b.Run("dispatched", run)
+	b.Run("go", func(b *testing.B) {
+		defer forceGoBackend()()
+		run(b)
+	})
+}
+
+// BenchmarkFirstNonFinite is the public boundary's finite check over the
+// scan-exact collection (24 000 series of 256 values, 24.6 MB), which
+// opening the collection file pays once. MB/s counts the bytes checked.
+func BenchmarkFirstNonFinite(b *testing.B) {
+	data := benchSeries(24000*256, 10)
+	run := func(b *testing.B) {
+		b.SetBytes(4 * int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			sink += float64(FirstNonFinite(data))
 		}
 	}
 	b.Run("dispatched", run)

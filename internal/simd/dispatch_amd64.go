@@ -51,6 +51,12 @@ func squaredDistEABlockedAVX2(q, c []float32, thr float64) float64
 func squaredDistEAOrderedBlockedAVX2(q, c []float32, starts []int, thr float64) float64
 
 //go:noescape
+func scanRunAVX2(qw []float64, rows []float32, n int, starts []int, thr float64) (next int, sum float64)
+
+//go:noescape
+func allFiniteAVX2(x []float32) bool
+
+//go:noescape
 func codeBoundGroupsAsm(table []float64, offs []int, codesT []uint8, out []float64)
 
 //go:noescape
@@ -110,6 +116,40 @@ func SquaredDistEAOrderedBlocked(q, c []float32, starts []int, bound float64) fl
 		return squaredDistEAOrderedBlockedAVX2(q, c, starts, thr)
 	}
 	return squaredDistEAOrderedBlockedGo(q, c, starts, thr)
+}
+
+// ScanRun is SquaredDistEAOrderedBlocked over the n rows of len(qWide)
+// values stored back to back from rows[0], walked without a return between
+// candidates: it returns the first row whose squared distance from the query
+// is within bound's early-abandon threshold, as next (0 <= next < n), with
+// that distance as sum, bit-identical to SquaredDistEAOrderedBlocked on the
+// row. When no row passes it returns next = n and sum = 0. qWide is the
+// query with every value converted to float64 (exact), made once per query
+// instead of once per block. Which rows pass does not depend on how often
+// the kernel tests a partial sum, since partial sums never decrease; a NaN
+// sum is never above the threshold, so a NaN in the query or a row passes
+// that row. starts is clamped as in SquaredDistEAOrderedBlocked, and rows
+// must hold n·len(qWide) values (checked; it panics otherwise).
+//
+// The assembly prefetches, for each row, the leading blocks of the row
+// sixteen rows ahead, as the per-candidate kernel does.
+func ScanRun(qWide []float64, rows []float32, n int, starts []int, bound float64) (next int, sum float64) {
+	checkRun(len(qWide), len(rows), n)
+	thr := eaThreshold(bound)
+	if useAVX2 {
+		return scanRunAVX2(qWide, rows, n, starts, thr)
+	}
+	return scanRunGo(qWide, rows, n, starts, thr)
+}
+
+// FirstNonFinite returns the index of the first NaN or infinity in x, or
+// -1 when every value is finite.
+func FirstNonFinite(x []float32) int {
+	from := 0
+	if useAVX2 && allFiniteAVX2(x) {
+		from = len(x) &^ 7
+	}
+	return firstNonFiniteGo(x, from)
 }
 
 // codeBoundGroups scores the leading whole groups of eight candidates of

@@ -41,6 +41,27 @@ func SquaredDistEAOrderedBlocked(q, c []float32, starts []int, bound float64) fl
 	return squaredDistEAOrderedBlockedGo(q, c, starts, eaThreshold(bound))
 }
 
+// ScanRun is SquaredDistEAOrderedBlocked over the n rows of len(qWide)
+// values stored back to back from rows[0], walked without a return between
+// candidates: it returns the first row whose squared distance from the query
+// is within bound's early-abandon threshold, as next (0 <= next < n), with
+// that distance as sum, bit-identical to SquaredDistEAOrderedBlocked on the
+// row. When no row passes it returns next = n and sum = 0. qWide is the
+// query with every value converted to float64 (exact), made once per query
+// instead of once per block. Which rows pass does not depend on how often
+// the kernel tests a partial sum, since partial sums never decrease; a NaN
+// sum is never above the threshold, so a NaN in the query or a row passes
+// that row. starts is clamped as in SquaredDistEAOrderedBlocked, and rows
+// must hold n·len(qWide) values (checked; it panics otherwise).
+func ScanRun(qWide []float64, rows []float32, n int, starts []int, bound float64) (next int, sum float64) {
+	checkRun(len(qWide), len(rows), n)
+	return scanRunGo(qWide, rows, n, starts, eaThreshold(bound))
+}
+
+// FirstNonFinite returns the index of the first NaN or infinity in x, or
+// -1 when every value is finite.
+func FirstNonFinite(x []float32) int { return firstNonFiniteGo(x, 0) }
+
 // codeBoundGroups is the assembly share of CodeBoundBatch: none in this
 // build, so the Go kernel scores every candidate.
 func codeBoundGroups(table []float64, offs []int, codesT []uint8, out []float64) int { return 0 }

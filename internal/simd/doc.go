@@ -1,11 +1,14 @@
 // Package simd is the kernel layer: the innermost arithmetic loops of query
 // answering — exact Euclidean distance with blocked early abandoning
 // (sequential, and with whole BlockLen-element blocks reordered: one cache
-// line per block and contiguous loads, never an element gather), code-table
+// line per block and contiguous loads, never an element gather; the
+// reordered kernel also as a run over consecutive arena rows, ScanRun,
+// which returns only at a row within the bound), code-table
 // lookups for batched lower bounds (eight candidates a group, sums held in
 // registers — no vector gather either), interval (region/MBR/EAPCA) bound
-// sums, and the per-block moments of a series (the derive pass of the
-// member synopses) — each available as hand-written assembly on amd64 (AVX2+FMA
+// sums, the per-block moments of a series (the derive pass of the member
+// synopses), and the finite-values check of the public boundary
+// (FirstNonFinite) — each available as hand-written assembly on amd64 (AVX2+FMA
 // where vectors pay, plain scalar SSE2 for the table lookups) with a
 // portable Go twin, selected once at startup by runtime CPU-feature
 // detection.
@@ -44,6 +47,16 @@
 // them fast — so callers that need a scalar reference use the unblocked
 // kernels in internal/series.
 //
+// The run kernel's contract is stated over the rows that pass: ScanRun
+// returns the same row, with the same bits, as SquaredDistEAOrderedBlocked
+// called row by row and tested against the same threshold, on either
+// backend, although it tests a partial sum only after every second block
+// and once on the full sum. Which rows pass does not depend on that
+// schedule: the lane accumulators only grow (a fused multiply-add of a
+// square onto a sum rounds to no less than the sum) and so does every
+// reduction of them, so a row passes exactly when its full sum is within
+// the threshold. The partial sums of abandoned rows are not returned.
+//
 // # Adding a kernel
 //
 // New kernels follow the same recipe:
@@ -64,10 +77,12 @@
 // function and checked with at most O(1) work, because these loops sit
 // under every distance computation and lower bound in the suite. Arguments
 // that address memory are the exception. The block starts of
-// SquaredDistEAOrderedBlocked are clamped into the series as they are read,
-// on both backends alike. (The assembly's look-ahead prefetch in that
-// kernel forms addresses past c on purpose; a prefetch cannot fault and
-// loads nothing the kernel computes with.) The code bytes and row offsets
+// SquaredDistEAOrderedBlocked and ScanRun are clamped into the series as
+// they are read, on both backends alike, and ScanRun checks in O(1) that
+// its rows hold the n series it is asked to walk. (The assembly's
+// look-ahead prefetch in those kernels forms addresses past the data on
+// purpose; a prefetch cannot fault and loads nothing the kernel computes
+// with.) The code bytes and row offsets
 // of CodeBoundBatch are checked once per call, O(dimensions): the assembly
 // indexes rows with raw bytes, so the dispatcher takes it only when every
 // row start leaves 256 entries inside the table, and runs the

@@ -84,6 +84,32 @@ func TestSquaredDistEAOrderedBlockedEquivalence(t *testing.T) {
 	}
 }
 
+func TestScanRunEquivalence(t *testing.T) {
+	if !HasAVX2() {
+		t.Skip("no AVX2+FMA hardware; Go-vs-Go is vacuous")
+	}
+	rng := rand.New(rand.NewSource(4))
+	for _, l := range tailLengths() {
+		for off := 0; off < 3; off++ {
+			q := misalignF32(rng, l, off)
+			qw := widen(q)
+			for _, n := range runCounts {
+				rows := misalignF32(rng, n*l, off+1)
+				for _, starts := range append(blockOrders(rng, l), hostileStarts(rng, l)) {
+					for _, thr := range runThresholds(q, rows, n, starts) {
+						an, asm := scanRunAVX2(qw, rows, n, starts, thr)
+						gn, ref := scanRunGo(qw, rows, n, starts, thr)
+						if an != gn || !bitEq(asm, ref) {
+							t.Fatalf("l=%d off=%d n=%d starts=%v thr=%v: asm (%d, %v), go (%d, %v)",
+								l, off, n, starts, thr, an, asm, gn, ref)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestIntervalDistSqEquivalence(t *testing.T) {
 	if !HasAVX2() {
 		t.Skip("no AVX2+FMA hardware; Go-vs-Go is vacuous")

@@ -103,7 +103,11 @@ func squaredDistEABlockedGo(q, c []float32, thr float64) float64 {
 	return sum
 }
 
-func squaredDistEAOrderedBlockedGo(q, c []float32, starts []int, thr float64) float64 {
+// squaredDistEAOrderedBlockedGo is generic over the query's element type so
+// that the run kernel's twin can pass the query widened to float64 once:
+// float64(q[i]) is the same value whichever width q holds it at, so both
+// instantiations return the same bits.
+func squaredDistEAOrderedBlockedGo[Q float32 | float64](q []Q, c []float32, starts []int, thr float64) float64 {
 	var l0, l1, l2, l3, l4, l5, l6, l7 float64
 	n := len(q)
 	nb := min(len(starts), n/BlockLen)
@@ -142,6 +146,34 @@ func squaredDistEAOrderedBlockedGo(q, c []float32, starts []int, thr float64) fl
 		sum = math.FMA(d, d, sum)
 	}
 	return sum
+}
+
+// scanRunGo is the twin of scanRunAVX2: the per-candidate kernel over n
+// consecutive rows of len(qw) values, stopping at the first row whose sum
+// does not exceed thr. That sum is the row's full distance, because a
+// partial sum above thr would have been returned instead.
+func scanRunGo(qw []float64, rows []float32, n int, starts []int, thr float64) (int, float64) {
+	l := len(qw)
+	for r := 0; r < n; r++ {
+		if sum := squaredDistEAOrderedBlockedGo(qw, rows[r*l:(r+1)*l], starts, thr); !(sum > thr) {
+			return r, sum
+		}
+	}
+	return n, 0
+}
+
+// firstNonFiniteGo returns the index of the first NaN or infinity in
+// x[from:] — a value whose exponent field is all ones — or -1 when there is
+// none. The assembly clears the leading whole groups of eight at once and
+// passes the tail here; when it finds a non-finite value, the whole slice
+// is searched here from the start.
+func firstNonFiniteGo(x []float32, from int) int {
+	for i := from; i < len(x); i++ {
+		if math.Float32bits(x[i])&0x7f800000 == 0x7f800000 {
+			return i
+		}
+	}
+	return -1
 }
 
 // codeBoundGo scores candidates from..len(out)-1 of CodeBoundBatch: eight

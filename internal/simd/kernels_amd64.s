@@ -228,6 +228,131 @@ done:
 	VZEROUPPER
 	RET
 
+// STEP8W is STEP8 against a query already widened to float64: 8 float32
+// values of the row at CP from element IDX are converted and subtracted from
+// (not by) the widened query at QP, in the lanes STEP8 uses. c−q is the exact
+// negation of q−c, so every square and sum is the one STEP8 makes. Clobbers
+// Y4, Y5.
+#define STEP8W(QP, CP, IDX)  \
+	VCVTPS2PD (CP)(IDX*4), Y4     \
+	VCVTPS2PD 16(CP)(IDX*4), Y5   \
+	VSUBPD (QP)(IDX*8), Y4, Y4    \
+	VSUBPD 32(QP)(IDX*8), Y5, Y5  \
+	VFMADD231PD Y4, Y4, Y0        \
+	VFMADD231PD Y5, Y5, Y1
+
+// func scanRunAVX2(qw []float64, rows []float32, n int, starts []int, thr float64) (next int, sum float64)
+//
+// squaredDistEAOrderedBlockedAVX2 over the n rows of len(qw) values laid
+// back to back from rows, without returning between them: R12 counts rows,
+// DI points at the current one, and the kernel returns only with the first
+// row whose full sum is not above thr (or with next = n). The threshold
+// stays in X15 and the clamped block count in R8 for the whole run. The
+// abandon test runs after every second block and once more on the full
+// sum: partial sums never decrease, so a row passes exactly when its full
+// sum is within thr, however often the partial sums are tested. The four
+// leading blocks of the row sixteen rows ahead are prefetched, as the
+// per-candidate kernel does.
+TEXT ·scanRunAVX2(SB), NOSPLIT, $0-104
+	MOVQ qw_base+0(FP), SI
+	MOVQ qw_len+8(FP), CX
+	MOVQ rows_base+24(FP), DI
+	MOVQ n+48(FP), R13
+	MOVQ starts_base+56(FP), BX
+	MOVQ starts_len+64(FP), R8
+	VMOVSD thr+80(FP), X15
+	MOVQ CX, R9
+	SHRQ $4, R9
+	CMPQ R8, R9
+	CMOVQGT R9, R8
+	MOVQ CX, R10
+	SUBQ $16, R10
+	MOVQ CX, R14
+	SHLQ $2, R14
+	MOVQ CX, R11
+	SHLQ $6, R11
+	XORQ R12, R12
+
+row:
+	CMPQ R12, R13
+	JGE  none
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	XORQ DX, DX
+	CMPQ R8, $4
+	JLT  block
+	LEAQ (DI)(R11*1), R9
+	MOVQ (BX), AX
+	PREFETCHT0 (R9)(AX*4)
+	MOVQ 8(BX), AX
+	PREFETCHT0 (R9)(AX*4)
+	MOVQ 16(BX), AX
+	PREFETCHT0 (R9)(AX*4)
+	MOVQ 24(BX), AX
+	PREFETCHT0 (R9)(AX*4)
+
+block:
+	CMPQ DX, R8
+	JGE  rowtail
+	MOVQ (BX)(DX*8), AX
+	INCQ DX
+	CMPQ AX, R10
+	JHI  clamp
+
+clamped:
+	STEP8W(SI, DI, AX)
+	ADDQ $8, AX
+	STEP8W(SI, DI, AX)
+	TESTQ $1, DX
+	JNE  block
+
+	// partial = hsum8 into X6 without disturbing the accumulators.
+	VADDPD Y1, Y0, Y6
+	VEXTRACTF128 $1, Y6, X7
+	VADDPD X7, X6, X6
+	VPERMILPD $1, X6, X7
+	VADDSD X7, X6, X6
+	VUCOMISD X15, X6
+	JA   abandoned
+	JMP  block
+
+clamp:
+	MOVQ R10, AX
+	JMP  clamped
+
+rowtail:
+	HSUM8(Y0, Y1, X0, X1)
+	MOVQ R8, AX
+	SHLQ $4, AX
+
+tail:
+	CMPQ AX, CX
+	JGE  full
+	VCVTSS2SD (DI)(AX*4), X2, X2
+	VSUBSD (SI)(AX*8), X2, X2
+	VFMADD231SD X2, X2, X0
+	INCQ AX
+	JMP  tail
+
+full:
+	VUCOMISD X15, X0
+	JA   abandoned
+	MOVQ R12, next+88(FP)
+	VMOVSD X0, sum+96(FP)
+	VZEROUPPER
+	RET
+
+abandoned:
+	INCQ R12
+	ADDQ R14, DI
+	JMP  row
+
+none:
+	MOVQ R13, next+88(FP)
+	MOVQ $0, sum+96(FP)
+	VZEROUPPER
+	RET
+
 // CODEADD2 adds the ROW entries selected by the two low bytes of the 32-bit
 // register whose byte halves are LO and HI (AL/AH, BL/BH) into the low lanes
 // of ACC0 and ACC1. The high-byte move is what limits IDX to a register
@@ -609,5 +734,36 @@ pair:
 	JNZ  pair
 
 done:
+	VZEROUPPER
+	RET
+
+// func allFiniteAVX2(x []float32) bool
+//
+// Reports whether none of the len(x)/8·8 leading values of x is a NaN or an
+// infinity — a float32 whose exponent field (Y15) is all ones: eight values
+// a step are masked and compared with the field, and the matches ORed into
+// Y1, tested once at the end. The caller checks the len(x)%8 tail.
+TEXT ·allFiniteAVX2(SB), NOSPLIT, $0-25
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	SHRQ $3, CX
+	MOVQ $0x7f800000, AX
+	MOVQ AX, X15
+	VPBROADCASTD X15, Y15
+	VPXOR Y1, Y1, Y1
+	TESTQ CX, CX
+	JZ   done
+
+loop:
+	VANDPS (SI), Y15, Y0
+	VPCMPEQD Y15, Y0, Y0
+	VPOR Y0, Y1, Y1
+	ADDQ $32, SI
+	DECQ CX
+	JNZ  loop
+
+done:
+	VPTEST Y1, Y1
+	SETEQ ret+24(FP)
 	VZEROUPPER
 	RET

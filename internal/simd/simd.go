@@ -19,6 +19,14 @@ const eaRelSlack = 1e-9
 // eaThreshold is the abandon threshold for the given bound.
 func eaThreshold(bound float64) float64 { return bound * (1 + eaRelSlack) }
 
+// checkRun panics unless rows holds n rows of l values — the one argument
+// of ScanRun that addresses memory and no clamp covers.
+func checkRun(l, rows, n int) {
+	if n < 0 || l > 0 && n > rows/l {
+		panic("simd: run rows do not hold n series")
+	}
+}
+
 // envDisabled reports whether the HYDRA_SIMD environment variable forces
 // the Go backend ("off", "go" or "0"); every other value — including
 // "avx2", which CI uses to document intent — keeps automatic detection.

@@ -368,6 +368,189 @@ func FuzzSquaredDistEAOrderedBlocked(f *testing.F) {
 	})
 }
 
+// widen returns q converted to float64, the query form of ScanRun.
+func widen(q []float32) []float64 {
+	w := make([]float64, len(q))
+	for i, v := range q {
+		w[i] = float64(v)
+	}
+	return w
+}
+
+// runRef is what the run kernel must return for n rows of len(q) values:
+// the first row on which the per-candidate kernel (float32 query, an abandon
+// test after every block) returns a sum not above thr, with that sum, or
+// (n, 0). perRow is that kernel: the dispatched entry or the Go twin.
+func runRef(q, rows []float32, n int, thr float64, perRow func(c []float32) float64) (int, float64) {
+	l := len(q)
+	for r := 0; r < n; r++ {
+		if d := perRow(rows[r*l : (r+1)*l]); !(d > thr) {
+			return r, d
+		}
+	}
+	return n, 0
+}
+
+// runThresholds returns the adversarial thresholds of one run: 0, +Inf,
+// NaN, a negative one, every row's full sum exactly and the float64 just
+// below it (the row passes at the first and fails at the second), and
+// every block-boundary partial sum of the first row.
+func runThresholds(q, rows []float32, n int, starts []int) []float64 {
+	thrs := []float64{0, math.Inf(1), math.NaN(), -1}
+	l := len(q)
+	for r := 0; r < n; r++ {
+		full := squaredDistEAOrderedBlockedGo(q, rows[r*l:(r+1)*l], starts, math.Inf(1))
+		thrs = append(thrs, full, math.Nextafter(full, math.Inf(-1)))
+	}
+	if n > 0 {
+		thrs = append(thrs, orderedThresholds(q, rows[:l], starts)...)
+	}
+	return thrs
+}
+
+// runCounts is the run lengths the run-kernel suites walk: empty, one row,
+// and several, so a run that passes late and one that passes nothing occur.
+var runCounts = []int{0, 1, 2, 3, 7, 20}
+
+// TestScanRunMatchesPerCandidate pins ScanRun, on whichever backend is
+// dispatched, to a loop of the per-candidate kernel that tests for an
+// abandon after every block: the same row passes, with the same bits,
+// although the run kernel tests less often and reads a widened query —
+// over every tail length, arena-view offsets, legal and hostile block
+// starts, and thresholds at and just below each row's sum.
+func TestScanRunMatchesPerCandidate(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, l := range tailLengths() {
+		for off := 0; off < 3; off++ {
+			q := misalignF32(rng, l, off)
+			qw := widen(q)
+			for _, n := range runCounts {
+				rows := misalignF32(rng, n*l, off+1)
+				for _, starts := range append(blockOrders(rng, l), hostileStarts(rng, l)) {
+					for _, thr := range runThresholds(q, rows, n, starts) {
+						bound := thr / (1 + eaRelSlack)
+						thr := eaThreshold(bound)
+						wantNext, want := runRef(q, rows, n, thr, func(c []float32) float64 {
+							return SquaredDistEAOrderedBlocked(q, c, starts, bound)
+						})
+						next, got := ScanRun(qw, rows, n, starts, bound)
+						if next != wantNext || !bitEq(got, want) {
+							t.Fatalf("l=%d off=%d n=%d starts=%v bound=%v: run (%d, %v), per-candidate (%d, %v)",
+								l, off, n, starts, bound, next, got, wantNext, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestScanRunRowsTooShortPanics: the row count is the one argument of the
+// run kernel that addresses memory and no clamp covers, so a run longer
+// than its rows, or a negative one, panics on every backend.
+func TestScanRunRowsTooShortPanics(t *testing.T) {
+	qw := make([]float64, 32)
+	rows := make([]float32, 3*32+31)
+	for _, n := range []int{4, -1, math.MaxInt} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("n=%d over %d values of rows did not panic", n, len(rows))
+				}
+			}()
+			ScanRun(qw, rows, n, []int{0, 16}, math.Inf(1))
+		}()
+	}
+	if next, sum := ScanRun(qw, rows, 3, []int{0, 16}, math.Inf(1)); next != 0 || sum != 0 {
+		t.Fatalf("zero rows against a zero query: (%d, %v), want (0, 0)", next, sum)
+	}
+}
+
+// FuzzScanRun fuzzes the run kernel's arguments — the rows' data and
+// count, the block starts (legal or not) and the bound — against the Go
+// per-candidate loop: both must name the same row with the same bits,
+// also when the bound is exactly one row's sum.
+func FuzzScanRun(f *testing.F) {
+	f.Add(int64(1), 47, 5, 0.5, 0, 16, 0, 0)
+	f.Add(int64(2), 256, 9, math.Inf(1), 240, 0, 128, 16)
+	f.Add(int64(3), 33, 3, 0.0, -1, 18, 1<<30, 17)
+	f.Add(int64(4), 15, 0, -1.0, 0, 0, 0, 0)
+	f.Add(int64(5), 64, 12, math.NaN(), 48, 32, 16, 0)
+	f.Fuzz(func(t *testing.T, seed int64, l, n int, bound float64, s0, s1, s2, s3 int) {
+		if l < 0 || l > 1<<10 || n < 0 || n > 64 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		q := misalignF32(rng, l, int(seed&3))
+		rows := misalignF32(rng, n*l, int(seed>>2&3))
+		raw := [4]int{s0, s1, s2, s3}
+		starts := make([]int, l/BlockLen+int(seed>>4&3))
+		for i := range starts {
+			starts[i] = raw[i%len(raw)] + i/len(raw)*len(raw)*BlockLen
+		}
+		bounds := []float64{bound}
+		if n > 0 {
+			r := int(uint64(seed) % uint64(n))
+			bounds = append(bounds, squaredDistEAOrderedBlockedGo(q, rows[r*l:(r+1)*l], starts, math.Inf(1)))
+		}
+		for _, b := range bounds {
+			thr := eaThreshold(b)
+			wantNext, want := runRef(q, rows, n, thr, func(c []float32) float64 {
+				return squaredDistEAOrderedBlockedGo(q, c, starts, thr)
+			})
+			if next, got := ScanRun(widen(q), rows, n, starts, b); next != wantNext || !bitEq(got, want) {
+				t.Fatalf("starts=%v bound=%v: run (%d, %v), per-candidate go (%d, %v)", starts, b, next, got, wantNext, want)
+			}
+		}
+	})
+}
+
+// TestFirstNonFinite pins the finite check against math.IsNaN/IsInf: every
+// length through three groups of eight and beyond, on misaligned views,
+// with one non-finite value (each kind, including a signalling NaN) at every
+// position, beside the largest finite values and subnormals, which pass.
+func TestFirstNonFinite(t *testing.T) {
+	ref := func(x []float32) int {
+		for i, v := range x {
+			if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
+				return i
+			}
+		}
+		return -1
+	}
+	bad := []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x7f800001), math.Float32frombits(0xffffffff),
+	}
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range tailLengths() {
+		for off := 0; off < 3; off++ {
+			x := misalignF32(rng, n, off)
+			for i := range x {
+				switch i % 5 {
+				case 0:
+					x[i] = math.MaxFloat32
+				case 1:
+					x[i] = -math.SmallestNonzeroFloat32
+				}
+			}
+			if got := FirstNonFinite(x); got != -1 {
+				t.Fatalf("n=%d off=%d finite values: %d, want -1", n, off, got)
+			}
+			for pos := 0; pos < n; pos++ {
+				for _, v := range bad {
+					keep := x[pos]
+					x[pos] = v
+					if got, want := FirstNonFinite(x), ref(x); got != want {
+						t.Fatalf("n=%d off=%d %v at %d: %d, want %d", n, off, v, pos, got, want)
+					}
+					x[pos] = keep
+				}
+			}
+		}
+	}
+}
+
 // FuzzCodeBoundBatch hands the fuzzer everything that addresses memory in
 // the code-bound kernel: the code bytes, the row offsets (16-bit, so also
 // negative and past the end) and the table length. The table is the front

@@ -73,6 +73,33 @@ func (cur *Cursor) Read(i int) series.Series {
 	return cur.st.at(i, cur.length)
 }
 
+// ReadRun returns the values of series [i, i+n) as one flat view (stride
+// SeriesLen) and charges exactly what Read(i), Read(i+1), …, Read(i+n-1)
+// would: the first read is sequential if it continues the cursor's previous
+// one and a seek otherwise, the other n-1 are sequential. The scan's run
+// kernel walks the view in one call. An empty run charges nothing and does
+// not move the cursor.
+func (cur *Cursor) ReadRun(i, n int) []float32 {
+	if i < cur.lo || n < 0 || n > cur.hi-i {
+		panic("storage: cursor run out of bounds")
+	}
+	if n == 0 {
+		return nil
+	}
+	b := int64(cur.length) * BytesPerValue
+	seq := int64(n)
+	if i != cur.next {
+		cur.io.RandOps++
+		cur.io.RandBytes += b
+		seq--
+	}
+	cur.io.SeqOps += seq
+	cur.io.SeqBytes += seq * b
+	cur.next = i + n
+	lo, hi := i*cur.length, (i+n)*cur.length
+	return cur.st.arena[lo:hi:hi]
+}
+
 // Range returns the values of series [lo, hi) as one flat view (stride
 // SeriesLen), charged as one sequential transfer of the whole range,
 // preceded by one zero-byte seek when the cursor is not at lo: the bytes

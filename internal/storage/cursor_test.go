@@ -203,3 +203,69 @@ func TestCursorPinsExtent(t *testing.T) {
 		t.Errorf("pinned read returned %v, want 8", got)
 	}
 }
+
+// TestReadRunChargesLikeReads: a run of n series charges exactly the record
+// of n Read calls in order — at the cursor's position (all sequential), away
+// from it (one seek, then sequential), on a fresh shard and after an earlier
+// run — moves the cursor the same, and returns the same values.
+func TestReadRunChargesLikeReads(t *testing.T) {
+	const n, l = 40, 3
+	f, _ := makeFile(n, l)
+	cases := []struct {
+		name   string
+		lo, hi int   // the cursor's range
+		prior  []int // series read before the run
+		i, cnt int   // the run
+	}{
+		{"at position 0", 0, n, nil, 0, 17},
+		{"continuing a read", 0, n, []int{4}, 5, 10},
+		{"after a skip", 0, n, []int{4}, 9, 10},
+		{"fresh shard", 12, 30, nil, 12, 18},
+		{"fresh shard, inside", 12, 30, nil, 20, 3},
+		{"one series away", 0, n, []int{7, 8}, 30, 1},
+		{"empty", 0, n, []int{2}, 9, 0},
+	}
+	for _, tc := range cases {
+		whole, ref := f.Cursor(), f.Cursor()
+		run, reads := whole.Slice(tc.lo, tc.hi), ref.Slice(tc.lo, tc.hi)
+		for _, i := range tc.prior {
+			run.Read(i)
+			reads.Read(i)
+		}
+		vals := run.ReadRun(tc.i, tc.cnt)
+		for r := 0; r < tc.cnt; r++ {
+			s := reads.Read(tc.i + r)
+			for j := range s {
+				if vals[r*l+j] != s[j] {
+					t.Fatalf("%s: run value [%d][%d] = %v, Read %v", tc.name, r, j, vals[r*l+j], s[j])
+				}
+			}
+		}
+		if len(vals) != tc.cnt*l {
+			t.Errorf("%s: run of %d series returned %d values", tc.name, tc.cnt, len(vals))
+		}
+		// The next read tells where each cursor stands.
+		if next := tc.i + tc.cnt; next < tc.hi {
+			run.Read(next)
+			reads.Read(next)
+		}
+		if got, want := run.Flush(), reads.Flush(); got != want {
+			t.Errorf("%s: run charged %v, reads %v", tc.name, got, want)
+		}
+	}
+	whole := f.Cursor()
+	for _, bad := range []func(){
+		func() { whole.ReadRun(n-2, 3) },
+		func() { whole.ReadRun(-1, 1) },
+		func() { whole.ReadRun(0, -1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("expected panic on an out-of-range run")
+				}
+			}()
+			bad()
+		}()
+	}
+}

@@ -9,6 +9,10 @@ import (
 	"hydra/internal/simd"
 )
 
+// runRows is how many rows the run-kernel shapes of
+// TestKernelTailsOnArenaViews walk.
+const runRows = 5
+
 // TestKernelTailsOnArenaViews pins the dispatched distance kernels on the
 // inputs production actually feeds them: capped subslice views of a shared
 // flat arena (storage.SeriesFile hands these out, and series i starts at
@@ -17,7 +21,9 @@ import (
 // 16-element abandon block. For each (length, offset) shape the kernel must
 // return bit-identical results on the view and on an aligned private copy —
 // alignment must never change an answer — and the blocked kernels must stay
-// within reassociation tolerance of the scalar reference.
+// within reassociation tolerance of the scalar reference. The run kernel
+// walks runs of 0 to runRows rows of the same arena, and must name the row
+// and return the bits a per-row loop of the ordered kernel does.
 func TestKernelTailsOnArenaViews(t *testing.T) {
 	t.Logf("kernel backend: %s", simd.Backend())
 	long := dataset.RandomWalk(1, 4096, 5).Series[0]
@@ -28,6 +34,10 @@ func TestKernelTailsOnArenaViews(t *testing.T) {
 			cv := long[2000+off+3 : 2000+off+3+n : 2000+off+3+n]
 			qc, cc := qv.Clone(), cv.Clone()
 			ord := series.NewOrder(qc)
+			qw := make([]float64, n)
+			for i, v := range qc {
+				qw[i] = float64(v)
+			}
 
 			if a, b := series.SquaredDist(qv, cv), series.SquaredDist(qc, cc); a != b {
 				t.Fatalf("n=%d off=%d: SquaredDist view %v, copy %v", n, off, a, b)
@@ -42,7 +52,7 @@ func TestKernelTailsOnArenaViews(t *testing.T) {
 			}
 			full := series.SquaredDist(qc, cc)
 			tol := 1e-9 * (1 + full)
-			for _, bound := range []float64{0, full / 2, full, inf} {
+			for _, bound := range []float64{0, full / 2, full, inf, series.SquaredDist(qc, long[3000+off+n:3000+off+2*n])} {
 				av := series.SquaredDistEABlocked(qv, cv, bound)
 				ac := series.SquaredDistEABlocked(qc, cc, bound)
 				if av != ac {
@@ -52,6 +62,19 @@ func TestKernelTailsOnArenaViews(t *testing.T) {
 				oc := series.SquaredDistEAOrderedBlocked(qc, cc, ord, bound)
 				if ov != oc {
 					t.Fatalf("n=%d off=%d bound=%v: ordered view %v, copy %v", n, off, bound, ov, oc)
+				}
+				for n := 0; n <= runRows; n++ {
+					rv := long[3000+off : 3000+off+n*len(qc) : 3000+off+n*len(qc)]
+					rc := rv.Clone()
+					nv, sv := series.ScanRun(qw, rv, n, ord, bound)
+					nc, sc := series.ScanRun(qw, rc, n, ord, bound)
+					if nv != nc || math.Float64bits(sv) != math.Float64bits(sc) {
+						t.Fatalf("n=%d off=%d rows=%d bound=%v: run view (%d, %v), copy (%d, %v)", len(qc), off, n, bound, nv, sv, nc, sc)
+					}
+					wantNext, want := perRowRun(qc, rc, n, ord, bound)
+					if nv != wantNext || math.Float64bits(sv) != math.Float64bits(want) {
+						t.Fatalf("n=%d off=%d rows=%d bound=%v: run (%d, %v), per-row (%d, %v)", len(qc), off, n, bound, nv, sv, wantNext, want)
+					}
 				}
 				// Pruning parity against the scalar reference: anything the
 				// scalar kernel keeps, the blocked kernel must report at its
@@ -63,4 +86,17 @@ func TestKernelTailsOnArenaViews(t *testing.T) {
 			}
 		}
 	}
+}
+
+// perRowRun is the run kernel spelled as the loop it replaces: the first of
+// n rows whose ordered-kernel sum is not above bound's abandon threshold
+// (bound plus the kernels' relative slack of 1e-9), with that sum, or (n, 0).
+func perRowRun(q series.Series, rows []float32, n int, ord series.Order, bound float64) (int, float64) {
+	l, thr := len(q), bound*(1+1e-9)
+	for r := 0; r < n; r++ {
+		if d := series.SquaredDistEAOrderedBlocked(q, rows[r*l:(r+1)*l], ord, bound); !(d > thr) {
+			return r, d
+		}
+	}
+	return n, 0
 }
