@@ -3,6 +3,7 @@ package hydra
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"hydra/internal/core"
@@ -62,6 +63,44 @@ func TestQueryAllocBudget(t *testing.T) {
 				t.Errorf("%s: %.2f allocs per steady-state query, budget %.0f", name, avg, queryAllocBudget)
 			}
 		})
+	}
+}
+
+// TestQueryAllocBudgetHelpers extends the gate to the scan's helper path.
+// testing.AllocsPerRun pins GOMAXPROCS to 1, where a scan starts no helper;
+// here the collection holds several core.CancelBlock chunks and GOMAXPROCS
+// is 2, so every query starts one helper goroutine, and the allocations are
+// read from runtime.MemStats around a run of queries.
+func TestQueryAllocBudgetHelpers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budget is measured without the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ds := dataset.RandomWalk(4*core.CancelBlock, 64, 42)
+	coll := core.NewCollection(ds)
+	queries := dataset.SynthRand(8, 64, 7).Queries
+	if h := core.Helpers(0, 4); h != 1 {
+		t.Fatalf("a 4-chunk scan at GOMAXPROCS=2 starts %d helpers, want 1", h)
+	}
+	query := func(i int) {
+		if _, _, err := core.ScanKNN(context.Background(), coll, queries[i%len(queries)], 1, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		query(i)
+	}
+	const runs = 400
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		query(i)
+	}
+	runtime.ReadMemStats(&after)
+	avg := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("%.3f allocs per query", avg)
+	if avg > queryAllocBudget {
+		t.Errorf("scan with a helper: %.2f allocs per steady-state query, budget %.0f", avg, queryAllocBudget)
 	}
 }
 
@@ -159,12 +198,12 @@ func TestParallelScanStillExact(t *testing.T) {
 		// abandoning accumulates in query order, so brute force (natural
 		// order) differs in the last ulp — the bit-identity contract is
 		// serial-scan vs parallel-scan.
-		want, _, err := core.ParallelScanKNN(context.Background(), coll, q, 3, 1)
+		want, _, err := core.ScanKNN(context.Background(), coll, q, 3, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 7} {
-			got, _, err := core.ParallelScanKNN(context.Background(), coll, q, 3, workers)
+			got, _, err := core.ScanKNN(context.Background(), coll, q, 3, workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

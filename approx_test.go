@@ -419,7 +419,8 @@ func TestApproxStreamTagged(t *testing.T) {
 // FuzzApproxPruneMonotone fuzzes the pruning predicate itself: for any
 // (lb, bound) and ε₁ ≤ ε₂, a subtree pruned at ε₁ is pruned at ε₂
 // (monotonicity — larger ε never visits more), and at ε=0 the predicate is
-// exactly the unrelaxed lb >= bound (never prunes a true improver).
+// exactly the unrelaxed lb > bound (never prunes a true improver, nor a tie
+// that a smaller ID may win).
 func FuzzApproxPruneMonotone(f *testing.F) {
 	f.Add(1.0, 2.0, 0.1, 0.5)
 	f.Add(3.0, 2.0, 0.0, 1.0)
@@ -435,8 +436,8 @@ func FuzzApproxPruneMonotone(f *testing.F) {
 		p0 := core.NewPruner(core.ApproxSpec{Mode: core.ModeDeltaEps, Epsilon: 0, Delta: 1}, 0)
 		p1 := core.NewPruner(core.ApproxSpec{Mode: core.ModeDeltaEps, Epsilon: e1, Delta: 1}, 0)
 		p2 := core.NewPruner(core.ApproxSpec{Mode: core.ModeDeltaEps, Epsilon: e2, Delta: 1}, 0)
-		if p0.Prune(lb, bound) != (lb >= bound) {
-			t.Fatalf("ε=0 predicate diverged from lb >= bound at (%g, %g)", lb, bound)
+		if p0.Prune(lb, bound) != (lb > bound) {
+			t.Fatalf("ε=0 predicate diverged from lb > bound at (%g, %g)", lb, bound)
 		}
 		if p1.Prune(lb, bound) && !p2.Prune(lb, bound) {
 			t.Fatalf("pruned at ε=%g but not at larger ε=%g (lb=%g bound=%g)", e1, e2, lb, bound)

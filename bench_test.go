@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"hydra/internal/core"
@@ -345,6 +346,33 @@ func BenchmarkParallelScan(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkScanConcurrentStreams is the busy side of the scan's claim
+// loop: every P runs its own stream of queries against one 24,000 × 256
+// collection on the default options, so each query's helper finds the
+// other cores taken. Run it at GOMAXPROCS=2 for two streams; ops/s counts
+// queries answered by all streams together.
+func BenchmarkScanConcurrentStreams(b *testing.B) {
+	const n, l = 24000, 256
+	ds := dataset.RandomWalk(n, l, 1)
+	queries := append(dataset.SynthRand(32, l, 2).Queries, dataset.Ctrl(ds, 32, 1.0, 3).Queries...)
+	s := ucr.New(core.Options{})
+	if err := s.Build(core.NewCollection(ds)); err != nil {
+		b.Fatal(err)
+	}
+	var next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			q := queries[int(next.Add(1))%len(queries)]
+			if _, _, err := s.KNN(context.Background(), q, 1); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 }
 
 // BenchmarkArenaVsSliced compares a full leaf-style scan over the flat

@@ -105,7 +105,7 @@ func main() {
 		seriesLen  = flag.Int("length", 256, "default series length")
 		seed       = flag.Int64("seed", 1, "generator seed")
 		k          = flag.Int("k", 1, "number of nearest neighbors")
-		workers    = flag.Int("workers", 0, "intra-query scan parallelism (0 = serial, -1 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 1, "cap on the goroutines one scan query uses (1 = the paper's serial pass, 0 = every core)")
 		indexDir   = flag.String("index", "", "snapshot cache directory: persist indexes on first build, load on later runs")
 		outDir     = flag.String("out", "", "directory for BENCH_<id>.json artifacts (report + allocation profile)")
 		list       = flag.Bool("list", false, "list experiments and exit")

@@ -5,12 +5,13 @@
 // Usage:
 //
 //	hydra-motif -data walk.hyd -window 256
-//	hydra-motif -data walk.hyd -window 256 -k 5 -workers -1
+//	hydra-motif -data walk.hyd -window 256 -k 5 -workers 1
 //	hydra-motif -data walk.hyd -window 256 -exclusion 64 -profile-out profile.txt
 //
 // The input collection must hold exactly one series (hydra-gen -long emits
-// one, with planted motifs to find). The profile parallelizes across
-// diagonals on -workers; every setting prints identical results. With
+// one, with planted motifs to find). The profile's diagonals are walked by
+// the caller and by helpers on idle cores, up to the -workers cap (0 = every
+// core, 1 = serial); every cap prints identical results. With
 // -profile-out, the full profile (offset, distance, neighbor per window) is
 // written to the named file for plotting.
 package main
@@ -34,7 +35,7 @@ func main() {
 		window     = flag.Int("window", 256, "motif/discord window length m")
 		k          = flag.Int("k", 3, "how many motif pairs and discords to report")
 		exclusion  = flag.Int("exclusion", -1, "trivial-match exclusion radius (-1 = default m/4)")
-		workers    = flag.Int("workers", 0, "diagonal parallelism (0/1 = serial, -1 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "cap on the goroutines that walk the profile's diagonals (0 = every core, 1 = serial)")
 		timeout    = flag.Duration("timeout", 0, "computation deadline (0 = none)")
 		profileOut = flag.String("profile-out", "", "write the full profile (offset dist neighbor) to this file")
 	)

@@ -7,7 +7,7 @@
 //
 //	hydra-query -data synth.hyd -queries q.hyd -method DSTree -k 1
 //	hydra-query -data synth.hyd -queries q.hyd -method all -device ssd
-//	hydra-query -data synth.hyd -queries q.hyd -method UCR-Suite -workers -1
+//	hydra-query -data synth.hyd -queries q.hyd -method UCR-Suite -workers 1
 //	hydra-query -data synth.hyd -queries q.hyd -index dstree.hydx
 //	hydra-query -data synth.hyd -queries q.hyd -method DSTree -timeout 100ms
 //	hydra-query -data synth.hyd -queries q.hyd -method DSTree -mode delta-eps -epsilon 1 -delta 0.95
@@ -43,7 +43,7 @@ func main() {
 		k         = flag.Int("k", 1, "number of nearest neighbors")
 		leafSize  = flag.Int("leaf", 0, "leaf size (0 = paper default scaled to collection)")
 		device    = flag.String("device", "hdd", "device profile: hdd|ssd")
-		workers   = flag.Int("workers", 0, "intra-query scan parallelism (0 = serial, -1 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "cap on the goroutines one scan query uses (0 = every core, 1 = the paper's serial pass)")
 		timeout   = flag.Duration("timeout", 0, "per-query deadline (0 = none)")
 		verbose   = flag.Bool("v", false, "print every match")
 

@@ -44,8 +44,11 @@ import (
 //   - quorum semantics: if at least -min-shards answered, the merged
 //     best-so-far is returned with "partial":true and a per-shard status
 //     block; below quorum the query fails 503 + Retry-After;
-//   - a request every shard refuses (a 4xx other than 429, e.g. a query of
-//     the wrong length) is relayed as that 4xx, and a refusal never counts
+//   - a query of the wrong length is answered 400 before any shard is
+//     called, once the prober has learned the fleet's series length from
+//     a shard's /healthz; a batch is refused so when every entry is wrong;
+//   - any other request every shard refuses (a 4xx other than 429, e.g. an
+//     unknown mode) is relayed as that 4xx, and a refusal never counts
 //     against a shard's breaker.
 //
 // The rpc/* faultpoints (error, slow, drop, flap) are compiled into the
@@ -98,6 +101,10 @@ type coordinator struct {
 	shards     []*shardClient
 	started    time.Time
 	queryStats endpointStats // /query + /batch traffic for /statusz
+	// seriesLen is the fleet's series length, learned from a shard's
+	// /healthz by the prober (0 until then). With it, a wrong-length query
+	// is refused before any shard is called.
+	seriesLen atomic.Int64
 }
 
 // newCoordinator builds the shard client pool. Addresses without a scheme
@@ -423,6 +430,10 @@ func (c *coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	done := c.queryStats.track()
 	defer done()
+	if msg := c.lengthRefusal(req.Query); msg != "" {
+		writeError(w, r, http.StatusBadRequest, msg)
+		return
+	}
 	if req.K <= 0 {
 		req.K = 1
 	}
@@ -489,6 +500,10 @@ func (c *coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	done := c.queryStats.track()
 	defer done()
+	if msg := c.lengthRefusal(req.Queries...); msg != "" {
+		writeError(w, r, http.StatusBadRequest, msg)
+		return
+	}
 	if req.K <= 0 {
 		req.K = 1
 	}
@@ -560,6 +575,25 @@ func (c *coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Partial: answered < len(c.shards),
 		Shards:  statuses,
 	})
+}
+
+// lengthRefusal returns the 400 message for queries that every shard would
+// refuse for their length, so that they are answered before any shard is
+// called: every one of them has a length other than the fleet's series
+// length. It returns "" until the prober has learned that length, and for
+// a batch with any right-length entry — that batch fans out, and the shards
+// answer its wrong entries one by one, as a single server does.
+func (c *coordinator) lengthRefusal(queries ...[]float32) string {
+	want := c.seriesLen.Load()
+	if want == 0 || len(queries) == 0 {
+		return ""
+	}
+	for _, q := range queries {
+		if int64(len(q)) == want {
+			return ""
+		}
+	}
+	return fmt.Sprintf("bad request: query length %d, collection length %d", len(queries[0]), want)
 }
 
 // writeQuorumError answers a below-quorum fan-out: 503 with jittered
@@ -715,27 +749,29 @@ func (c *coordinator) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// probeLoop runs the background health prober until ctx is cancelled: every
-// probeInterval, each shard's /readyz is checked and the result fed to its
-// breaker. This is the recovery path — an open breaker closes the moment a
-// probe succeeds after the cooldown, without spending a client request on
-// the half-open trial.
+// probeLoop runs the background health prober until ctx is cancelled: at
+// start and then every probeInterval, each shard's /readyz is checked and
+// the result fed to its breaker. This is the recovery path — an open
+// breaker closes the moment a probe succeeds after the cooldown, without
+// spending a client request on the half-open trial.
 func (c *coordinator) probeLoop(ctx context.Context) {
 	t := time.NewTicker(c.cfg.probeInterval)
 	defer t.Stop()
 	for {
+		c.probeOnce(ctx)
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			c.probeOnce(ctx)
 		}
 	}
 }
 
-// probeOnce checks every shard's /readyz concurrently. Probes bypass the
-// rpc/* faultpoints on purpose: drills shape query traffic while recovery
-// follows the shard's real health (see the package comment above).
+// probeOnce checks every shard's /readyz concurrently, and learns the
+// fleet's series length from the /healthz of a ready shard while it is
+// unknown. Probes bypass the rpc/* faultpoints on purpose: drills shape
+// query traffic while recovery follows the shard's real health (see the
+// package comment above).
 func (c *coordinator) probeOnce(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, sc := range c.shards {
@@ -773,6 +809,27 @@ func (c *coordinator) probe(ctx context.Context, sc *shardClient) {
 		return
 	}
 	sc.br.success()
+	if c.seriesLen.Load() == 0 {
+		c.learnSeriesLen(pctx, sc)
+	}
+}
+
+// learnSeriesLen reads the series length from the shard's /healthz. A
+// failed read leaves it unknown for the next probe to learn.
+func (c *coordinator) learnSeriesLen(ctx context.Context, sc *shardClient) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sc.addr+"/healthz", nil)
+	if err != nil {
+		return
+	}
+	resp, err := sc.hc.Do(req)
+	if err != nil {
+		return
+	}
+	defer resp.Body.Close()
+	var h healthzResponse
+	if resp.StatusCode == http.StatusOK && json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&h) == nil && h.SeriesLen > 0 {
+		c.seriesLen.Store(int64(h.SeriesLen))
+	}
 }
 
 // latencyRing is a fixed-size ring of recent successful-attempt latencies,

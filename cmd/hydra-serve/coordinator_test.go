@@ -29,6 +29,7 @@ type testShard struct {
 	srv     *httptest.Server
 	down    atomic.Bool
 	lastRID atomic.Value // last X-Request-Id seen (string)
+	queries atomic.Int64 // /query and /batch requests received
 }
 
 // newTestFleet builds `count` shard servers over equal slices of d.
@@ -52,6 +53,9 @@ func newTestFleet(t *testing.T, d *hydra.Dataset, method string, count int) []*t
 		h := newServer(e, 5*time.Second, 0).handler()
 		ts.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			ts.lastRID.Store(r.Header.Get(requestIDHeader))
+			if r.URL.Path == "/query" || r.URL.Path == "/batch" {
+				ts.queries.Add(1)
+			}
 			if ts.down.Load() {
 				http.Error(w, "down", http.StatusServiceUnavailable)
 				return
@@ -245,7 +249,12 @@ func TestCoordinatorPartialAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	fleet := newTestFleet(t, d, "UCR-Suite", 3)
-	coord := fleetCoordinator(fleet, testCoordCfg())
+	// A cooldown far beyond the test's runtime: shard 1's breaker must
+	// still be open for the query after the one that opened it. Recovery
+	// goes through probeOnce, whose success closes the breaker at once.
+	cfg := testCoordCfg()
+	cfg.breakerCool = time.Hour
+	coord := fleetCoordinator(fleet, cfg)
 	h := coord.handler()
 	q := d.Series(17)
 	const k = 4
@@ -299,6 +308,55 @@ func TestCoordinatorPartialAndRecovery(t *testing.T) {
 		if st.State != "ok" {
 			t.Fatalf("recovered shard %d status: %+v", i, st)
 		}
+	}
+}
+
+// TestCoordinatorValidatesBeforeFanOut: once the prober has learned the
+// fleet's series length from a shard's /healthz, a wrong-length /query and
+// a /batch whose every entry has the wrong length are answered 400 by the
+// coordinator itself, with no shard request made; a batch with one good
+// entry still fans out, and a valid query still gets the exact answer.
+func TestCoordinatorValidatesBeforeFanOut(t *testing.T) {
+	d, err := hydra.Generate("synthetic", 120, 64, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := newTestFleet(t, d, "UCR-Suite", 2)
+	coord := fleetCoordinator(fleet, testCoordCfg())
+	coord.probeOnce(context.Background())
+	if got := coord.seriesLen.Load(); got != 64 {
+		t.Fatalf("learned series length %d, want 64", got)
+	}
+	h := coord.handler()
+	shardQueries := func() int64 { return fleet[0].queries.Load() + fleet[1].queries.Load() }
+
+	short := make([]float32, 10)
+	for _, b := range []struct {
+		path string
+		body any
+	}{
+		{"/query", queryRequest{Query: short, K: 1}},
+		{"/batch", batchRequest{Queries: [][]float32{short, make([]float32, 65)}, K: 1}},
+	} {
+		rec := postJSON(t, h, b.path, b.body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "collection length 64") {
+			t.Fatalf("%s: status %d, want 400 naming the length: %s", b.path, rec.Code, rec.Body)
+		}
+	}
+	if n := shardQueries(); n != 0 {
+		t.Fatalf("wrong-length requests cost %d shard requests, want 0", n)
+	}
+
+	rec := postJSON(t, h, "/batch", batchRequest{Queries: [][]float32{short, d.Series(3)}, K: 1})
+	var br batchResponse
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &br) != nil || len(br.Results) != 2 {
+		t.Fatalf("mixed batch: status %d: %s", rec.Code, rec.Body)
+	}
+	if br.Results[0].Error == "" || len(br.Results[1].Matches) != 1 || br.Results[1].Matches[0].ID != 3 {
+		t.Fatalf("mixed batch: %+v", br.Results)
+	}
+	if n := shardQueries(); n != 2 {
+		t.Fatalf("mixed batch made %d shard requests, want one per shard", n)
 	}
 }
 

@@ -85,7 +85,7 @@ func main() {
 		timeout   = flag.Duration("timeout", 2*time.Second, "per-request query deadline (0 = none)")
 		leafSize  = flag.Int("leaf", 0, "leaf size (0 = paper default scaled to collection)")
 		device    = flag.String("device", "hdd", "device profile for reported simulated times: hdd|ssd")
-		workers   = flag.Int("workers", 0, "intra-query scan parallelism (0 = serial, -1 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "cap on the goroutines one scan query or profile uses (0 = every core, 1 = the paper's serial pass)")
 		batchW    = flag.Int("batch-workers", 0, "concurrent queries per /batch request (0 = GOMAXPROCS)")
 		inflight  = flag.Int("max-inflight", 0, "max concurrently admitted query requests, in either mode; excess answers 503 (0 = unlimited)")
 		partial   = flag.Bool("partial", true, "answer deadline-expired queries with best-so-far results (partial:true) instead of 504")

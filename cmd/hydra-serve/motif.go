@@ -58,9 +58,9 @@ type motifRequest struct {
 	// Exclusion overrides the trivial-match radius; nil keeps the default
 	// m/4, an explicit 0 excludes only the self-match.
 	Exclusion *int `json:"exclusion,omitempty"`
-	// Workers overrides the server engine's diagonal parallelism for this
-	// request (0 = the server's -workers setting). Results are identical
-	// for every setting.
+	// Workers overrides the server engine's cap on the goroutines that walk
+	// the profile's diagonals for this request (0 = the server's -workers
+	// setting). Results are identical for every cap.
 	Workers int `json:"workers,omitempty"`
 }
 

@@ -71,8 +71,9 @@
 // "partial":true field on 200 responses (the -partial flag).
 //
 // Failures are contained at every boundary where one query could harm
-// another. A panic in a parallel-scan worker is recovered at the worker
-// and fails only that query, typed ErrWorkerPanic; a panicking query
+// another. A panic in a scan goroutine (the caller's or a helper's) is
+// recovered at that goroutine and fails only that query, typed
+// ErrWorkerPanic; a panicking query
 // inside QueryBatch fails its own slot (ErrQueryPanic) while sibling
 // queries answer; QueryStream converts a panic into a terminal Err event.
 // Engines hold no per-query mutable state, so after any recovered failure
@@ -139,10 +140,10 @@
 // the top anomalies from it (WithTopK, default 3). The computation is
 // STOMP restructured along profile diagonals — O(n·m), one O(m) seed dot
 // per diagonal plus an O(1) sliding dot-product recurrence per cell — and
-// parallelizes across diagonal ranges on WithWorkers; every worker count
-// returns a Float64bits-identical profile, because per-worker partials
-// hold squared distances and fold through an order-independent
-// lexicographic min before the single sqrt pass. Windows closer than the
+// spreads its diagonal chunks over the idle cores up to the WithWorkers
+// cap; every cap returns a Float64bits-identical profile, because
+// per-goroutine partials hold squared distances and fold through an
+// order-independent lexicographic min before the single sqrt pass. Windows closer than the
 // exclusion zone (WithExclusionZone, default m/4) are trivial matches of
 // themselves and never compared. Constant windows follow the
 // series.ZNormalize convention: two flat windows are at distance 0, a
@@ -208,11 +209,17 @@
 // The suite distinguishes two axes of parallelism, both layered on top of
 // the paper's serial semantics without changing any answer:
 //
-//   - Intra-query: core.ParallelScanKNN splits the raw file into one
-//     contiguous shard per worker (storage.Cursor.Slice) and scans the
-//     shards concurrently against a lock-free shared best-so-far bound
-//     (core.BestSoFar, atomic float64 bits, the MESSI coordination scheme).
-//     The UCR-Suite method exposes this as core.Options.Workers.
+//   - Intra-query: one claim loop (core.Claim) runs the UCR-Suite scan
+//     (core.ScanKNN) and the matrix profile. The calling goroutine and up
+//     to min(cap, GOMAXPROCS)−1 helpers claim chunks of the pass from one
+//     atomic counter — CancelBlock rows of the scan, scanned against a
+//     lock-free shared best-so-far bound (core.BestSoFar, atomic float64
+//     bits, the MESSI coordination scheme) — and a helper that finds no
+//     chunk left exits. On a busy process a query therefore costs the
+//     serial pass; on an idle one it uses the free cores. WithWorkers sets
+//     the cap: 0 (the default) or less is every core, 1 the paper's
+//     serial pass. No helper outlives its query, and starting one
+//     allocates nothing.
 //   - Inter-query: Engine.QueryBatch answers a batch on up to
 //     WithBatchWorkers goroutines that pull queries from one atomic cursor
 //     and share the one built method; results stay aligned with the batch,
@@ -222,11 +229,12 @@
 // on its stack: the cursor pins the file's published extent, keeps the
 // query's sequential position and counts its accesses in plain fields, and
 // the query flushes that record to the collection's atomic
-// storage.Counters once when it ends (each parallel-scan worker flushes
-// its own shard's cursor once). Concurrent queries therefore share no
-// cursor and no counter on the per-series read path, every query's
-// QueryStats.IO holds exactly its own accesses under any concurrency, and
-// the Counters still sum every query's and every build's charges. Built
+// storage.Counters once when it ends (a scan's helpers read the pinned
+// rows charge-free, and the query charges the rows read as one sequential
+// pass). Concurrent queries therefore share no cursor and no counter on
+// the per-series read path, every query's QueryStats.IO holds exactly its
+// own accesses under any concurrency, and the Counters still sum every
+// query's and every build's charges. Built
 // methods are read-only during queries and safe for concurrent KNN calls
 // on one shared collection (ADS+ guards its adaptive leaf materialization
 // with a mutex).
@@ -234,21 +242,24 @@
 // # Determinism guarantees
 //
 // Parallel query answering is bit-deterministic, not merely approximately
-// correct: ParallelScanKNN returns the same IDs, the same float64 distances
+// correct: core.ScanKNN returns the same IDs, the same float64 distances
 // and the same tie-breaks (ascending ID on equal distance) as the serial
-// UCR-suite scan, for every worker count. Candidates that reach the result
-// set are never early-abandoned under any bound in play, so their distances
-// are full sums computed in the serial kernel's lane structure and
-// reduction order, and the (distance, ID) top-k selection is
-// insertion-order independent. The blocked distance kernels used by the
-// scans and every index's leaf refinement (series.SquaredDistEABlocked, the
-// block-reordered series.SquaredDistEAOrderedBlocked, whose full sums
-// depend on the query's block order and on nothing else, and the scan's
-// series.ScanRun, which returns that kernel's full sums for the rows of a
-// run that pass the bound) agree with the
-// scalar kernels to within 1e-9 relative error, never abandon a candidate
+// UCR-suite scan, for every cap and schedule, and the same counters.
+// Candidates that reach the result set are never early-abandoned under any
+// bound in play, so their distances are full sums computed in the serial
+// kernel's lane structure and reduction order, and the (distance, ID)
+// top-k selection is insertion-order independent. The blocked distance
+// kernels used by the scans and every index's leaf refinement
+// (series.SquaredDistEABlocked, the block-reordered
+// series.SquaredDistEAOrderedBlocked, whose full sums depend on the query's
+// block order and on nothing else, and the scan's series.ScanRun, which
+// returns that kernel's full sums for the rows of a run that pass the
+// bound) agree with the scalar kernels to within 1e-9 relative error, never abandon a candidate
 // the scalar kernels keep, and return bit-identical values on every SIMD
 // backend (the internal/simd contract). Simulated I/O counts, pruning ratios
-// and disk-access figures are exactly reproducible in serial mode and for
-// all sharded scans; only measured wall-clock times vary run to run.
+// and disk-access figures are exactly reproducible for every cap; only
+// measured wall-clock times vary run to run. Every exact method breaks
+// distance ties by ascending ID: prune predicates skip a node or member
+// only when its bound exceeds the k-th distance, so an index returns the
+// scan's IDs even when distances tie.
 package hydra

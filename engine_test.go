@@ -162,9 +162,9 @@ func TestQueryCancellationEveryMethod(t *testing.T) {
 	}
 }
 
-// TestQueryCancellationParallelScan covers the sharded scan engine: worker
-// goroutines must all observe the cancel and the call must return the
-// context error under any worker count.
+// TestQueryCancellationParallelScan covers the scan's claim loop: the
+// caller and its helpers must all observe the cancel and the call must
+// return the context error under any cap.
 func TestQueryCancellationParallelScan(t *testing.T) {
 	d := testData(t)
 	q := hydra.RandomWorkload(1, 64, 37).Query(0)

@@ -38,8 +38,8 @@ var (
 	// to (BuildIndex argument, or a snapshot naming a method this binary
 	// does not have).
 	ErrUnknownMethod = core.ErrUnknownMethod
-	// ErrWorkerPanic: a parallel-scan worker goroutine panicked; the panic
-	// was recovered at the worker boundary and the query failed typed. The
+	// ErrWorkerPanic: a goroutine of a scan's pass panicked; the panic was
+	// recovered at the goroutine boundary and the query failed typed. The
 	// engine holds no cross-query state and stays usable.
 	ErrWorkerPanic = core.ErrWorkerPanic
 	// ErrQueryPanic: a query panicked and the panic was recovered at a

@@ -77,13 +77,16 @@ func TestFaultSnapshotReadError(t *testing.T) {
 	}
 
 	// Two injected failures, three default attempts: the load succeeds.
+	// Hits count since the last Reset, so the check takes the difference:
+	// go test -cpu runs the test more than once in one process.
+	before := faultpoint.Hits(faultpoint.PersistReadError)
 	faultpoint.ArmN(faultpoint.PersistReadError, 2)
 	defer faultpoint.Disarm(faultpoint.PersistReadError)
 	e, err := hydra.LoadIndex(context.Background(), path, hydra.WithData(d))
 	if err != nil {
 		t.Fatalf("load should survive 2 transient errors: %v", err)
 	}
-	if got := faultpoint.Hits(faultpoint.PersistReadError); got != 2 {
+	if got := faultpoint.Hits(faultpoint.PersistReadError) - before; got != 2 {
 		t.Fatalf("expected both injected faults consumed, hits=%d", got)
 	}
 	got, err := e.Query(context.Background(), q, 3)
@@ -170,13 +173,14 @@ func TestFaultSlowIO(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	before := faultpoint.Hits(faultpoint.PersistSlowIO)
 	faultpoint.ArmDelay(faultpoint.PersistSlowIO, 5*time.Millisecond)
 	defer faultpoint.Disarm(faultpoint.PersistSlowIO)
 	e, err := hydra.LoadIndex(context.Background(), path, hydra.WithData(d))
 	if err != nil {
 		t.Fatalf("slow I/O must not fail the load: %v", err)
 	}
-	if faultpoint.Hits(faultpoint.PersistSlowIO) == 0 {
+	if faultpoint.Hits(faultpoint.PersistSlowIO) == before {
 		t.Fatal("slow-io faultpoint never fired")
 	}
 	got, err := e.Query(context.Background(), q, 2)

@@ -186,13 +186,15 @@ func NewPruner(spec ApproxSpec, rdelta2 float64) Pruner {
 // Prune reports whether a subtree (or candidate) with squared lower bound
 // lb cannot improve the answer beyond the (1+ε) guarantee, given the
 // current squared k-th-best bound. With factor 1 this is exactly the
-// unrelaxed lb >= bound comparison (no float multiply touches lb), so exact
-// traversals keep bit-identical visit decisions.
+// unrelaxed lb > bound comparison (no float multiply touches lb), so exact
+// traversals keep bit-identical visit decisions. The comparison is strict:
+// a subtree whose bound equals the k-th distance may hold a tie with a
+// smaller ID, which the (distance, ID) selection must get to see.
 func (p *Pruner) Prune(lb, bound float64) bool {
 	if p.factor == 1 {
-		return lb >= bound
+		return lb > bound
 	}
-	return lb*p.factor >= bound
+	return lb*p.factor > bound
 }
 
 // Visit records one node visit and reports whether the node budget is

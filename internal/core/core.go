@@ -140,11 +140,10 @@ type Options struct {
 	MemoryBudgetBytes int64
 	// Seed drives any randomized tie-breaking during construction.
 	Seed int64
-	// Workers enables intra-query parallelism for methods that support it
-	// (currently the UCR-Suite scan): 0 or 1 keeps the paper's serial
-	// execution, >1 fans each query out over that many scan shards, and a
-	// negative value selects GOMAXPROCS. Results are bit-identical to the
-	// serial execution regardless of the setting.
+	// Workers caps the goroutines one query uses in the methods that split
+	// their pass (currently the UCR-Suite scan, see ScanKNN): 0 or less uses
+	// every core, 1 keeps the paper's serial execution. Results and
+	// per-query counters are the same for every cap.
 	Workers int
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -141,9 +142,15 @@ func TestOptionsWithDefaults(t *testing.T) {
 	}
 }
 
+var registryRuns int
+
 func TestRegistry(t *testing.T) {
-	Register("test-method", func(opts Options) Method { return &fakeMethod{} })
-	m, err := New("test-method", Options{})
+	// A fresh name per run: the registry is process-wide, and go test -cpu
+	// runs the test once per value.
+	registryRuns++
+	name := fmt.Sprintf("test-method-%d", registryRuns)
+	Register(name, func(opts Options) Method { return &fakeMethod{} })
+	m, err := New(name, Options{})
 	if err != nil || m == nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -152,7 +159,7 @@ func TestRegistry(t *testing.T) {
 	}
 	found := false
 	for _, n := range Names() {
-		if n == "test-method" {
+		if n == name {
 			found = true
 		}
 	}
@@ -164,7 +171,7 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("duplicate registration should panic")
 		}
 	}()
-	Register("test-method", func(opts Options) Method { return &fakeMethod{} })
+	Register(name, func(opts Options) Method { return &fakeMethod{} })
 }
 
 type fakeMethod struct{ built bool }

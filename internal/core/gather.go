@@ -6,8 +6,8 @@ import (
 )
 
 // GatherSet merges per-shard k-NN answers into one global top-k with
-// provenance — the coordinator-side counterpart of the per-worker merge in
-// ParallelScanKNN. Three contracts distinguish it from a bare KNNSet:
+// provenance — the coordinator-side counterpart of the per-goroutine merge
+// in ScanKNN. Three contracts distinguish it from a bare KNNSet:
 //
 //   - Fold-once per source: every fold names the shard it came from, and a
 //     second fold under the same name is ignored. A hedged request whose

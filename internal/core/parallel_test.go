@@ -2,12 +2,19 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"hydra/internal/dataset"
+	"hydra/internal/faultpoint"
 	"hydra/internal/series"
+	"hydra/internal/stats"
+	"hydra/internal/storage"
 )
 
 // serialScanKNN is the reference the parallel scan must match bit-for-bit:
@@ -24,10 +31,11 @@ func serialScanKNN(c *Collection, q series.Series, k int) []Match {
 }
 
 // TestParallelScanBitIdentical: for k in {1, 10, 100} and a spread of worker
-// counts, the parallel scan must return the serial scan's exact answer —
-// same IDs, bit-identical distances, same tie-breaks.
+// caps, the scan must return the serial scan's exact answer — same IDs,
+// bit-identical distances, same tie-breaks — over a collection of several
+// CancelBlock chunks, so that helpers have chunks to claim.
 func TestParallelScanBitIdentical(t *testing.T) {
-	ds := dataset.RandomWalk(337, 64, 11)
+	ds := dataset.RandomWalk(4*CancelBlock+337, 64, 11)
 	queries := append(
 		dataset.SynthRand(3, 64, 12).Queries,
 		dataset.Ctrl(ds, 3, 1.5, 13).Queries...,
@@ -38,7 +46,7 @@ func TestParallelScanBitIdentical(t *testing.T) {
 			for qi, q := range queries {
 				want := serialScanKNN(serial, q, k)
 				coll := NewCollection(ds)
-				got, qs, err := ParallelScanKNN(context.Background(), coll, q, k, workers)
+				got, qs, err := ScanKNN(context.Background(), coll, q, k, workers, nil)
 				if err != nil {
 					t.Fatalf("k=%d w=%d q=%d: %v", k, workers, qi, err)
 				}
@@ -60,12 +68,12 @@ func TestParallelScanBitIdentical(t *testing.T) {
 }
 
 // TestParallelScanTieBreaks: duplicated series force exact distance ties
-// across shard boundaries; the deterministic merge must resolve them by
+// across chunk boundaries; the deterministic merge must resolve them by
 // ascending ID, like the serial scan.
 func TestParallelScanTieBreaks(t *testing.T) {
 	base := dataset.RandomWalk(40, 32, 21)
-	data := make([]series.Series, 0, 120)
-	for rep := 0; rep < 3; rep++ {
+	data := make([]series.Series, 0, 40*80)
+	for rep := 0; rep < 80; rep++ {
 		for _, s := range base.Series {
 			data = append(data, s) // same backing arrays: exact ties
 		}
@@ -75,7 +83,7 @@ func TestParallelScanTieBreaks(t *testing.T) {
 	serial := NewCollection(ds)
 	for _, k := range []int{1, 10, 100} {
 		want := serialScanKNN(serial, q, k)
-		got, _, err := ParallelScanKNN(context.Background(), NewCollection(ds), q, k, 4)
+		got, _, err := ScanKNN(context.Background(), NewCollection(ds), q, k, 4, nil)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -88,15 +96,18 @@ func TestParallelScanTieBreaks(t *testing.T) {
 	}
 }
 
-// TestParallelScanAccounting: the sharded scan must charge exactly one pass
-// over the file with at most one seek per worker (§4.2 accounting), and the
-// query's own record must be what reached the collection's counters.
+// TestParallelScanAccounting: under every cap the scan must charge the
+// serial pass's record — one sequential pass over the file, no seek (§4.2
+// accounting) — and the query's own record must be what reached the
+// collection's counters.
 func TestParallelScanAccounting(t *testing.T) {
-	ds := dataset.RandomWalk(250, 32, 31)
-	q := dataset.SynthRand(1, 32, 32).Queries[0]
+	const n, l = 2*CancelBlock + 250, 32
+	ds := dataset.RandomWalk(n, l, 31)
+	q := dataset.SynthRand(1, l, 32).Queries[0]
+	serial := storage.Snapshot{SeqOps: n, SeqBytes: n * l * storage.BytesPerValue}
 	for _, workers := range []int{1, 2, 4, 8} {
 		coll := NewCollection(ds)
-		_, qs, err := ParallelScanKNN(context.Background(), coll, q, 5, workers)
+		_, qs, err := ScanKNN(context.Background(), coll, q, 5, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,11 +115,8 @@ func TestParallelScanAccounting(t *testing.T) {
 		if qs.IO != snap {
 			t.Errorf("w=%d: query recorded %v, counters hold %v", workers, qs.IO, snap)
 		}
-		if snap.TotalBytes() != coll.File.SizeBytes() {
-			t.Errorf("w=%d: moved %d bytes, want file size %d", workers, snap.TotalBytes(), coll.File.SizeBytes())
-		}
-		if snap.RandOps > int64(workers) {
-			t.Errorf("w=%d: %d seeks, want at most one per worker", workers, snap.RandOps)
+		if snap != serial {
+			t.Errorf("w=%d: charged %v, want the serial pass %v", workers, snap, serial)
 		}
 	}
 }
@@ -117,17 +125,17 @@ func TestParallelScanAccounting(t *testing.T) {
 func TestParallelScanErrors(t *testing.T) {
 	ds := dataset.RandomWalk(10, 32, 41)
 	coll := NewCollection(ds)
-	if _, _, err := ParallelScanKNN(context.Background(), coll, make(series.Series, 16), 1, 2); err == nil {
+	if _, _, err := ScanKNN(context.Background(), coll, make(series.Series, 16), 1, 2, nil); err == nil {
 		t.Error("expected error for mismatched query length")
 	}
 	empty := NewCollection(&dataset.Dataset{Name: "empty"})
-	got, _, err := ParallelScanKNN(context.Background(), empty, series.Series{}, 1, 4)
+	got, _, err := ScanKNN(context.Background(), empty, series.Series{}, 1, 4, nil)
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty collection: got %v, %v", got, err)
 	}
 	// More workers than series: every series still scanned exactly once.
 	q := dataset.SynthRand(1, 32, 42).Queries[0]
-	res, qs, err := ParallelScanKNN(context.Background(), coll, q, 25, 64)
+	res, qs, err := ScanKNN(context.Background(), coll, q, 25, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +147,8 @@ func TestParallelScanErrors(t *testing.T) {
 // TestBestSoFar: the shared bound starts at +Inf, only tightens, and is safe
 // under concurrent hammering (-race).
 func TestBestSoFar(t *testing.T) {
-	b := NewBestSoFar()
+	b := new(BestSoFar)
+	b.reset()
 	if !math.IsInf(b.Load(), 1) {
 		t.Errorf("initial bound %v, want +Inf", b.Load())
 	}
@@ -189,6 +198,101 @@ func TestKNNSetMerge(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("match %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// settledGoroutines waits until the goroutine count is back to base — a
+// helper that has called Done may still be on its way out — and reports
+// whether it got there.
+func settledGoroutines(base int) bool {
+	for i := 0; i < 1000; i++ {
+		if runtime.NumGoroutine() <= base {
+			return true
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return false
+}
+
+// TestScanBusyCores is the busy side of the claim loop: at GOMAXPROCS=2, two
+// goroutines run scan queries at once under the caps 0, 1 and 2, so a
+// helper often finds the other core taken and the chunks claimed. Every
+// answer is bit-identical to the serial pass's, every QueryStats equals the
+// serial one, and the goroutine count returns to its baseline.
+func TestScanBusyCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n, l, k = 5*CancelBlock + 77, 64, 5
+	ds := dataset.RandomWalk(n, l, 51)
+	coll := NewCollection(ds)
+	queries := append(dataset.SynthRand(3, l, 52).Queries, dataset.Ctrl(ds, 3, 0.5, 53).Queries...)
+	type answer struct {
+		m  []Match
+		qs stats.QueryStats
+	}
+	want := make([]answer, len(queries))
+	for i, q := range queries {
+		m, qs, err := ScanKNN(context.Background(), coll, q, k, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = answer{m, qs}
+	}
+	base := runtime.NumGoroutine()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 6; rep++ {
+				for i, q := range queries {
+					workers := (rep + g + i) % 3
+					m, qs, err := ScanKNN(context.Background(), coll, q, k, workers, nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(m, want[i].m) {
+						t.Errorf("g=%d cap=%d q=%d: %v, serial pass %v", g, workers, i, m, want[i].m)
+					}
+					if qs != want[i].qs {
+						t.Errorf("g=%d cap=%d q=%d: stats %+v, serial pass %+v", g, workers, i, qs, want[i].qs)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if !settledGoroutines(base) {
+		t.Errorf("%d goroutines after the queries, %d before", runtime.NumGoroutine(), base)
+	}
+}
+
+// TestScanWorkerPanicDrill: the worker-panic faultpoint fires on the caller
+// and on a helper alike, both fail the query with ErrWorkerPanic, no
+// goroutine is left behind, and the next query answers exactly.
+func TestScanWorkerPanicDrill(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ds := dataset.RandomWalk(4*CancelBlock, 32, 61)
+	coll := NewCollection(ds)
+	q := dataset.SynthRand(1, 32, 62).Queries[0]
+	want, _, err := ScanKNN(context.Background(), coll, q, 3, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	defer faultpoint.Disarm(faultpoint.ScanWorkerPanic)
+	for _, hits := range []int{1, 2} {
+		faultpoint.ArmN(faultpoint.ScanWorkerPanic, hits)
+		if _, _, err := ScanKNN(context.Background(), coll, q, 3, 2, nil); !errors.Is(err, ErrWorkerPanic) {
+			t.Fatalf("%d armed hits: got %v, want ErrWorkerPanic", hits, err)
+		}
+		if !settledGoroutines(base) {
+			t.Fatalf("%d goroutines after the drill, %d before", runtime.NumGoroutine(), base)
+		}
+		got, _, err := ScanKNN(context.Background(), coll, q, 3, 2, nil)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("after the drill: %v (%v), want %v", got, err, want)
 		}
 	}
 }

@@ -68,7 +68,7 @@ func (r *Refiner) Members(ids []int, lb MemberBound, qs *stats.QueryStats) {
 	for _, id := range ids {
 		if lb != nil {
 			qs.LBCalcs++
-			if lb(id) >= r.set.Bound() {
+			if lb(id) > r.set.Bound() {
 				continue
 			}
 		}

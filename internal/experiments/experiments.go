@@ -66,14 +66,11 @@ type Config struct {
 	// oracle is always computed — it is the baseline the others score
 	// against — but only requested modes appear as rows.
 	Modes []string
-	// Workers is the intra-query parallelism degree passed to the methods
-	// (core.Options.Workers): 0 keeps the paper's serial execution. Only the
-	// scan methods honor it. Answers and pruning ratios are bit-identical
-	// either way, and so are total bytes moved, but the scan's seq/rand
-	// split shifts: a sharded pass charges up to Workers-1 seeks per query
-	// that the serial scan does not, so access-count columns of figures
-	// that include UCR-Suite reflect the parallel layout. Reproducing the
-	// paper's accounting exactly requires Workers == 0.
+	// Workers is the cap on the goroutines one query uses, passed to the
+	// methods (core.Options.Workers): 1, the default, keeps the paper's
+	// serial execution and 0 or less uses every core. Only the scan methods
+	// honor it, and answers, pruning ratios and access counts are the same
+	// for every cap; only the measured times move.
 	Workers int
 }
 
@@ -87,6 +84,7 @@ func DefaultConfig(scale float64) Config {
 		Seed:       1,
 		K:          1,
 		CalibNoise: 0.15,
+		Workers:    1,
 	}
 }
 

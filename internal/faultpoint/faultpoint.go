@@ -66,8 +66,9 @@ const (
 	// (Cursor.Range — MASS's block scan) by the armed duration per firing
 	// (default 10ms).
 	StorageSlowRead = "storage/slow-read"
-	// ScanWorkerPanic panics inside a parallel-scan worker goroutine; the
-	// scan must recover it into the typed core.ErrWorkerPanic.
+	// ScanWorkerPanic panics inside each goroutine of a scan's pass, the
+	// caller's and every helper's; the scan must recover it into the typed
+	// core.ErrWorkerPanic.
 	ScanWorkerPanic = "scan/worker-panic"
 	// ScanAllocPressure allocates a transient ~8 MB of garbage inside scan
 	// workers, forcing GC churn mid-query; answers must stay bit-identical.

@@ -266,7 +266,10 @@ func (ix *Index) search(ctx context.Context, q series.Series, k int, spec core.A
 				return nil, qs, err
 			}
 		}
-		if pr.Prune(lbs[i], set.Bound()) {
+		// Step 1's members carry bound +Inf and are skipped outright:
+		// pr.Prune's strict comparison would let them through while the
+		// set is still filling and its bound is +Inf too.
+		if lb := lbs[i]; math.IsInf(lb, 1) || pr.Prune(lb, set.Bound()) {
 			continue
 		}
 		raw := cur.Read(i)

@@ -326,7 +326,7 @@ func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match,
 			return nil, qs, err
 		}
 		lb, it := h.PopMin()
-		if lb >= bound {
+		if lb > bound {
 			break
 		}
 		qs.NodesVisited++
@@ -339,7 +339,7 @@ func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match,
 				if e.child != nil {
 					est -= e.radius
 				}
-				if est >= bound {
+				if est > bound {
 					continue
 				}
 			}
@@ -349,7 +349,7 @@ func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match,
 				// member predicate of core.Refiner, so the set evolves as
 				// without it.
 				qs.LBCalcs++
-				if sq.Bound(e.id) >= sqBound {
+				if sq.Bound(e.id) > sqBound {
 					continue
 				}
 				// Data entries are refined like every other exact path, so
@@ -369,7 +369,7 @@ func (ix *Index) KNN(ctx context.Context, q series.Series, k int) ([]core.Match,
 			if lb < 0 {
 				lb = 0
 			}
-			if lb < bound {
+			if lb <= bound {
 				h.Push(lb, visit{n: e.child, distQP: d, haveQP: true})
 			}
 		}

@@ -18,7 +18,9 @@ import (
 // tested against a per-member summary, kept as the reference the new one is
 // compared against: every data entry the parent-distance estimate lets
 // through has its raw series compared, and the result set's bound is read
-// and rooted anew for every entry.
+// and rooted anew for every entry. Its predicates prune only on a bound
+// strictly above the k-th distance, like KNN's, so that ties break by ID
+// in both.
 func (ix *Index) referenceSearch(ctx context.Context, q series.Series, k int, _ core.ApproxSpec) ([]core.Match, stats.QueryStats, error) {
 	var qs stats.QueryStats
 	sc := ix.pool.Get()
@@ -36,7 +38,7 @@ func (ix *Index) referenceSearch(ctx context.Context, q series.Series, k int, _ 
 		}
 		lb, it := h.PopMin()
 		bound := math.Sqrt(set.Bound())
-		if lb >= bound {
+		if lb > bound {
 			break
 		}
 		qs.NodesVisited++
@@ -48,7 +50,7 @@ func (ix *Index) referenceSearch(ctx context.Context, q series.Series, k int, _ 
 				if e.child != nil {
 					est -= e.radius
 				}
-				if est >= bound {
+				if est > bound {
 					continue
 				}
 			}
@@ -63,7 +65,7 @@ func (ix *Index) referenceSearch(ctx context.Context, q series.Series, k int, _ 
 			if lb < 0 {
 				lb = 0
 			}
-			if lb < bound {
+			if lb <= bound {
 				h.Push(lb, visit{n: e.child, distQP: d, haveQP: true})
 			}
 		}

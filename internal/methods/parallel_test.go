@@ -159,7 +159,7 @@ func TestParallelScanMatchesAllOracles(t *testing.T) {
 	built := buildAll(t, ds, core.Options{LeafSize: 16})
 	for _, k := range []int{1, 10, 100} {
 		for qi, q := range queries {
-			par, _, err := core.ParallelScanKNN(context.Background(), core.NewCollection(ds), q, k, 4)
+			par, _, err := core.ScanKNN(context.Background(), core.NewCollection(ds), q, k, 4, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

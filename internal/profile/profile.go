@@ -17,9 +17,11 @@
 //	d²(i, j) = 2m·(1 − (QT(i,j) − m·μ_i·μ_j) / (m·σ_i·σ_j))
 //
 // Diagonals are independent, which is what makes the computation parallel:
-// workers each walk a contiguous range of diagonals into their own partial
-// profile, and partials merge min-wise with a deterministic tie rule, so the
-// parallel result is bit-identical to the serial pass (see Compute).
+// the diagonals are cut into chunks of equal cell count, the calling
+// goroutine and helpers on idle cores claim chunks one at a time
+// (core.Claim) and walk them into partial profiles of their own, and
+// partials merge min-wise with a deterministic tie rule, so the result is
+// bit-identical to the serial pass whoever walked which chunk (see Compute).
 package profile
 
 import (
@@ -35,10 +37,9 @@ import (
 
 // Options configures one profile computation.
 type Options struct {
-	// Workers is the diagonal-range parallelism: 0 or 1 computes the profile
-	// serially, larger values split the diagonals across that many workers,
-	// negative selects GOMAXPROCS. Every setting produces bit-identical
-	// profiles.
+	// Workers caps the goroutines that walk the diagonals: 0 or less uses
+	// every core, 1 computes the profile serially on the caller. Every cap
+	// produces bit-identical profiles.
 	Workers int
 	// ExclusionZone suppresses trivial matches: windows j with |i−j| ≤
 	// ExclusionZone never count as neighbors of window i. Negative selects
@@ -61,7 +62,10 @@ type Stats struct {
 	// Pairs is the number of window pairs scored — one per cell of the
 	// walked diagonals.
 	Pairs int64
-	// Workers is the resolved parallelism the computation ran with.
+	// Workers is the cap the computation ran under (Options.Workers, or
+	// GOMAXPROCS for 0 or less), at most one per chunk. It started at most
+	// min(Workers, GOMAXPROCS) goroutines, the caller included, and one that
+	// started late may have found every chunk taken.
 	Workers int
 }
 
@@ -102,13 +106,13 @@ const sigEps = 1e-300
 // cannot drift with the rolling statistics' rounding.
 //
 // The context is polled cooperatively once per core.CancelBlock cells and
-// between diagonals; after a cancel every worker stops within one block and
-// Compute returns ctx.Err(). Parallel runs (Options.Workers) are
+// between diagonals; after a cancel every goroutine stops within one block
+// and Compute returns ctx.Err(). Every cap (Options.Workers) is
 // bit-identical to the serial pass: each diagonal's recurrence is one
-// worker's sequential walk regardless of how diagonals are distributed, and
-// the min-wise partial-profile merge resolves distance ties to the smallest
+// goroutine's sequential walk however the chunks are claimed, and the
+// min-wise partial-profile merge resolves distance ties to the smallest
 // neighbor offset — an order-free rule, so the merged argmin never depends
-// on worker count or scheduling.
+// on the cap or on scheduling.
 func Compute(ctx context.Context, long series.Series, m int, opts Options) (*Profile, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("profile: window length must be positive, got %d", m)
@@ -145,67 +149,77 @@ func Compute(ctx context.Context, long series.Series, m int, opts Options) (*Pro
 	}
 
 	st := newWindowStats(long, m)
+	bounds := diagonalChunks(firstDiag, n, max(min(diags, profileChunks), 1))
+	chunks := len(bounds) - 1
+	h := core.Helpers(opts.Workers, chunks)
 	workers := opts.Workers
-	if workers < 0 {
+	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > diags {
-		workers = diags
-	}
-	if workers <= 1 {
-		p.Stats.Workers = 1
-		part := newPartial(n)
-		if err := part.walkDiagonals(ctx, st, firstDiag, n); err != nil {
-			return nil, err
+	p.Stats.Workers = min(workers, chunks)
+	var (
+		claim core.Claim
+		mu    sync.Mutex
+		err   error
+	)
+	// Each goroutine walks the diagonal chunks it claims into a partial
+	// of its own, made at its first claim, and folds it into p at the end.
+	work := func() {
+		var part *partial
+		for {
+			c, ok := claim.Next()
+			if !ok {
+				break
+			}
+			if part == nil {
+				part = newPartial(n)
+			}
+			if werr := part.walkDiagonals(ctx, st, bounds[c], bounds[c+1]); werr != nil {
+				mu.Lock()
+				err = werr
+				mu.Unlock()
+				return
+			}
 		}
-		part.fold(p)
-		p.finishDist()
-		return p, nil
-	}
-	p.Stats.Workers = workers
-
-	// Chunk the diagonal range contiguously. Early diagonals are the longest
-	// (diagonal d has n−d cells), so balance by cell count, not by diagonal
-	// count: each worker takes diagonals until it holds ~1/workers of the
-	// remaining cells.
-	bounds := diagonalChunks(firstDiag, n, workers)
-	parts := make([]*partial, len(bounds)-1)
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for w := range parts {
-		parts[w] = newPartial(n)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = parts[w].walkDiagonals(ctx, st, bounds[w], bounds[w+1])
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		if part != nil {
+			mu.Lock()
+			part.fold(p)
+			mu.Unlock()
 		}
 	}
-	for _, part := range parts {
-		part.fold(p)
+	claim.Start(chunks, h, func() {
+		defer claim.Done()
+		work()
+	})
+	work()
+	claim.Wait()
+	if err != nil {
+		return nil, err
 	}
 	p.finishDist()
 	return p, nil
 }
 
-// diagonalChunks splits the diagonal range [lo, hi) into up to workers
+// profileChunks is how many diagonal chunks a profile is cut into for the
+// claim loop: enough that a late or slow goroutine leaves the others at
+// most 1/64 of the cells to wait for, few enough that the chunks stay long
+// runs of diagonals.
+const profileChunks = 64
+
+// diagonalChunks splits the diagonal range [lo, hi) into up to parts
 // contiguous sub-ranges of roughly equal cell count (diagonal d carries
-// hi−d cells). The returned bounds have len ≤ workers+1, start at lo and
-// end at hi.
-func diagonalChunks(lo, hi, workers int) []int {
+// hi−d cells): early diagonals are the longest, so balancing by diagonal
+// count would not balance the work. The returned bounds have len ≤ parts+1,
+// start at lo and end at hi.
+func diagonalChunks(lo, hi, parts int) []int {
 	var total int64
 	for d := lo; d < hi; d++ {
 		total += int64(hi - d)
 	}
 	bounds := []int{lo}
 	var acc int64
-	target := total / int64(workers)
-	for d := lo; d < hi && len(bounds) < workers; d++ {
+	target := total / int64(parts)
+	for d := lo; d < hi && len(bounds) < parts; d++ {
 		acc += int64(hi - d)
 		if acc >= target {
 			bounds = append(bounds, d+1)

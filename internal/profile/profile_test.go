@@ -238,7 +238,7 @@ func TestParallelBitIdenticalToSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("serial: %v", err)
 		}
-		for _, workers := range []int{2, 3, 4, 7, 16, -1} {
+		for _, workers := range []int{0, 2, 3, 4, 7, 16, -1} {
 			par, err := Compute(context.Background(), long, m, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)

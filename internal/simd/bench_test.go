@@ -144,7 +144,7 @@ func BenchmarkSquaredDistEA(b *testing.B) {
 // BenchmarkScanRun is a scan's inner loop over the collection of
 // BenchmarkSquaredDistEA's abandon-ooc regime, against the query's real
 // 10th-best bound: "run" hands ScanRun runs of 1024 rows (what
-// core.ScanRows does), "per-candidate" calls SquaredDistEAOrderedBlocked
+// core.ScanKNN's chunks are), "per-candidate" calls SquaredDistEAOrderedBlocked
 // once a row (the loop ScanRun replaced). An op is one candidate, so ns/op
 // is the cost per candidate and MB/s the scan throughput.
 func BenchmarkScanRun(b *testing.B) {

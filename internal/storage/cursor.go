@@ -6,8 +6,8 @@ import (
 )
 
 // Cursor is one reader's view of a SeriesFile: its own read position and
-// its own record of the accesses made through it. A query — or one worker of
-// a parallel scan — makes a cursor on its stack, charges every read to it in
+// its own record of the accesses made through it. A query makes a cursor
+// on its stack, charges every read to it in
 // plain fields and flushes the record once, at the end, so concurrent
 // queries share no cursor and no counter on the per-series read path. A
 // cursor pins the file's published (arena, count) when it is made and reads
@@ -32,9 +32,9 @@ func (f *SeriesFile) Cursor() Cursor {
 }
 
 // Slice returns a fresh cursor over series [lo, hi) of the same pinned
-// extent, with an empty record: one worker's range of a parallel scan. It is
+// extent, with an empty record: a reader of one range of the file. It is
 // positioned at lo only when lo is 0, where a whole-file cursor starts, so p
-// workers tiling the file charge one seek each except the first.
+// readers tiling the file charge one seek each except the first.
 func (cur *Cursor) Slice(lo, hi int) Cursor {
 	if lo < cur.lo || hi > cur.hi || lo > hi {
 		panic("storage: cursor slice out of bounds")
@@ -45,12 +45,6 @@ func (cur *Cursor) Slice(lo, hi int) Cursor {
 	}
 	return Cursor{st: cur.st, length: cur.length, lo: lo, hi: hi, next: next, c: cur.c}
 }
-
-// Lo returns the first series of the cursor's range (inclusive).
-func (cur *Cursor) Lo() int { return cur.lo }
-
-// Hi returns the end of the cursor's range (exclusive).
-func (cur *Cursor) Hi() int { return cur.hi }
 
 // Len returns the number of series in the cursor's range.
 func (cur *Cursor) Len() int { return cur.hi - cur.lo }

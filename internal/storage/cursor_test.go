@@ -22,8 +22,8 @@ func tile(cur *Cursor, p int) []Cursor {
 func TestShardsPartition(t *testing.T) {
 	f, _ := makeFile(103, 4)
 	whole := f.Cursor()
-	if whole.Lo() != 0 || whole.Hi() != 103 || whole.Len() != 103 {
-		t.Fatalf("whole-file cursor [%d,%d) len %d", whole.Lo(), whole.Hi(), whole.Len())
+	if whole.lo != 0 || whole.hi != 103 || whole.Len() != 103 {
+		t.Fatalf("whole-file cursor [%d,%d) len %d", whole.lo, whole.hi, whole.Len())
 	}
 	for _, p := range []int{1, 2, 3, 4, 7, 64, 103, 500} {
 		shards := tile(&whole, p)
@@ -32,13 +32,13 @@ func TestShardsPartition(t *testing.T) {
 		}
 		next := 0
 		for i, sh := range shards {
-			if sh.Lo() != next {
-				t.Errorf("p=%d: shard %d starts at %d, want %d", p, i, sh.Lo(), next)
+			if sh.lo != next {
+				t.Errorf("p=%d: shard %d starts at %d, want %d", p, i, sh.lo, next)
 			}
 			if sh.Len() <= 0 {
 				t.Errorf("p=%d: shard %d is empty", p, i)
 			}
-			next = sh.Hi()
+			next = sh.hi
 		}
 		if next != 103 {
 			t.Errorf("p=%d: coverage ends at %d, want 103", p, next)
@@ -64,7 +64,7 @@ func TestShardedScanAccounting(t *testing.T) {
 		var sum Snapshot
 		for i := range shards {
 			sh := &shards[i]
-			for j := sh.Lo(); j < sh.Hi(); j++ {
+			for j := sh.lo; j < sh.hi; j++ {
 				sh.Read(j)
 			}
 			sum = sum.Add(sh.Flush())
@@ -139,7 +139,7 @@ func TestShardsConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(sh Cursor) {
 			defer wg.Done()
-			for i := sh.Lo(); i < sh.Hi(); i++ {
+			for i := sh.lo; i < sh.hi; i++ {
 				sh.Read(i)
 			}
 			sh.Flush()

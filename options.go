@@ -138,10 +138,13 @@ func WithData(d *Dataset) Option { return func(c *config) { c.data = d } }
 // or LoadIndex should open.
 func WithDatasetFile(path string) Option { return func(c *config) { c.dataPath = path } }
 
-// WithWorkers sets intra-query scan parallelism for methods that support it
-// (the UCR-Suite scan): 0 or 1 is the paper's serial execution, larger
-// values fan each query out over that many shards, negative selects
-// GOMAXPROCS. Answers are bit-identical for every setting.
+// WithWorkers caps the goroutines one UCR-Suite scan query, or one matrix
+// profile, uses: 0 (the default) or less uses every core, 1 is the paper's
+// serial pass. The calling goroutine and helpers claim chunks of the pass
+// from one counter, and a helper that finds none left exits, so on a busy
+// process a query costs the serial pass and on an idle one it spreads over
+// the free cores. Answers and per-query counters are the same for every
+// cap. The index methods ignore it.
 func WithWorkers(n int) Option { return func(c *config) { c.opts.Workers = n } }
 
 // WithExclusionZone sets the matrix-profile trivial-match radius: windows
