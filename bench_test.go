@@ -30,6 +30,7 @@ import (
 	_ "hydra/internal/methods"
 	"hydra/internal/scan/ucr"
 	"hydra/internal/series"
+	"hydra/internal/simd"
 	"hydra/internal/storage"
 )
 
@@ -300,7 +301,7 @@ func BenchmarkKernels(b *testing.B) {
 		f    func(bound float64) float64
 	}{
 		{"scalar", func(bound float64) float64 { return series.SquaredDistEA(q, c, bound) }},
-		{"blocked", func(bound float64) float64 { return series.SquaredDistEABlocked(q, c, bound) }},
+		{"blocked", func(bound float64) float64 { return simd.SquaredDistEABlocked(q, c, bound) }},
 		{"scalar-ordered", func(bound float64) float64 { return series.SquaredDistEAOrdered(q, c, ord, bound) }},
 		{"blocked-ordered", func(bound float64) float64 { return series.SquaredDistEAOrderedBlocked(q, c, ord, bound) }},
 	}
@@ -400,7 +401,7 @@ func BenchmarkArenaVsSliced(b *testing.B) {
 		var sum float64
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < n; j++ {
-				sum += series.SquaredDistEABlocked(q, coll.File.Peek(j), bound)
+				sum += simd.SquaredDistEABlocked(q, coll.File.Peek(j), bound)
 			}
 		}
 		_ = sum
@@ -410,7 +411,7 @@ func BenchmarkArenaVsSliced(b *testing.B) {
 		var sum float64
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < n; j++ {
-				sum += series.SquaredDistEABlocked(q, sliced[j], bound)
+				sum += simd.SquaredDistEABlocked(q, sliced[j], bound)
 			}
 		}
 		_ = sum

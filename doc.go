@@ -249,12 +249,11 @@
 // bound in play, so their distances are full sums computed in the serial
 // kernel's lane structure and reduction order, and the (distance, ID)
 // top-k selection is insertion-order independent. The blocked distance
-// kernels used by the scans and every index's leaf refinement
-// (series.SquaredDistEABlocked, the block-reordered
-// series.SquaredDistEAOrderedBlocked, whose full sums depend on the query's
-// block order and on nothing else, and the scan's series.ScanRun, which
-// returns that kernel's full sums for the rows of a run that pass the
-// bound) agree with the scalar kernels to within 1e-9 relative error, never abandon a candidate
+// kernels used by the scans and every index's leaf refinement (the
+// block-reordered series.SquaredDistEAOrderedBlocked, whose full sums depend
+// on the query's block order and on nothing else, and the scan's
+// series.ScanRun, which returns that kernel's full sums for the rows of a
+// run that pass the bound) agree with the scalar kernels to within 1e-9 relative error, never abandon a candidate
 // the scalar kernels keep, and return bit-identical values on every SIMD
 // backend (the internal/simd contract). Simulated I/O counts, pruning ratios
 // and disk-access figures are exactly reproducible for every cap; only

@@ -36,7 +36,7 @@ type Collection struct {
 }
 
 // NewCollection wraps a dataset with fresh counters and a simulated file.
-// Datasets built arena-first (generators, dataset.Load) are aliased — the
+// Datasets built arena-first (generators, dataset.LoadFile) are aliased — the
 // file shares the dataset's flat backing, so replicas over one dataset cost
 // no extra series memory; hand-assembled datasets are copied into a fresh
 // arena once, here.

@@ -22,18 +22,18 @@ type MemberBound func(id int) float64
 // record would escape wherever any of the others does.
 //
 // With a MemberBound the leaf is filtered a second time, per member (the
-// ParIS+/MESSI step): a member's raw series is read only if its own bound
-// beats the best-so-far. The member predicate is the exact lb >= Bound()
-// whatever the query's mode — never the ε-relaxed Pruner.Prune. A member it
-// skips has a true distance >= the k-th best, so the kernel would have
-// abandoned it and KNNSet.Add refused it: the result set, and therefore
-// every later bound, prune and stop decision, evolves exactly as without
-// the filter, in exact and approximate modes alike. The relaxed predicate
-// would instead drop members the unfiltered loop admits, changing
-// approximate answers. (Add does admit an exact tie, distance == Bound(),
-// from a smaller id than the incumbent's. A bound equals the distance only
-// at 0, between duplicates; those summarize alike, share a leaf and are
-// listed in it by ascending id, so the smaller id is always the incumbent.)
+// ParIS+/MESSI step): a member's raw series is skipped only if its own
+// bound exceeds the best-so-far. The member predicate is the exact
+// lb > Bound() whatever the query's mode — never the ε-relaxed
+// Pruner.Prune. A member it skips has a true distance above the k-th best,
+// so KNNSet.Add would have refused it: the result set, and therefore every
+// later bound, prune and stop decision, evolves exactly as without the
+// filter, in exact and approximate modes alike. The relaxed predicate would
+// instead drop members the unfiltered loop admits, changing approximate
+// answers. A member whose bound equals Bound() is read, because Add admits
+// an exact tie, distance == Bound(), from a smaller id than the
+// incumbent's; for the same reason a bound must not round above the
+// kernel's distance (SynopsisQuery.Loosen).
 type Refiner struct {
 	cur *storage.Cursor
 	q   series.Series

@@ -95,7 +95,21 @@ type SynopsisQuery struct {
 // distance between the query and series id.
 func (sq *SynopsisQuery) Bound(id int) float64 {
 	n := sq.s.recLen
-	b := simd.SquaredDist(sq.rec, sq.s.recs[id*n:(id+1)*n])
+	return sq.Loosen(simd.SquaredDist(sq.rec, sq.s.recs[id*n:(id+1)*n]))
+}
+
+// Loosen returns max(0, √b − slack)² for b, a squared bound the query's
+// float64 arithmetic produced against summaries of the members, so that
+// rounding never lifts it above the distance the refine kernel computes: a
+// tie must reach the refine loop to win on its smaller id. Besides the
+// sidecar's own records it serves the DSTree's node bounds, whose EAPCA
+// means and deviations come from prefix sums: once one query element
+// dwarfs the rest (1e19 against unit values) the sums cancel, and a node
+// bound lands an ulp or two above a tied member's distance. Over walks of
+// length 64 and 256 with one element anywhere from 1 to 1e38, √b exceeded
+// the nearest member's √d by at most 6.4e-16·(‖q‖ + ‖ĉ‖), far inside the
+// slack.
+func (sq *SynopsisQuery) Loosen(b float64) float64 {
 	r := math.Sqrt(b) - sq.slack
 	if !(r > 0) { // also a NaN: a non-finite record or query prunes nothing
 		return 0

@@ -20,7 +20,7 @@ import (
 
 // Dataset is an in-memory collection of equal-length, Z-normalized series.
 //
-// Collections produced by this package (generators, Load, FromFlat) keep all
+// Collections produced by this package (generators, LoadFile, FromFlat) keep all
 // series back-to-back in one flat aligned arena and expose them as views, so
 // wrapping them in a simulated file (core.NewCollection) aliases the arena
 // instead of copying, and replicas over one dataset share memory. Hand-built
@@ -92,20 +92,6 @@ func (d *Dataset) SeriesLen() int {
 // SizeBytes returns the raw on-disk size the collection would occupy.
 func (d *Dataset) SizeBytes() int64 {
 	return int64(d.Len()) * int64(d.SeriesLen()) * 4
-}
-
-// Validate checks collection invariants: uniform lengths and Z-normalization.
-func (d *Dataset) Validate() error {
-	n := d.SeriesLen()
-	for i, s := range d.Series {
-		if len(s) != n {
-			return fmt.Errorf("dataset %s: series %d has length %d, want %d", d.Name, i, len(s), n)
-		}
-		if !s.IsZNormalized(0.05) {
-			return fmt.Errorf("dataset %s: series %d is not Z-normalized", d.Name, i)
-		}
-	}
-	return nil
 }
 
 // NumSeriesForGB translates a paper-scale dataset size in GB into a number of

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,6 +14,21 @@ import (
 	"hydra/internal/series"
 	"hydra/internal/transform/fft"
 )
+
+// Validate checks a collection's invariants: uniform lengths and
+// Z-normalization.
+func (d *Dataset) Validate() error {
+	n := d.SeriesLen()
+	for i, s := range d.Series {
+		if len(s) != n {
+			return fmt.Errorf("dataset %s: series %d has length %d, want %d", d.Name, i, len(s), n)
+		}
+		if !s.IsZNormalized(0.05) {
+			return fmt.Errorf("dataset %s: series %d is not Z-normalized", d.Name, i)
+		}
+	}
+	return nil
+}
 
 func TestGeneratorsProduceValidCollections(t *testing.T) {
 	gens := map[string]func(n, l int, seed int64) *Dataset{
@@ -72,11 +88,11 @@ func TestGeneratorsHaveDistinctSpectra(t *testing.T) {
 	concentration := func(ds *Dataset) float64 {
 		var frac float64
 		for _, s := range ds.Series {
-			x := make([]float64, len(s))
+			X := make([]complex128, len(s))
 			for i, v := range s {
-				x[i] = float64(v)
+				X[i] = complex(float64(v), 0)
 			}
-			X := fft.FFTReal(x)
+			fft.Forward(X, len(X))
 			var lead, total float64
 			for k := 1; k < len(X); k++ {
 				e := real(X[k])*real(X[k]) + imag(X[k])*imag(X[k])
@@ -183,9 +199,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := ds.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	got, err := Load(&buf)
+	got, err := load(&buf, -1)
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("load: %v", err)
 	}
 	if got.Name != ds.Name || got.Len() != ds.Len() || got.SeriesLen() != ds.SeriesLen() {
 		t.Fatalf("header mismatch: %s %dx%d", got.Name, got.Len(), got.SeriesLen())
@@ -200,10 +216,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a dataset"))); err == nil {
+	if _, err := load(bytes.NewReader([]byte("not a dataset")), -1); err == nil {
 		t.Errorf("garbage should fail to load")
 	}
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
+	if _, err := load(bytes.NewReader(nil), -1); err == nil {
 		t.Errorf("empty input should fail to load")
 	}
 }
@@ -256,7 +272,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 // when the file holds it. A header claiming 2^36 values in front of a few
 // bytes fails on the short read without allocating the claim; a file cut
 // inside its payload fails the same way; an intact file loads exactly what
-// Load reads from a stream.
+// load reads from a stream.
 func TestLoadFileSizedByFile(t *testing.T) {
 	dir := t.TempDir()
 	d := RandomWalk(300, 64, 3)
@@ -272,7 +288,7 @@ func TestLoadFileSizedByFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromStream, err := Load(bytes.NewReader(buf.Bytes()))
+	fromStream, err := load(bytes.NewReader(buf.Bytes()), -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,12 +45,9 @@ func (d *Dataset) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a collection previously written by Save.
-func Load(r io.Reader) (*Dataset, error) { return load(r, -1) }
-
-// load is Load given size, the number of bytes r holds (-1 when unknown).
-// A header whose payload fits in size is allocated for at once; any other
-// grows with the data actually read.
+// load reads a collection previously written by Save, given size, the number
+// of bytes r holds (-1 when unknown). A header whose payload fits in size is
+// allocated for at once; any other grows with the data actually read.
 func load(r io.Reader, size int64) (*Dataset, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, 4)

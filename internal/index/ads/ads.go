@@ -341,6 +341,3 @@ func (ix *Index) LeafLB(q series.Series, leaf int) float64 {
 	}
 	return math.Sqrt(min)
 }
-
-// Tree exposes the underlying structure for white-box tests.
-func (ix *Index) Tree() *isaxtree.Tree { return ix.tree }

@@ -102,7 +102,7 @@ func TestAdaptiveMaterialization(t *testing.T) {
 func TestSummaryArrayComplete(t *testing.T) {
 	ds := dataset.RandomWalk(500, 64, 6)
 	ix, _ := build(t, ds, 32)
-	tree := ix.Tree()
+	tree := ix.tree
 	if tree.NumSeries() != ds.Len() ||
 		len(tree.Words) != ds.Len()*tree.Segments || len(tree.PAAs) != ds.Len()*tree.Segments {
 		t.Fatalf("summary array incomplete: %d words, %d PAAs", len(tree.Words), len(tree.PAAs))
@@ -120,7 +120,7 @@ func TestSummaryArrayComplete(t *testing.T) {
 func TestInsertReusesTransposedSummary(t *testing.T) {
 	all := dataset.RandomWalk(464, 64, 7)
 	ix, coll := build(t, dataset.FromFlat("head", all.Flat()[:400*64], 400, 64), 32)
-	seg := ix.Tree().Segments
+	seg := ix.tree.Segments
 	grows, folds := 0, 0
 	for i := 400; i < all.Len(); i++ {
 		before, dense := cap(ix.wordsT), len(ix.wordsT)
@@ -147,7 +147,7 @@ func TestInsertReusesTransposedSummary(t *testing.T) {
 	if folds != 4 {
 		t.Errorf("%d folds over 64 one-series batches onto 400, want 4", folds)
 	}
-	tree := ix.Tree()
+	tree := ix.tree
 	dense := len(ix.wordsT)
 	want := make([]uint8, dense)
 	simd.Transpose8(tree.Words[:dense], seg, want)
@@ -188,7 +188,7 @@ func TestTailAnswersMatchFreshBuild(t *testing.T) {
 		if tail >= fold {
 			wantTail = 0
 		}
-		if got := len(ix.tailT) / ix.Tree().Segments; got != wantTail {
+		if got := len(ix.tailT) / ix.tree.Segments; got != wantTail {
 			t.Fatalf("tail %d: %d series in tailT, want %d", tail, got, wantTail)
 		}
 		fresh, freshColl := build(t, dataset.FromFlat("all", all.Flat()[:n*length], n, length), 32)

@@ -643,7 +643,10 @@ func (w *walker) Roots(f *core.Frontier[*node], _ *stats.QueryStats) {
 	f.Push(0, w.ix.root)
 }
 
-// Expand implements core.Tree.
+// Expand implements core.Tree. The children's EAPCA bounds are loosened by
+// the sidecar's slack (core.SynopsisQuery.Loosen): a query element near
+// 1e19 cancels its prefix sums enough to lift a bound above the refine
+// kernel's distance to a tied member.
 func (w *walker) Expand(n *node, f *core.Frontier[*node], qs *stats.QueryStats) bool {
 	if n.isLeaf {
 		return false
@@ -651,8 +654,8 @@ func (w *walker) Expand(n *node, f *core.Frontier[*node], qs *stats.QueryStats) 
 	c0, c1 := n.children[0], n.children[1]
 	l0, l1 := lbPair(w.qp, c0, c1, w.sc.Aux(3*len(c0.ends)))
 	qs.LBCalcs += 2
-	f.Push(l0, c0)
-	f.Push(l1, c1)
+	f.Push(w.sq.Loosen(l0), c0)
+	f.Push(w.sq.Loosen(l1), c1)
 	return true
 }
 

@@ -144,6 +144,3 @@ func (ix *Index) LeafLB(q series.Series, leaf int) float64 {
 	qpaa := ix.tree.PAA.Apply(q)
 	return math.Sqrt(ix.tree.MinDist(qpaa, nonEmpty[leaf]))
 }
-
-// Tree exposes the underlying structure for white-box tests.
-func (ix *Index) Tree() *isaxtree.Tree { return ix.tree }

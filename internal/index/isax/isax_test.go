@@ -22,7 +22,7 @@ func build(t *testing.T, ds *dataset.Dataset, leaf int) (*Index, *core.Collectio
 func TestTreeInvariantsAfterBuild(t *testing.T) {
 	ds := dataset.RandomWalk(2500, 128, 1)
 	ix, _ := build(t, ds, 50)
-	if err := ix.Tree().Validate(); err != nil {
+	if err := ix.tree.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 }

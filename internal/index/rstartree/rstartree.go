@@ -409,14 +409,15 @@ func (w *walker) Expand(n *node, f *core.Frontier[*node], qs *stats.QueryStats) 
 
 // Refine implements core.Tree: the leaf's entries are pruned by their point
 // lower bounds first, then the surviving raw series are fetched (one leaf
-// access).
+// access). An entry whose bound equals the k-th distance survives: a tie
+// still wins on a smaller id.
 func (w *walker) Refine(n *node, rf *core.Refiner, qs *stats.QueryStats) {
 	ids := w.sc.IDs(len(n.entries))
 	m := 0
 	for _, e := range n.entries {
 		lb := w.ix.xform.LowerBound(w.qpaa, e.lo)
 		qs.LBCalcs++
-		if lb < rf.Bound() {
+		if lb <= rf.Bound() {
 			ids[m] = e.id
 			m++
 		}

@@ -74,6 +74,38 @@ func TestGaussianBreakpoints(t *testing.T) {
 	}
 }
 
+// Welford accumulates streaming mean and variance.
+type Welford struct {
+	n    int64
+	mean float64
+	m2   float64
+}
+
+// Add incorporates x into the running statistics.
+func (w *Welford) Add(x float64) {
+	w.n++
+	d := x - w.mean
+	w.mean += d / float64(w.n)
+	w.m2 += d * (x - w.mean)
+}
+
+// N returns the number of observations.
+func (w *Welford) N() int64 { return w.n }
+
+// Mean returns the running mean (0 for no observations).
+func (w *Welford) Mean() float64 { return w.mean }
+
+// Var returns the running population variance.
+func (w *Welford) Var() float64 {
+	if w.n == 0 {
+		return 0
+	}
+	return w.m2 / float64(w.n)
+}
+
+// Std returns the running population standard deviation.
+func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
+
 func TestWelford(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var w Welford

@@ -163,7 +163,6 @@ func (e *Encoder) WriteTo(w io.Writer) (int64, error) {
 // sections, ready to be read back with Section.
 type Decoder struct {
 	method   string
-	version  uint16
 	sections map[string][]byte
 }
 
@@ -231,7 +230,7 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 		}
 		table[i] = tableEntry{name: name, size: size, crc: binary.LittleEndian.Uint32(cb[:])}
 	}
-	d := &Decoder{method: method, version: version, sections: make(map[string][]byte, count)}
+	d := &Decoder{method: method, sections: make(map[string][]byte, count)}
 	for _, te := range table {
 		if _, dup := d.sections[te.name]; dup {
 			return nil, fmt.Errorf("%w: duplicate section %q", ErrCorrupt, te.name)
@@ -250,9 +249,6 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 
 // Method returns the name the snapshot was saved under.
 func (d *Decoder) Method() string { return d.method }
-
-// Version returns the snapshot's format version.
-func (d *Decoder) Version() uint16 { return d.version }
 
 // Section returns a Reader over the named section's payload, or an error
 // wrapping ErrCorrupt when the snapshot does not contain it.
@@ -369,14 +365,6 @@ func (w *Writer) U32(v uint32) {
 func (w *Writer) F64(v float64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	w.buf.Write(b[:])
-}
-
-// F32 appends an IEEE-754 single as fixed little-endian bits, preserving
-// every payload bit — the arena's native element width, used by the WAL.
-func (w *Writer) F32(v float32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
 	w.buf.Write(b[:])
 }
 
@@ -552,15 +540,6 @@ func (r *Reader) F64() float64 {
 		return 0
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-
-// F32 reads an IEEE-754 single.
-func (r *Reader) F32() float32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return math.Float32frombits(binary.LittleEndian.Uint32(b))
 }
 
 // String reads a length-prefixed string.

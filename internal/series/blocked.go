@@ -1,10 +1,6 @@
 package series
 
-import (
-	"fmt"
-
-	"hydra/internal/simd"
-)
+import "hydra/internal/simd"
 
 // The blocked kernels below compute the same squared distances as
 // SquaredDistEA / SquaredDistEAOrdered but test the early-abandon bound once
@@ -33,17 +29,6 @@ import (
 //     kernels.
 //   - Results are bit-identical across SIMD backends (the internal/simd
 //     contract), so answers do not depend on the machine the query ran on.
-
-// SquaredDistEABlocked computes the squared Euclidean distance between q and
-// c with blocked early abandoning: the bound is tested once per 16-element
-// block over independent accumulator lanes. See the package comment above
-// for the equivalence and pruning-parity guarantees.
-func SquaredDistEABlocked(q, c Series, bound float64) float64 {
-	if len(q) != len(c) {
-		panic(fmt.Sprintf("series: squared distance of mismatched lengths %d and %d", len(q), len(c)))
-	}
-	return simd.SquaredDistEABlocked(q, c, bound)
-}
 
 // SquaredDistEAOrderedBlocked computes the squared distance with blocked
 // early abandoning, visiting the query's 16-element blocks in the given

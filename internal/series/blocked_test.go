@@ -1,10 +1,23 @@
 package series
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"hydra/internal/simd"
 )
+
+// SquaredDistEABlocked is simd.SquaredDistEABlocked behind the length check
+// every series kernel makes: the unordered blocked kernel, held to the
+// guarantees blocked.go states.
+func SquaredDistEABlocked(q, c Series, bound float64) float64 {
+	if len(q) != len(c) {
+		panic(fmt.Sprintf("series: squared distance of mismatched lengths %d and %d", len(q), len(c)))
+	}
+	return simd.SquaredDistEABlocked(q, c, bound)
+}
 
 func randPair(n int, rng *rand.Rand) (Series, Series) {
 	q := make(Series, n)

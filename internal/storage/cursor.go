@@ -18,8 +18,8 @@ import (
 type Cursor struct {
 	st     fileState
 	length int
-	lo, hi int
-	next   int // series a sequential read would hit next; -1 before the first read
+	count  int // the pinned series count
+	next   int // series a sequential read would hit next
 	io     Snapshot
 	c      *Counters
 }
@@ -28,31 +28,16 @@ type Cursor struct {
 // series 0, with an empty record.
 func (f *SeriesFile) Cursor() Cursor {
 	st := *f.state.Load()
-	return Cursor{st: st, length: f.length, hi: st.count, c: f.c}
+	return Cursor{st: st, length: f.length, count: st.count, c: f.c}
 }
 
-// Slice returns a fresh cursor over series [lo, hi) of the same pinned
-// extent, with an empty record: a reader of one range of the file. It is
-// positioned at lo only when lo is 0, where a whole-file cursor starts, so p
-// readers tiling the file charge one seek each except the first.
-func (cur *Cursor) Slice(lo, hi int) Cursor {
-	if lo < cur.lo || hi > cur.hi || lo > hi {
-		panic("storage: cursor slice out of bounds")
-	}
-	next := -1
-	if lo == 0 {
-		next = 0
-	}
-	return Cursor{st: cur.st, length: cur.length, lo: lo, hi: hi, next: next, c: cur.c}
-}
-
-// Len returns the number of series in the cursor's range.
-func (cur *Cursor) Len() int { return cur.hi - cur.lo }
+// Len returns the number of series the cursor reads.
+func (cur *Cursor) Len() int { return cur.count }
 
 // Read returns series i, charging a sequential access if i continues the
 // cursor's previous read and a seek otherwise.
 func (cur *Cursor) Read(i int) series.Series {
-	if i < cur.lo || i >= cur.hi {
+	if i < 0 || i >= cur.count {
 		panic("storage: cursor read out of bounds")
 	}
 	n := int64(cur.length) * BytesPerValue
@@ -74,7 +59,7 @@ func (cur *Cursor) Read(i int) series.Series {
 // kernel walks the view in one call. An empty run charges nothing and does
 // not move the cursor.
 func (cur *Cursor) ReadRun(i, n int) []float32 {
-	if i < cur.lo || n < 0 || n > cur.hi-i {
+	if i < 0 || n < 0 || n > cur.count-i {
 		panic("storage: cursor run out of bounds")
 	}
 	if n == 0 {
@@ -100,7 +85,7 @@ func (cur *Cursor) ReadRun(i, n int) []float32 {
 // always count as one sequential operation, never as per-series random
 // transfers. Block scans that stream values (MASS) read through it.
 func (cur *Cursor) Range(lo, hi int) []float32 {
-	if lo < cur.lo || hi > cur.hi || lo > hi {
+	if lo < 0 || hi > cur.count || lo > hi {
 		panic("storage: cursor range read out of bounds")
 	}
 	faultpoint.Delay(faultpoint.StorageSlowRead)
@@ -116,7 +101,7 @@ func (cur *Cursor) Range(lo, hi int) []float32 {
 // Peek returns series i without charging anything: the members of a leaf
 // whose access Leaf charged once.
 func (cur *Cursor) Peek(i int) series.Series {
-	if i < cur.lo || i >= cur.hi {
+	if i < 0 || i >= cur.count {
 		panic("storage: cursor peek out of bounds")
 	}
 	return cur.st.at(i, cur.length)

@@ -93,14 +93,6 @@ func (c *Counters) Snapshot() Snapshot {
 	}
 }
 
-// Reset zeroes all counters.
-func (c *Counters) Reset() {
-	c.seqOps.Store(0)
-	c.seqBytes.Store(0)
-	c.randOps.Store(0)
-	c.randBytes.Store(0)
-}
-
 // Snapshot is an immutable copy of counter values.
 type Snapshot struct {
 	SeqOps, SeqBytes, RandOps, RandBytes int64
@@ -187,7 +179,7 @@ func (st *fileState) at(i, length int) series.Series {
 // NewSeriesFile copies data (all series must share the same length) into a
 // fresh aligned arena and wraps it in a simulated file charging accesses to
 // c. Input built over a flat backing already (dataset generators,
-// dataset.Load) should go through NewSeriesFileFlat instead, which aliases
+// dataset.LoadFile) should go through NewSeriesFileFlat instead, which aliases
 // without copying — that is what lets query replicas share one arena.
 func NewSeriesFile(data []series.Series, c *Counters) *SeriesFile {
 	length := 0

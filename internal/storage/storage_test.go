@@ -184,6 +184,14 @@ func TestDeviceIOTime(t *testing.T) {
 	}
 }
 
+// Reset zeroes all counters.
+func (c *Counters) Reset() {
+	c.seqOps.Store(0)
+	c.seqBytes.Store(0)
+	c.randOps.Store(0)
+	c.randBytes.Store(0)
+}
+
 func TestCountersReset(t *testing.T) {
 	c := &Counters{}
 	c.ChargeSeq(100)

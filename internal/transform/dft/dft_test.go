@@ -92,13 +92,13 @@ func TestFeatureScalingMonotone(t *testing.T) {
 }
 
 // applyReference is Apply as it was before ApplyInto: the whole spectrum
-// from fft.FFTReal, the scale recomputed per feature.
+// from a full fft.Forward, the scale recomputed per feature.
 func applyReference(n, dims int, s series.Series) []float64 {
-	x := make([]float64, n)
+	X := make([]complex128, n)
 	for i, v := range s {
-		x[i] = float64(v)
+		X[i] = complex(float64(v), 0)
 	}
-	X := fft.FFTReal(x)
+	fft.Forward(X, n)
 	out := make([]float64, dims)
 	for d := 0; d < dims; d++ {
 		k := d/2 + 1

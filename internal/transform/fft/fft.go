@@ -16,7 +16,7 @@
 // VA+file keep 9 of 256) says so, and the transform skips every butterfly no
 // kept output depends on; the kept outputs are bit-identical to a full
 // transform's. Nothing here holds per-call state: workspaces belong to the
-// caller (FFT, FFTReal and Convolve allocate theirs, Forward takes one).
+// caller (Convolve allocates its own, Forward takes one).
 package fft
 
 import (
@@ -28,24 +28,13 @@ import (
 	"hydra/internal/mathx"
 )
 
-// FFT computes the in-place-sized forward DFT of x and returns the result in
-// a new slice: X[k] = Σ_j x[j]·e^(−2πi·jk/n). The input is not modified.
-func FFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	copy(out, x)
-	if n <= 1 {
-		return out
-	}
-	Forward(out, n)
-	return out
-}
-
-// Forward computes the forward DFT of a in place. Only the first keep
-// coefficients are wanted: on return a[:keep] holds X[0..keep-1], bit-equal
-// to the same entries of FFT(a), and the rest of a is unspecified. A
-// power-of-two length allocates nothing and skips the butterflies that feed
-// no kept coefficient; any other length runs the full Bluestein transform.
+// Forward computes the forward DFT of a in place:
+// X[k] = Σ_j a[j]·e^(−2πi·jk/n). Only the first keep coefficients are
+// wanted: on return a[:keep] holds X[0..keep-1], bit-equal to the same
+// entries of a full transform (keep = n), and the rest of a is
+// unspecified. A power-of-two length allocates nothing and skips the
+// butterflies that feed no kept coefficient; any other length runs the
+// full Bluestein transform.
 func Forward(a []complex128, keep int) {
 	n := len(a)
 	switch {
@@ -55,15 +44,6 @@ func Forward(a []complex128, keep int) {
 	default:
 		copy(a, bluestein(a))
 	}
-}
-
-// FFTReal computes the forward DFT of a real-valued input.
-func FFTReal(x []float64) []complex128 {
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	return FFT(c)
 }
 
 // twiddles holds the butterfly factors of every radix-2 stage up to length

@@ -9,6 +9,28 @@ import (
 	"testing/quick"
 )
 
+// FFT computes the in-place-sized forward DFT of x and returns the result in
+// a new slice: X[k] = Σ_j x[j]·e^(−2πi·jk/n). The input is not modified.
+func FFT(x []complex128) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	copy(out, x)
+	if n <= 1 {
+		return out
+	}
+	Forward(out, n)
+	return out
+}
+
+// FFTReal computes the forward DFT of a real-valued input.
+func FFTReal(x []float64) []complex128 {
+	c := make([]complex128, len(x))
+	for i, v := range x {
+		c[i] = complex(v, 0)
+	}
+	return FFT(c)
+}
+
 // naiveDFT is the O(n²) reference implementation.
 func naiveDFT(x []complex128) []complex128 {
 	n := len(x)

@@ -120,26 +120,6 @@ func (w Word) String() string {
 	return out
 }
 
-// MinDist returns the squared lower-bounding distance between a query's PAA
-// vector and the iSAX word w, given the per-segment widths of the PAA
-// transform: for each segment the distance from the query PAA value to the
-// breakpoint region of the symbol, squared and weighted by segment width.
-func (q *Quantizer) MinDist(queryPAA []float64, w Word, widths []float64) float64 {
-	var sum float64
-	for i, v := range queryPAA {
-		lo, hi := q.Region(w.Symbols[i]>>(MaxBits-w.Bits[i]), w.Bits[i])
-		var d float64
-		switch {
-		case v < lo:
-			d = lo - v
-		case v > hi:
-			d = v - hi
-		}
-		sum += widths[i] * (d * d)
-	}
-	return sum
-}
-
 // MinDistFullCard returns the squared lower-bounding distance between a
 // query's PAA vector and a series' symbols at maximum cardinality — the
 // per-series bound ADS+ (SIMS) evaluates against its in-memory summary array.

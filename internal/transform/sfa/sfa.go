@@ -64,18 +64,12 @@ type Transform struct {
 	bps [][]float64
 }
 
-// Train learns MCB breakpoints from (a sample of) the collection and returns
-// the transform.
-func Train(data []series.Series, seriesLen int, opts Options) (*Transform, error) {
-	t, _, err := TrainAll(len(data), func(i int) series.Series { return data[i] }, seriesLen, opts)
-	return t, err
-}
-
-// TrainAll is Train for an index that keeps every series' Fourier features:
-// it transforms each of the n series once (at(i) is series i), returns the
-// features back-to-back (Dims() values per series) beside the transform, and
-// learns the breakpoints from the sampled rows of that array, so no series
-// is transformed a second time to be indexed.
+// TrainAll learns MCB breakpoints from (a sample of) a collection of n
+// series for an index that keeps every series' Fourier features: it
+// transforms each series once (at(i) is series i), returns the features
+// back-to-back (Dims() values per series) beside the transform, and learns
+// the breakpoints from the sampled rows of that array, so no series is
+// transformed a second time to be indexed.
 func TrainAll(n int, at func(i int) series.Series, seriesLen int, opts Options) (*Transform, []float64, error) {
 	opts.setDefaults()
 	if n == 0 {
@@ -142,7 +136,7 @@ func computeBreakpoints(col []float64, a int, b Binning) []float64 {
 // Restore rebuilds a trained transform from its persisted parameters: the
 // series length and word length (the DFT is deterministic given both), the
 // alphabet, the binning scheme, and the learned MCB breakpoints. It is the
-// snapshot-loading counterpart of Train.
+// snapshot-loading counterpart of TrainAll.
 func Restore(seriesLen, dims, alphabet int, binning Binning, bps [][]float64) (*Transform, error) {
 	if seriesLen <= 0 || dims <= 0 || alphabet <= 1 {
 		return nil, fmt.Errorf("sfa: invalid restore parameters len=%d dims=%d alphabet=%d", seriesLen, dims, alphabet)
@@ -201,11 +195,6 @@ func (t *Transform) Symbol(d int, v float64) uint8 {
 		idx++
 	}
 	return uint8(idx)
-}
-
-// Word returns the SFA word of a feature vector.
-func (t *Transform) Word(feat []float64) []uint8 {
-	return t.WordInto(feat, make([]uint8, len(feat)))
 }
 
 // WordInto writes the SFA word of a feature vector to w[:len(feat)] and

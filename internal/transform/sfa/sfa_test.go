@@ -13,11 +13,16 @@ import (
 func trainOn(t *testing.T, n, length int, opts Options) (*Transform, *dataset.Dataset) {
 	t.Helper()
 	ds := dataset.RandomWalk(n, length, 11)
-	tr, err := Train(ds.Series, length, opts)
+	tr, _, err := TrainAll(n, func(i int) series.Series { return ds.Series[i] }, length, opts)
 	if err != nil {
-		t.Fatalf("Train: %v", err)
+		t.Fatalf("TrainAll: %v", err)
 	}
 	return tr, ds
+}
+
+// Word returns the SFA word of a feature vector.
+func (t *Transform) Word(feat []float64) []uint8 {
+	return t.WordInto(feat, make([]uint8, len(feat)))
 }
 
 func TestTrainDefaults(t *testing.T) {
@@ -31,7 +36,7 @@ func TestTrainDefaults(t *testing.T) {
 }
 
 func TestTrainEmpty(t *testing.T) {
-	if _, err := Train(nil, 64, Options{}); err == nil {
+	if _, _, err := TrainAll(0, nil, 64, Options{}); err == nil {
 		t.Errorf("expected error for empty training set")
 	}
 }

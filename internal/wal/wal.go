@@ -612,13 +612,6 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// Sync forces an fsync regardless of policy — the pre-checkpoint barrier.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncLocked()
-}
-
 // Truncate drops every record, resetting the log to a bare header — called
 // after a checkpoint record holding the same series is durable, at which
 // point the records are redundant. The truncation is synced before

@@ -53,8 +53,8 @@ func TestKernelTailsOnArenaViews(t *testing.T) {
 			full := series.SquaredDist(qc, cc)
 			tol := 1e-9 * (1 + full)
 			for _, bound := range []float64{0, full / 2, full, inf, series.SquaredDist(qc, long[3000+off+n:3000+off+2*n])} {
-				av := series.SquaredDistEABlocked(qv, cv, bound)
-				ac := series.SquaredDistEABlocked(qc, cc, bound)
+				av := simd.SquaredDistEABlocked(qv, cv, bound)
+				ac := simd.SquaredDistEABlocked(qc, cc, bound)
 				if av != ac {
 					t.Fatalf("n=%d off=%d bound=%v: EABlocked view %v, copy %v", n, off, bound, av, ac)
 				}
