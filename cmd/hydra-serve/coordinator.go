@@ -423,9 +423,15 @@ func shardErrMsg(data []byte) string {
 // failed but quorum held: merged best-so-far, "partial":true, per-shard
 // status attached. Below quorum: 503 + Retry-After with the status block
 // in the error body.
+//
+// The body is decoded only to validate it and learn k; the shards get the
+// client's bytes unchanged, and default k as the coordinator does. Nothing
+// pools the body: a cancelled hedge or retry may still be sending it after
+// the handler returns.
 func (c *coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if !readJSON(w, r, &req) {
+	timing := startTiming()
+	req, body, ok := postBody(w, r, decodeQuery)
+	if !ok {
 		return
 	}
 	done := c.queryStats.track()
@@ -434,23 +440,15 @@ func (c *coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, msg)
 		return
 	}
-	if req.K <= 0 {
-		req.K = 1
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
-		return
-	}
-	ctx, cancel := c.requestContext(r)
-	defer cancel()
-	raws, statuses, refusal := c.scatter(ctx, "/query", body, requestID(r))
+	timing.lap("decode")
+	raws, statuses, refusal := c.scatter(r.Context(), "/query", body, requestID(r))
 	if refusal != nil {
 		writeError(w, r, refusal.status, refusal.msg)
 		return
 	}
+	timing.lap("shards")
 
-	g := hydra.NewGather(req.K)
+	g := hydra.NewGather(max(req.K, 1))
 	var agg statsJSON
 	answered, partial := 0, false
 	for i, raw := range raws {
@@ -481,6 +479,8 @@ func (c *coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if answered < len(c.shards) {
 		partial = true
 	}
+	timing.lap("gather")
+	timing.write(w)
 	writeJSON(w, http.StatusOK, queryResponse{
 		Matches: toMatchJSON(g.Results(), 0),
 		Partial: partial,
@@ -492,10 +492,11 @@ func (c *coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 // handleBatch fans the whole batch out to every shard and merges each
 // query's per-shard answers independently, preserving the single-engine
 // batch contract: queries are isolated, one query's failure never voids its
-// siblings.
+// siblings. The body is forwarded unchanged, as in handleQuery.
 func (c *coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if !readJSON(w, r, &req) {
+	timing := startTiming()
+	req, body, ok := postBody(w, r, decodeBatch)
+	if !ok {
 		return
 	}
 	done := c.queryStats.track()
@@ -504,21 +505,13 @@ func (c *coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, msg)
 		return
 	}
-	if req.K <= 0 {
-		req.K = 1
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
-		return
-	}
-	ctx, cancel := c.requestContext(r)
-	defer cancel()
-	raws, statuses, refusal := c.scatter(ctx, "/batch", body, requestID(r))
+	timing.lap("decode")
+	raws, statuses, refusal := c.scatter(r.Context(), "/batch", body, requestID(r))
 	if refusal != nil {
 		writeError(w, r, refusal.status, refusal.msg)
 		return
 	}
+	timing.lap("shards")
 
 	perShard := make([]*batchResponse, len(raws))
 	answered := 0
@@ -541,7 +534,7 @@ func (c *coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	results := make([]batchResult, len(req.Queries))
 	for qi := range req.Queries {
-		g := hydra.NewGather(req.K)
+		g := hydra.NewGather(max(req.K, 1))
 		folded, firstErr := 0, ""
 		for i, br := range perShard {
 			if br == nil {
@@ -570,6 +563,8 @@ func (c *coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		results[qi] = batchResult{Matches: toMatchJSON(g.Results(), 0)}
 	}
+	timing.lap("gather")
+	timing.write(w)
 	writeJSON(w, http.StatusOK, batchResponse{
 		Results: results,
 		Partial: answered < len(c.shards),

@@ -25,9 +25,12 @@
 // (-access-log=false silences the per-request line).
 //
 // Both modes run every request under the -timeout per-request deadline (and
-// the client-disconnect context), and -max-inflight bounds concurrently
+// the client-disconnect context), counted from admission so that reading
+// the body counts against it, and -max-inflight bounds concurrently
 // admitted query requests — excess requests are refused immediately with
 // 503 + jittered Retry-After rather than queued into the latency tail.
+// /query and /batch answers carry a Server-Timing header that splits the
+// handler's time into phases.
 //
 // Single-engine mode: with -partial (the default) a query that overruns its
 // deadline answers 200 with the best-so-far matches and "partial":true
@@ -82,7 +85,7 @@ func main() {
 		method    = flag.String("method", "UCR-Suite", "method to build and serve")
 		indexPath = flag.String("index", "", "index snapshot to load instead of building")
 		addr      = flag.String("addr", ":8080", "listen address")
-		timeout   = flag.Duration("timeout", 2*time.Second, "per-request query deadline (0 = none)")
+		timeout   = flag.Duration("timeout", 2*time.Second, "per-request deadline from admission, body read included (0 = none)")
 		leafSize  = flag.Int("leaf", 0, "leaf size (0 = paper default scaled to collection)")
 		device    = flag.String("device", "hdd", "device profile for reported simulated times: hdd|ssd")
 		workers   = flag.Int("workers", 0, "cap on the goroutines one scan query or profile uses (0 = every core, 1 = the paper's serial pass)")

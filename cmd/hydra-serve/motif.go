@@ -98,8 +98,8 @@ type motifResponse struct {
 // starts). Profiles are heavier than queries — the in-flight bound is the
 // knob that keeps a motif burst from starving k-NN traffic.
 func (s *server) handleMotif(w http.ResponseWriter, r *http.Request) {
-	var req motifRequest
-	if !readJSON(w, r, &req) {
+	req, _, ok := postBody(w, r, decodeJSON[motifRequest])
+	if !ok {
 		return
 	}
 	if req.M <= 0 {
@@ -119,11 +119,8 @@ func (s *server) handleMotif(w http.ResponseWriter, r *http.Request) {
 	if req.Workers != 0 {
 		opts = append(opts, hydra.WithWorkers(req.Workers))
 	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-
 	start := time.Now()
-	p, err := s.engine.MatrixProfile(ctx, req.M, opts...)
+	p, err := s.engine.MatrixProfile(r.Context(), req.M, opts...)
 	if err != nil {
 		if errors.Is(err, hydra.ErrProfileUnsupported) {
 			writeError(w, r, http.StatusNotImplemented, err.Error())

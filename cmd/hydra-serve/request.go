@@ -65,6 +65,10 @@ func (s *statusRecorder) Write(b []byte) (int, error) {
 	return s.ResponseWriter.Write(b)
 }
 
+// Unwrap lets http.ResponseController reach the connection under the
+// recorder, for the read deadline admission sets on the body.
+func (s *statusRecorder) Unwrap() http.ResponseWriter { return s.ResponseWriter }
+
 // identify is the outermost middleware: it attaches the request ID
 // (accepted from the client or freshly generated), echoes it in the
 // response header, and with logAccess writes one access log line per
@@ -98,7 +102,9 @@ func identify(next http.Handler, logAccess bool) http.Handler {
 // deadline (-timeout), the bound on concurrently admitted query requests
 // (-max-inflight) and the drain flag.
 type gate struct {
-	timeout time.Duration // 0 = no deadline
+	// timeout is the per-request deadline (0 = none), counted from
+	// admission: the body read and the query both run under it.
+	timeout time.Duration
 	// sem holds one slot per admitted request (nil = unlimited): a request
 	// that cannot take a slot immediately is refused with 503 + Retry-After
 	// instead of queueing, so overload degrades into fast, honest rejections
@@ -129,6 +135,10 @@ func (g *gate) startDrain() { g.draining.Store(true) }
 // admitted gates a query endpoint: draining refuses outright, and a request
 // that cannot take an in-flight slot without waiting is refused with 503 +
 // Retry-After — shedding load immediately beats queueing it into a timeout.
+// An admitted request runs under the -timeout deadline from here: r's
+// context carries it, and so does the connection's read deadline until
+// readBody has the body, so a client that trickles its body cannot hold
+// the slot past -timeout.
 func (g *gate) admitted(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if g.draining.Load() {
@@ -147,18 +157,48 @@ func (g *gate) admitted(next http.HandlerFunc) http.HandlerFunc {
 				return
 			}
 		}
+		if g.timeout > 0 {
+			deadline := time.Now().Add(g.timeout)
+			if r.Body != http.NoBody {
+				// Not every ResponseWriter reaches a connection (a test
+				// recorder does not); there is no body read to bound then.
+				_ = http.NewResponseController(w).SetReadDeadline(deadline)
+			}
+			ctx, cancel := context.WithDeadline(r.Context(), deadline)
+			defer cancel()
+			r = r.WithContext(ctx)
+		}
 		next(w, r)
 	}
 }
 
-// requestContext derives the per-request deadline from the configured
-// timeout on top of the client-disconnect cancellation http.Request
-// already carries.
-func (g *gate) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	if g.timeout <= 0 {
-		return r.Context(), func() {}
+// serverTiming collects a handler's phases for the Server-Timing response
+// header, in milliseconds. Each lap closes the phase running since the
+// previous lap, or since the handler started, so the phases are
+// contiguous and their sum is at most the handler's wall time.
+type serverTiming struct {
+	mark   time.Time
+	header []byte
+}
+
+func startTiming() serverTiming { return serverTiming{mark: time.Now()} }
+
+// lap ends the running phase under name and starts the next one.
+func (t *serverTiming) lap(name string) {
+	now := time.Now()
+	if len(t.header) > 0 {
+		t.header = append(t.header, ", "...)
 	}
-	return context.WithTimeout(r.Context(), g.timeout)
+	t.header = append(t.header, name...)
+	t.header = append(t.header, ";dur="...)
+	// Whole microseconds, rounded down, keep the sum within the wall time.
+	t.header = strconv.AppendFloat(t.header, float64(now.Sub(t.mark).Microseconds())/1e3, 'f', 3, 64)
+	t.mark = now
+}
+
+// write sets the header; call it before the response status is written.
+func (t *serverTiming) write(w http.ResponseWriter) {
+	w.Header().Set("Server-Timing", string(t.header))
 }
 
 // retryAfterJitter returns a randomized Retry-After value in [1, spread]

@@ -1,12 +1,20 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -216,6 +224,179 @@ func TestServeSlowHeaderDisconnected(t *testing.T) {
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {
 			t.Fatal("connection with a partial header still open after 5s")
+		}
+	}
+}
+
+// TestServeTrickledBodyTimesOut pins that -timeout bounds the body read:
+// with -max-inflight 1 -timeout 200ms, a client that sends its headers and
+// 16 of 100,000 body bytes and then stalls holds the one admission slot
+// only until the deadline, and is answered 408. A well-formed /query gets
+// 200 within about a second, with or without the access log, and a second
+// request on the same keep-alive connection, sent after the first one's
+// deadline has passed, still succeeds.
+func TestServeTrickledBodyTimesOut(t *testing.T) {
+	e, d := testEngine(t)
+	body, err := json.Marshal(queryRequest{Query: d.Series(0), K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.SetOutput(io.Discard)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	for _, accessLog := range []bool{false, true} {
+		t.Run(fmt.Sprintf("access-log=%v", accessLog), func(t *testing.T) {
+			app := newServer(e, 200*time.Millisecond, 1)
+			app.accessLog = accessLog
+			srv := newHTTPServer("", app.handler())
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go srv.Serve(ln)
+			t.Cleanup(func() { srv.Close() })
+			base := "http://" + ln.Addr().String()
+
+			stalled, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stalled.Close()
+			start := time.Now()
+			if _, err := fmt.Fprintf(stalled, "POST /query HTTP/1.1\r\nHost: hydra\r\nContent-Type: application/json\r\nContent-Length: 100000\r\n\r\n%s", `{"query":[0.1,0.`); err != nil {
+				t.Fatal(err)
+			}
+			for app.queryStats.requests.Load() == 0 && len(app.sem) == 0 {
+				if time.Since(start) > time.Second {
+					t.Fatal("stalled request never admitted")
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			client := &http.Client{Transport: &http.Transport{}}
+			defer client.CloseIdleConnections()
+			var conns []bool // GotConn's Reused, per request
+			post := func() int {
+				ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+					GotConn: func(info httptrace.GotConnInfo) { conns = append(conns, info.Reused) },
+				})
+				req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/query", bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := client.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				return resp.StatusCode
+			}
+			for status := post(); status != http.StatusOK; status = post() {
+				if status != http.StatusServiceUnavailable {
+					t.Fatalf("query beside a stalled body: status %d, want 503 then 200", status)
+				}
+				if time.Since(start) > time.Second {
+					t.Fatal("a stalled body still holds the admission slot after 1s")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			stalled.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if line, err := bufio.NewReader(stalled).ReadString('\n'); err != nil || !strings.Contains(line, " 408 ") {
+				t.Fatalf("stalled request answered %q (%v), want 408", line, err)
+			}
+
+			// Past the first request's deadline, the same connection serves
+			// the next request: its read deadline went with the body.
+			time.Sleep(300 * time.Millisecond)
+			if status := post(); status != http.StatusOK {
+				t.Fatalf("second request on a kept-alive connection: status %d", status)
+			}
+			if n := len(conns); n < 2 || !conns[n-1] {
+				t.Fatalf("second request did not reuse the connection: %v", conns)
+			}
+		})
+	}
+}
+
+// TestServeDrainInFlight runs serveUntilDone in-process: cancelling the
+// serving context while a query is in flight (admitted, its body half
+// sent) flips /readyz to 503 and refuses a new /query with 503 and
+// Retry-After, while the in-flight query still completes with 200; then
+// serveUntilDone returns.
+func TestServeDrainInFlight(t *testing.T) {
+	e, d := testEngine(t)
+	app := newServer(e, 5*time.Second, 4)
+	h := app.handler()
+	srv := newHTTPServer("", h)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.Serve(ln) }()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		serveUntilDone(ctx, errCh, srv, app.startDrain, func(format string, args ...any) { t.Errorf(format, args...) })
+	}()
+
+	body, err := json.Marshal(queryRequest{Query: d.Series(9), K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	half := len(body) / 2
+	if _, err := fmt.Fprintf(conn, "POST /query HTTP/1.1\r\nHost: hydra\r\nContent-Length: %d\r\n\r\n%s", len(body), body[:half]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the query to be admitted", func() bool { return len(app.sem) == 1 })
+
+	cancel()
+	waitFor(t, "the drain to start", app.draining.Load)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("readyz while draining: status %d, want 503", rec.Code)
+	}
+	rec = postJSON(t, h, "/query", queryRequest{Query: d.Series(9), K: 1})
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("new query while draining: status %d, Retry-After %q, want 503 with one", rec.Code, rec.Header().Get("Retry-After"))
+	}
+
+	if _, err := conn.Write(body[half:]); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var qr queryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("in-flight query: status %d (%v), want 200", resp.StatusCode, err)
+	}
+	if len(qr.Matches) != 1 || qr.Matches[0].ID != 9 {
+		t.Fatalf("in-flight query answered %+v, want series 9", qr.Matches)
+	}
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Fatal("serveUntilDone did not return after the drain")
+	}
+}
+
+// waitFor polls cond for up to 2 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for start := time.Now(); !cond(); time.Sleep(time.Millisecond) {
+		if time.Since(start) > 2*time.Second {
+			t.Fatalf("timed out waiting for %s", what)
 		}
 	}
 }

@@ -290,8 +290,8 @@ type ingestResponse struct {
 // all, 400 for bad input, 500 when the WAL write failed (the batch is
 // unacked and recovery will not resurrect it).
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req ingestRequest
-	if !readJSON(w, r, &req) {
+	req, _, ok := postBody(w, r, decodeIngest)
+	if !ok {
 		return
 	}
 	if _, ok := s.engine.IngestStats(); !ok {
@@ -309,9 +309,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	if err := s.engine.Append(ctx, req.Series...); err != nil {
+	if err := s.engine.Append(r.Context(), req.Series...); err != nil {
 		if errors.Is(err, hydra.ErrIngestUnsupported) {
 			writeError(w, r, http.StatusNotImplemented, err.Error())
 			return
@@ -385,10 +383,12 @@ func (s *server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if !readJSON(w, r, &req) {
+	timing := startTiming()
+	req, _, ok := postBody(w, r, decodeQuery)
+	if !ok {
 		return
 	}
+	timing.lap("decode")
 	done := s.queryStats.track()
 	defer done()
 	k := req.K
@@ -400,13 +400,13 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
 		return
 	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	matches, qs, err := engine.QueryWithStats(ctx, req.Query, k)
+	matches, qs, err := engine.QueryWithStats(r.Context(), req.Query, k)
 	if err != nil {
 		writeQueryError(w, r, err)
 		return
 	}
+	timing.lap("engine")
+	timing.write(w)
 	writeJSON(w, http.StatusOK, queryResponse{
 		Matches: toMatchJSON(matches, s.idOffset),
 		Partial: qs.Partial,
@@ -431,10 +431,12 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if !readJSON(w, r, &req) {
+	timing := startTiming()
+	req, _, ok := postBody(w, r, decodeBatch)
+	if !ok {
 		return
 	}
+	timing.lap("decode")
 	done := s.queryStats.track()
 	defer done()
 	k := req.K
@@ -446,9 +448,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
 		return
 	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	results, errs := engine.QueryBatchErrors(ctx, req.Queries, k)
+	results, errs := engine.QueryBatchErrors(r.Context(), req.Queries, k)
 	// An error that voided the whole batch (e.g. the request deadline) is
 	// reported at the HTTP level; a batch with any answers returns the
 	// per-query split, each failure carrying its own cause.
@@ -464,6 +464,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results[i] = batchResult{Matches: toMatchJSON(m, s.idOffset)}
 	}
+	timing.lap("engine")
+	timing.write(w)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -491,19 +493,6 @@ func allNil(results [][]hydra.Match) bool {
 		if r != nil {
 			return false
 		}
-	}
-	return true
-}
-
-func readJSON(w http.ResponseWriter, r *http.Request, into any) bool {
-	if r.Method != http.MethodPost {
-		writeError(w, r, http.StatusMethodNotAllowed, "POST only")
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err := dec.Decode(into); err != nil {
-		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
-		return false
 	}
 	return true
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -230,4 +231,54 @@ func TestServeConcurrentQueryStats(t *testing.T) {
 	}
 	<-done
 	<-done
+}
+
+// TestServeServerTiming: /query and /batch answers carry Server-Timing —
+// decode and engine from a single engine; decode, shards and gather from a
+// coordinator — and its phases parse and sum to no more than the handler's
+// wall time.
+func TestServeServerTiming(t *testing.T) {
+	e, d := testEngine(t)
+	coord := fleetCoordinator(newTestFleet(t, d, "UCR-Suite", 2), testCoordCfg())
+	q := d.Series(4)
+	for _, tc := range []struct {
+		name   string
+		h      http.Handler
+		phases []string
+	}{
+		{"server", newServer(e, time.Second, 0).handler(), []string{"decode", "engine"}},
+		{"coordinator", coord.handler(), []string{"decode", "shards", "gather"}},
+	} {
+		for _, req := range []struct {
+			path string
+			body any
+		}{
+			{"/query", queryRequest{Query: q, K: 3}},
+			{"/batch", batchRequest{Queries: [][]float32{q, q}, K: 3}},
+		} {
+			start := time.Now()
+			rec := postJSON(t, tc.h, req.path, req.body)
+			wall := float64(time.Since(start).Microseconds()) / 1e3
+			header := rec.Header().Get("Server-Timing")
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s %s: status %d: %s", tc.name, req.path, rec.Code, rec.Body)
+			}
+			entries := strings.Split(header, ", ")
+			if len(entries) != len(tc.phases) {
+				t.Fatalf("%s %s: Server-Timing %q, want phases %v", tc.name, req.path, header, tc.phases)
+			}
+			sum := 0.0
+			for i, entry := range entries {
+				name, dur, ok := strings.Cut(entry, ";dur=")
+				ms, err := strconv.ParseFloat(dur, 64)
+				if !ok || err != nil || name != tc.phases[i] || ms < 0 {
+					t.Fatalf("%s %s: Server-Timing entry %q, want %s;dur=<ms>", tc.name, req.path, entry, tc.phases[i])
+				}
+				sum += ms
+			}
+			if sum > wall {
+				t.Errorf("%s %s: phases sum to %.3f ms, more than the %.3f ms wall time", tc.name, req.path, sum, wall)
+			}
+		}
+	}
 }
