@@ -135,15 +135,55 @@ func decodeIngest(body []byte, readErr error) (ingestRequest, error) {
 	return decodeJSON[ingestRequest](body, readErr)
 }
 
-// fastTarget points the fast path at one request type's fields: the number
-// array under key lands in row (flat) or rows (nested); k and approx are
-// nil for a type without the scalar fields, whose keys then fall back.
+// fanout is what the coordinator learns from a /query or /batch body
+// before forwarding it unchanged: each query's length, and k.
+type fanout struct {
+	lens []int
+	k    int
+}
+
+// checkQuery is the coordinator's decodeQuery: it accepts and refuses the
+// bodies decodeQuery does, but learns only the query's length and k. The
+// fast path checks the values without parsing them.
+func checkQuery(body []byte, readErr error) (fanout, error) {
+	var f fanout
+	var n int
+	var approx approxRequest
+	if readErr == nil && fastDecode(body, fastTarget{key: "query", rowLen: &n, k: &f.k, approx: &approx}) {
+		f.lens = []int{n}
+		return f, nil
+	}
+	req, err := decodeJSON[queryRequest](body, readErr)
+	return fanout{lens: []int{len(req.Query)}, k: req.K}, err
+}
+
+// checkBatch is checkQuery for a /batch body.
+func checkBatch(body []byte, readErr error) (fanout, error) {
+	var f fanout
+	var approx approxRequest
+	if readErr == nil && fastDecode(body, fastTarget{key: "queries", rowLens: &f.lens, k: &f.k, approx: &approx}) {
+		return f, nil
+	}
+	req, err := decodeJSON[batchRequest](body, readErr)
+	f = fanout{lens: make([]int, len(req.Queries)), k: req.K}
+	for i, q := range req.Queries {
+		f.lens[i] = len(q)
+	}
+	return f, err
+}
+
+// fastTarget points the fast path at one request type's fields. The number
+// array under key lands in row (one array) or rows (an array of them), or
+// only its length in rowLen or rowLens; k and approx are nil for a type
+// without the scalar fields, whose keys then fall back.
 type fastTarget struct {
-	key    string
-	row    *[]float32
-	rows   *[][]float32
-	k      *int
-	approx *approxRequest
+	key     string
+	row     *[]float32
+	rows    *[][]float32
+	rowLen  *int
+	rowLens *[]int
+	k       *int
+	approx  *approxRequest
 }
 
 // fastDecode parses body into t if it has the canonical shape, and
@@ -182,14 +222,20 @@ func fastDecode(body []byte, t fastTarget) bool {
 // duplicate check; false for a key t does not take or a value outside the
 // canonical shape.
 func (t fastTarget) field(s *scanner, key []byte) (bit uint8, ok bool) {
-	switch {
-	case string(key) == t.key && t.row != nil:
-		*t.row, ok = s.floats()
+	if string(key) == t.key {
+		switch {
+		case t.row != nil:
+			*t.row, _, ok = s.floats(true)
+		case t.rowLen != nil:
+			_, *t.rowLen, ok = s.floats(false)
+		case t.rows != nil:
+			*t.rows, _, ok = s.floatRows(true)
+		default:
+			_, *t.rowLens, ok = s.floatRows(false)
+		}
 		return 1 << 0, ok
-	case string(key) == t.key && t.rows != nil:
-		*t.rows, ok = s.floatRows()
-		return 1 << 0, ok
-	case t.k == nil:
+	}
+	if t.k == nil {
 		return 0, false
 	}
 	switch string(key) {
@@ -329,12 +375,14 @@ func (s *scanner) float64() (float64, bool) {
 	return f, err == nil
 }
 
-// floats consumes an array of numbers into a []float32 allocated once at
-// its length, each element parsed as encoding/json does for a float32: a
-// number out of float32 range falls back, and encoding/json refuses it.
-func (s *scanner) floats() ([]float32, bool) {
+// floats consumes an array of numbers and returns its length n. With parse
+// it also returns the values in a []float32 allocated once at that length,
+// each parsed as encoding/json does for a float32: a number out of float32
+// range falls back, and encoding/json refuses it. Without, it checks the
+// numbers and calls strconv only for a literal that could be out of range.
+func (s *scanner) floats(parse bool) (vals []float32, n int, ok bool) {
 	if !s.skip('[') {
-		return nil, false
+		return nil, 0, false
 	}
 	// Size the slice by the commas before the next ']'. A wrong count only
 	// ever means a body outside the shape, which the strict parse below
@@ -343,38 +391,54 @@ func (s *scanner) floats() ([]float32, bool) {
 	// allocation within twice the body.
 	end := bytes.IndexByte(s.b[s.i:], ']')
 	if end < 0 {
-		return nil, false
+		return nil, 0, false
 	}
-	seg, n := s.b[s.i:s.i+end], 0
+	seg := s.b[s.i : s.i+end]
 	if len(bytes.TrimLeft(seg, " \t\n\r")) > 0 {
 		n = bytes.Count(seg, []byte{','}) + 1
 	}
 	if n > (len(seg)+1)/2 {
-		return nil, false
+		return nil, 0, false
 	}
-	out := make([]float32, n)
-	for j := range out {
+	if parse {
+		vals = make([]float32, n)
+	}
+	for j := 0; j < n; j++ {
 		if j > 0 && !s.skip(',') {
-			return nil, false
+			return nil, 0, false
 		}
 		s.ws()
 		lit, ok := s.number()
 		if !ok {
-			return nil, false
+			return nil, 0, false
+		}
+		if !parse && !mayOverflow(lit) {
+			continue
 		}
 		f, err := strconv.ParseFloat(string(lit), 32)
 		if err != nil {
-			return nil, false
+			return nil, 0, false
 		}
-		out[j] = float32(f)
+		if parse {
+			vals[j] = float32(f)
+		}
 	}
-	return out, s.skip(']')
+	return vals, n, s.skip(']')
 }
 
-// floatRows consumes an array of number arrays.
-func (s *scanner) floatRows() ([][]float32, bool) {
+// mayOverflow reports whether a number literal could be out of float32
+// range, the only error strconv.ParseFloat(s, 32) returns for a literal of
+// the JSON grammar. Without an exponent, 38 bytes hold at most 38 integer
+// digits, below 1e38 and so below the largest float32 (3.4e38).
+func mayOverflow(lit []byte) bool {
+	return len(lit) > 38 || bytes.IndexByte(lit, 'e') >= 0 || bytes.IndexByte(lit, 'E') >= 0
+}
+
+// floatRows consumes an array of number arrays, returning with parse the
+// rows and without only their lengths, as floats does.
+func (s *scanner) floatRows(parse bool) (rows [][]float32, lens []int, ok bool) {
 	if !s.skip('[') {
-		return nil, false
+		return nil, nil, false
 	}
 	// Size the outer slice by the row breaks before the first "]]", a
 	// guess that is exact for the canonical shape and harmless otherwise:
@@ -384,21 +448,29 @@ func (s *scanner) floatRows() ([][]float32, bool) {
 	if end := bytes.Index(s.b[s.i:], []byte("]]")); end >= 0 {
 		hint = bytes.Count(s.b[s.i:s.i+end], []byte("],[")) + 1
 	}
-	out := make([][]float32, 0, hint)
+	if parse {
+		rows = make([][]float32, 0, hint)
+	} else {
+		lens = make([]int, 0, hint)
+	}
 	if s.skip(']') {
-		return out, true
+		return rows, lens, true
 	}
 	for {
-		row, ok := s.floats()
+		row, n, ok := s.floats(parse)
 		if !ok {
-			return nil, false
+			return nil, nil, false
 		}
-		out = append(out, row)
+		if parse {
+			rows = append(rows, row)
+		} else {
+			lens = append(lens, n)
+		}
 		if s.skip(']') {
-			return out, true
+			return rows, lens, true
 		}
 		if !s.skip(',') {
-			return nil, false
+			return nil, nil, false
 		}
 	}
 }

@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -59,8 +61,11 @@ var edgeBodies = []struct {
 	{"/query", `{"k":1,"k":2,"query":[1]}`, false},
 	{"/query", `{"query":[1],"query":[2,3]}`, false},
 	{"/query", `{"query":null,"k":null}`, false},
-	{"/query", `{"query":[1e39]}`, false}, // out of float32 range: refused
-	{"/query", `{"query":[1e-50]}`, true}, // underflows to 0, as encoding/json takes it
+	{"/query", `{"query":[1e39]}`, false},                                    // out of float32 range: refused
+	{"/query", `{"query":[1e-50]}`, true},                                    // underflows to 0, as encoding/json takes it
+	{"/query", `{"query":[340282356779733661637539395458142568448]}`, false}, // 39 digits, above the largest float32
+	{"/query", `{"query":[34028235677973366163753939545814256844.8]}`, true},
+	{"/query", `{"query":[3.4028235e38,-3.4028236e38]}`, false},
 	{"/query", `{"query":[01]}`, false},
 	{"/query", `{"query":[1.]}`, false},
 	{"/query", `{"query":[.5]}`, false},
@@ -89,8 +94,9 @@ var edgeBodies = []struct {
 
 // TestDecodeAgreesWithEncodingJSON pins the codec's contract on the edge
 // bodies and on canonical ones: the fast path takes exactly the shapes it
-// claims, and every body decodes to what encoding/json decodes, or is
-// refused when encoding/json refuses it.
+// claims, the coordinator's check as well as the decode, and every body
+// decodes to what encoding/json decodes, or is refused when encoding/json
+// refuses it.
 func TestDecodeAgreesWithEncodingJSON(t *testing.T) {
 	cases := edgeBodies
 	for path, body := range canonicalBodies(t) {
@@ -102,8 +108,8 @@ func TestDecodeAgreesWithEncodingJSON(t *testing.T) {
 	}
 	for _, c := range cases {
 		body := []byte(c.body)
-		if got := takesFastPath(c.path, body); got != c.fast {
-			t.Errorf("%s %.60q: fast path %v, want %v", c.path, c.body, got, c.fast)
+		if decode, check := takesFastPath(c.path, body); decode != c.fast || check != c.fast {
+			t.Errorf("%s %.60q: fast path decodes %v, checks %v, want %v", c.path, c.body, decode, check, c.fast)
 		}
 		if msg := disagreement(c.path, body); msg != "" {
 			t.Errorf("%s %.60q: %s", c.path, c.body, msg)
@@ -113,7 +119,9 @@ func TestDecodeAgreesWithEncodingJSON(t *testing.T) {
 
 // FuzzServeRequest is the differential check of the codec against
 // encoding/json over /query, /batch and /ingest bodies: both accept or
-// both refuse, and accepted values are equal to the bit.
+// both refuse, and accepted values are equal to the bit. The coordinator's
+// check of a /query or /batch body accepts and refuses the same bodies and
+// learns the lengths and k encoding/json decodes.
 func FuzzServeRequest(f *testing.F) {
 	paths := []string{"/query", "/batch", "/ingest"}
 	index := map[string]uint8{"/query": 0, "/batch": 1, "/ingest": 2}
@@ -131,18 +139,25 @@ func FuzzServeRequest(f *testing.F) {
 	})
 }
 
-// takesFastPath reports whether the fast path decodes body on its own.
-func takesFastPath(path string, body []byte) bool {
+// takesFastPath reports whether the fast path decodes body on its own,
+// and whether it checks it on its own for the coordinator ("/ingest" has
+// no check; check repeats decode there).
+func takesFastPath(path string, body []byte) (decode, check bool) {
 	var q queryRequest
 	var b batchRequest
 	var in ingestRequest
+	var n int
+	var lens []int
 	switch path {
 	case "/query":
-		return fastDecode(body, fastTarget{key: "query", row: &q.Query, k: &q.K, approx: &q.approxRequest})
+		return fastDecode(body, fastTarget{key: "query", row: &q.Query, k: &q.K, approx: &q.approxRequest}),
+			fastDecode(body, fastTarget{key: "query", rowLen: &n, k: &q.K, approx: &q.approxRequest})
 	case "/batch":
-		return fastDecode(body, fastTarget{key: "queries", rows: &b.Queries, k: &b.K, approx: &b.approxRequest})
+		return fastDecode(body, fastTarget{key: "queries", rows: &b.Queries, k: &b.K, approx: &b.approxRequest}),
+			fastDecode(body, fastTarget{key: "queries", rowLens: &lens, k: &b.K, approx: &b.approxRequest})
 	}
-	return fastDecode(body, fastTarget{key: "series", rows: &in.Series})
+	decode = fastDecode(body, fastTarget{key: "series", rows: &in.Series})
+	return decode, decode
 }
 
 // disagreement decodes body for path with the codec and with
@@ -151,11 +166,35 @@ func takesFastPath(path string, body []byte) bool {
 func disagreement(path string, body []byte) string {
 	switch path {
 	case "/query":
-		return compareDecode(body, decodeQuery)
+		return compareDecode(body, decodeQuery) + compareCheck(body, checkQuery, func(q queryRequest) fanout {
+			return fanout{lens: []int{len(q.Query)}, k: q.K}
+		})
 	case "/batch":
-		return compareDecode(body, decodeBatch)
+		return compareDecode(body, decodeBatch) + compareCheck(body, checkBatch, func(b batchRequest) fanout {
+			f := fanout{k: b.K}
+			for _, q := range b.Queries {
+				f.lens = append(f.lens, len(q))
+			}
+			return f
+		})
 	}
 	return compareDecode(body, decodeIngest)
+}
+
+// compareCheck compares the coordinator's check of body with what
+// encoding/json decodes, reduced by learn to the lengths and k.
+func compareCheck[T any](body []byte, check func([]byte, error) (fanout, error), learn func(T) fanout) string {
+	got, gotErr := check(body, nil)
+	var v T
+	wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&v)
+	want := learn(v)
+	switch {
+	case (gotErr == nil) != (wantErr == nil):
+		return "check error " + errString(gotErr) + ", encoding/json error " + errString(wantErr)
+	case gotErr == nil && (!slices.Equal(got.lens, want.lens) || got.k != want.k):
+		return fmt.Sprintf("check learned %v k=%d, encoding/json %v k=%d", got.lens, got.k, want.lens, want.k)
+	}
+	return ""
 }
 
 func compareDecode[T any](body []byte, decode func([]byte, error) (T, error)) string {
@@ -234,6 +273,11 @@ func BenchmarkDecodeQuery(b *testing.B) {
 
 func BenchmarkDecodeBatch16(b *testing.B) {
 	benchmarkPostBody(b, "/batch", decodeBatch)
+}
+
+// BenchmarkCheckQuery is the coordinator's side of a /query.
+func BenchmarkCheckQuery(b *testing.B) {
+	benchmarkPostBody(b, "/query", checkQuery)
 }
 
 // benchmarkPostBody times what a handler pays to have its request: the

@@ -424,19 +424,19 @@ func shardErrMsg(data []byte) string {
 // status attached. Below quorum: 503 + Retry-After with the status block
 // in the error body.
 //
-// The body is decoded only to validate it and learn k; the shards get the
-// client's bytes unchanged, and default k as the coordinator does. Nothing
-// pools the body: a cancelled hedge or retry may still be sending it after
-// the handler returns.
+// The body is checked only to validate it and learn the query's length and
+// k; the shards get the client's bytes unchanged, and default k as the
+// coordinator does. Nothing pools the body: a cancelled hedge or retry may
+// still be sending it after the handler returns.
 func (c *coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	timing := startTiming()
-	req, body, ok := postBody(w, r, decodeQuery)
+	req, body, ok := postBody(w, r, checkQuery)
 	if !ok {
 		return
 	}
 	done := c.queryStats.track()
 	defer done()
-	if msg := c.lengthRefusal(req.Query); msg != "" {
+	if msg := c.lengthRefusal(req.lens...); msg != "" {
 		writeError(w, r, http.StatusBadRequest, msg)
 		return
 	}
@@ -448,7 +448,7 @@ func (c *coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	timing.lap("shards")
 
-	g := hydra.NewGather(max(req.K, 1))
+	g := hydra.NewGather(max(req.k, 1))
 	var agg statsJSON
 	answered, partial := 0, false
 	for i, raw := range raws {
@@ -495,13 +495,13 @@ func (c *coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 // siblings. The body is forwarded unchanged, as in handleQuery.
 func (c *coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	timing := startTiming()
-	req, body, ok := postBody(w, r, decodeBatch)
+	req, body, ok := postBody(w, r, checkBatch)
 	if !ok {
 		return
 	}
 	done := c.queryStats.track()
 	defer done()
-	if msg := c.lengthRefusal(req.Queries...); msg != "" {
+	if msg := c.lengthRefusal(req.lens...); msg != "" {
 		writeError(w, r, http.StatusBadRequest, msg)
 		return
 	}
@@ -520,7 +520,7 @@ func (c *coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		var br batchResponse
-		if err := json.Unmarshal(raw, &br); err != nil || len(br.Results) != len(req.Queries) {
+		if err := json.Unmarshal(raw, &br); err != nil || len(br.Results) != len(req.lens) {
 			statuses[i].State = "failed"
 			statuses[i].Error = "bad shard response: result count mismatch"
 			continue
@@ -532,9 +532,9 @@ func (c *coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		c.writeQuorumError(w, r, answered, statuses)
 		return
 	}
-	results := make([]batchResult, len(req.Queries))
-	for qi := range req.Queries {
-		g := hydra.NewGather(max(req.K, 1))
+	results := make([]batchResult, len(req.lens))
+	for qi := range results {
+		g := hydra.NewGather(max(req.k, 1))
 		folded, firstErr := 0, ""
 		for i, br := range perShard {
 			if br == nil {
@@ -578,17 +578,17 @@ func (c *coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 // length. It returns "" until the prober has learned that length, and for
 // a batch with any right-length entry — that batch fans out, and the shards
 // answer its wrong entries one by one, as a single server does.
-func (c *coordinator) lengthRefusal(queries ...[]float32) string {
+func (c *coordinator) lengthRefusal(lens ...int) string {
 	want := c.seriesLen.Load()
-	if want == 0 || len(queries) == 0 {
+	if want == 0 || len(lens) == 0 {
 		return ""
 	}
-	for _, q := range queries {
-		if int64(len(q)) == want {
+	for _, n := range lens {
+		if int64(n) == want {
 			return ""
 		}
 	}
-	return fmt.Sprintf("bad request: query length %d, collection length %d", len(queries[0]), want)
+	return fmt.Sprintf("bad request: query length %d, collection length %d", lens[0], want)
 }
 
 // writeQuorumError answers a below-quorum fan-out: 503 with jittered
