@@ -25,6 +25,8 @@ import (
 // encoding/json over the same bytes. The fast path never refuses, so what
 // the server accepts and refuses, and the values it decodes, are
 // encoding/json's by construction (FuzzServeRequest checks the values).
+// The coordinator, which forwards the bytes, walks the same fast path
+// without parsing the values (checkQuery, checkBatch).
 
 // postBody reads and decodes a POST body with decode, answering the request
 // itself when ok is false: 405 for another method, 408 when the body did
