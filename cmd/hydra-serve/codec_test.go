@@ -63,7 +63,7 @@ var edgeBodies = []struct {
 	{"/query", `{"query":null,"k":null}`, false},
 	{"/query", `{"query":[1e39]}`, false},                                    // out of float32 range: refused
 	{"/query", `{"query":[1e-50]}`, true},                                    // underflows to 0, as encoding/json takes it
-	{"/query", `{"query":[340282356779733661637539395458142568448]}`, false}, // 39 digits, above the largest float32
+	{"/query", `{"query":[340282356779733661637539395458142568448]}`, false}, // 39 digits, halfway past the largest float32: rounds out of range
 	{"/query", `{"query":[34028235677973366163753939545814256844.8]}`, true},
 	{"/query", `{"query":[3.4028235e38,-3.4028236e38]}`, false},
 	{"/query", `{"query":[01]}`, false},
