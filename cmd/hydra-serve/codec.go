@@ -14,54 +14,57 @@ import (
 
 // The request codec, shared by the single-engine server and the
 // coordinator. A body is read once, through the maxRequestBytes cap, into
-// one buffer. The float-carrying bodies (/query, /batch, /ingest) then take
-// a fast path for the byte shapes clients send: one object of exact-case
-// keys, each at most once, standard whitespace, plain numbers and plain
-// ASCII strings, nothing after the object. Number arrays are parsed
-// straight into []float32 with no reflection: the JSON number grammar is
-// checked, then strconv.ParseFloat(s, 32) runs, the call encoding/json
-// itself makes. Anything else — escapes, null, case-folded, duplicate or
-// unknown keys, an out-of-range number, trailing bytes — goes to
-// encoding/json over the same bytes. The fast path never refuses, so what
-// the server accepts and refuses, and the values it decodes, are
-// encoding/json's by construction (FuzzServeRequest checks the values).
-// The coordinator, which forwards the bytes, walks the same fast path
-// without parsing the values (checkQuery, checkBatch).
+// one buffer; a body that cannot be read whole is refused. The
+// float-carrying bodies (/query, /batch, /ingest) then take a fast path for
+// the byte shapes clients send: one object of exact-case keys, each at
+// most once, standard whitespace, plain numbers and plain ASCII strings,
+// nothing after the object. Number arrays are parsed straight into
+// []float32 with no reflection: the JSON number grammar is checked, then
+// strconv.ParseFloat(s, 32) runs, the call encoding/json itself makes.
+// Anything else — escapes, null, case-folded, duplicate or unknown keys,
+// an out-of-range number, trailing bytes — goes to encoding/json over the
+// same bytes. The fast path never refuses, so what the server accepts and
+// refuses, and the values it decodes, are encoding/json's by construction
+// (FuzzServeRequest checks the values). The coordinator decodes the same
+// way and forwards the client's bytes when the fast path took them
+// (forwardQuery, forwardBatch).
 
 // postBody reads and decodes a POST body with decode, answering the request
 // itself when ok is false: 405 for another method, 408 when the body did
-// not arrive before the request deadline, 400 for a body decode refuses.
-// body is the bytes read, for a coordinator to forward unchanged.
-func postBody[T any](w http.ResponseWriter, r *http.Request, decode func([]byte, error) (T, error)) (req T, body []byte, ok bool) {
+// not arrive before the request deadline, 400 for a body that could not be
+// read whole (one over the cap, a dropped connection) or that decode
+// refuses.
+func postBody[T any](w http.ResponseWriter, r *http.Request, decode func([]byte) (T, error)) (req T, ok bool) {
 	if r.Method != http.MethodPost {
 		writeError(w, r, http.StatusMethodNotAllowed, "POST only")
-		return req, nil, false
+		return req, false
 	}
-	body, readErr := readBody(w, r)
-	req, err := decode(body, readErr)
+	body, err := readBody(w, r)
+	if err == nil {
+		req, err = decode(body)
+	}
 	if err != nil {
 		status := http.StatusBadRequest
-		if errors.Is(readErr, os.ErrDeadlineExceeded) {
+		if errors.Is(err, os.ErrDeadlineExceeded) {
 			status = http.StatusRequestTimeout
 		}
 		writeError(w, r, status, fmt.Sprintf("bad request: %v", err))
-		return req, nil, false
+		return req, false
 	}
-	return req, body, true
+	return req, true
 }
 
-// readBody reads r's body to its end through the maxRequestBytes cap. A read
-// error comes back beside the bytes read before it; the fallback decoder
-// sees both in the order a streaming decoder would have.
+// readBody reads r's body to its end through the maxRequestBytes cap.
 //
 // Admission set a read deadline for the body (gate.admitted). readBody
-// clears it once the body is in: with a declared length, before the read
-// that returns EOF, which starts net/http's background read of the
-// connection, where the deadline firing would cancel r.Context()
-// mid-query. After a failed read the deadline stays, so it also bounds
-// net/http's discard of the unread body once the handler returns.
+// clears it right after the read that returns EOF. net/http starts its
+// background read of the connection inside that read, and a deadline
+// firing there would cancel r.Context() mid-query, turning a -partial
+// answer into a 499. net/http clears the deadline itself when it starts
+// that read; clearing it here keeps the contract from resting on that.
+// After a failed read the deadline stays, so it also bounds net/http's
+// discard of the unread body once the handler returns.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	rc := http.NewResponseController(w)
 	src := http.MaxBytesReader(w, r.Body, maxRequestBytes)
 	// A declared length sizes the buffer, plus one byte for the read that
 	// returns EOF; a large one only up to 1 MiB, so a client cannot make
@@ -72,19 +75,14 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	}
 	buf := make([]byte, 0, size)
 	for {
-		if int64(len(buf)) == r.ContentLength {
-			_ = rc.SetReadDeadline(time.Time{})
-		}
 		n, err := src.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
 		if err == io.EOF {
-			if r.ContentLength < 0 {
-				_ = rc.SetReadDeadline(time.Time{})
-			}
+			_ = http.NewResponseController(w).SetReadDeadline(time.Time{})
 			return buf, nil
 		}
 		if err != nil {
-			return buf, err
+			return nil, err
 		}
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
@@ -93,99 +91,84 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 }
 
 // decodeJSON is the fallback: encoding/json's streaming decoder over the
-// bytes read and then the read error, exactly what it saw when it read the
-// body itself. Like that decoder it ignores what follows the first value.
-func decodeJSON[T any](body []byte, readErr error) (T, error) {
+// body. Like a decoder reading the body itself, it ignores what follows
+// the first value.
+func decodeJSON[T any](body []byte) (T, error) {
 	var v T
-	var src io.Reader = bytes.NewReader(body)
-	if readErr != nil {
-		src = io.MultiReader(src, errReader{readErr})
-	}
-	err := json.NewDecoder(src).Decode(&v)
+	err := json.NewDecoder(bytes.NewReader(body)).Decode(&v)
 	return v, err
 }
 
-// errReader replays a body read error after the bytes read before it.
-type errReader struct{ err error }
-
-func (e errReader) Read([]byte) (int, error) { return 0, e.err }
-
-// decodeQuery decodes a /query body.
-func decodeQuery(body []byte, readErr error) (queryRequest, error) {
+// fastQuery, fastBatch and fastIngest run the fast path for one request
+// type and report whether it took the body.
+func fastQuery(body []byte) (queryRequest, bool) {
 	var req queryRequest
-	if readErr == nil && fastDecode(body, fastTarget{key: "query", row: &req.Query, k: &req.K, approx: &req.approxRequest}) {
-		return req, nil
-	}
-	return decodeJSON[queryRequest](body, readErr)
+	ok := fastDecode(body, fastTarget{key: "query", row: &req.Query, k: &req.K, approx: &req.approxRequest})
+	return req, ok
 }
 
-// decodeBatch decodes a /batch body.
-func decodeBatch(body []byte, readErr error) (batchRequest, error) {
+func fastBatch(body []byte) (batchRequest, bool) {
 	var req batchRequest
-	if readErr == nil && fastDecode(body, fastTarget{key: "queries", rows: &req.Queries, k: &req.K, approx: &req.approxRequest}) {
-		return req, nil
-	}
-	return decodeJSON[batchRequest](body, readErr)
+	ok := fastDecode(body, fastTarget{key: "queries", rows: &req.Queries, k: &req.K, approx: &req.approxRequest})
+	return req, ok
 }
 
-// decodeIngest decodes an /ingest body.
-func decodeIngest(body []byte, readErr error) (ingestRequest, error) {
+func fastIngest(body []byte) (ingestRequest, bool) {
 	var req ingestRequest
-	if readErr == nil && fastDecode(body, fastTarget{key: "series", rows: &req.Series}) {
+	ok := fastDecode(body, fastTarget{key: "series", rows: &req.Series})
+	return req, ok
+}
+
+// decode decodes body by the fast path, or by encoding/json where the fast
+// path does not take it.
+func decode[T any](body []byte, fast func([]byte) (T, bool)) (T, error) {
+	if req, ok := fast(body); ok {
 		return req, nil
 	}
-	return decodeJSON[ingestRequest](body, readErr)
+	return decodeJSON[T](body)
 }
 
-// fanout is what the coordinator learns from a /query or /batch body
-// before forwarding it unchanged: each query's length, and k.
-type fanout struct {
-	lens []int
-	k    int
+func decodeQuery(body []byte) (queryRequest, error)   { return decode(body, fastQuery) }
+func decodeBatch(body []byte) (batchRequest, error)   { return decode(body, fastBatch) }
+func decodeIngest(body []byte) (ingestRequest, error) { return decode(body, fastIngest) }
+
+// forward is a request as the coordinator decoded it and the bytes it
+// sends every shard for it.
+type forward[T any] struct {
+	req  T
+	body []byte
 }
 
-// checkQuery is the coordinator's decodeQuery: it accepts and refuses the
-// bodies decodeQuery does, but learns only the query's length and k. The
-// fast path checks the values without parsing them.
-func checkQuery(body []byte, readErr error) (fanout, error) {
-	var f fanout
-	var n int
-	var approx approxRequest
-	if readErr == nil && fastDecode(body, fastTarget{key: "query", rowLen: &n, k: &f.k, approx: &approx}) {
-		f.lens = []int{n}
-		return f, nil
+// forwarding decodes body as decode does. A body the fast path took is
+// forwarded as it is: a shard reads it the same way. Any other body is
+// forwarded as the decoded request marshalled again, so whitespace,
+// unknown fields and bytes after the value do not travel to every shard
+// on every attempt.
+func forwarding[T any](body []byte, fast func([]byte) (T, bool)) (forward[T], error) {
+	if req, ok := fast(body); ok {
+		return forward[T]{req, body}, nil
 	}
-	req, err := decodeJSON[queryRequest](body, readErr)
-	return fanout{lens: []int{len(req.Query)}, k: req.K}, err
+	req, err := decodeJSON[T](body)
+	if err != nil {
+		return forward[T]{}, err
+	}
+	blob, err := json.Marshal(req)
+	return forward[T]{req, blob}, err
 }
 
-// checkBatch is checkQuery for a /batch body.
-func checkBatch(body []byte, readErr error) (fanout, error) {
-	var f fanout
-	var approx approxRequest
-	if readErr == nil && fastDecode(body, fastTarget{key: "queries", rowLens: &f.lens, k: &f.k, approx: &approx}) {
-		return f, nil
-	}
-	req, err := decodeJSON[batchRequest](body, readErr)
-	f = fanout{lens: make([]int, len(req.Queries)), k: req.K}
-	for i, q := range req.Queries {
-		f.lens[i] = len(q)
-	}
-	return f, err
-}
+func forwardQuery(body []byte) (forward[queryRequest], error) { return forwarding(body, fastQuery) }
+func forwardBatch(body []byte) (forward[batchRequest], error) { return forwarding(body, fastBatch) }
 
 // fastTarget points the fast path at one request type's fields. The number
-// array under key lands in row (one array) or rows (an array of them), or
-// only its length in rowLen or rowLens; k and approx are nil for a type
-// without the scalar fields, whose keys then fall back.
+// array under key lands in row (one array) or rows (an array of them); k
+// and approx are nil for a type without the scalar fields, whose keys then
+// fall back.
 type fastTarget struct {
-	key     string
-	row     *[]float32
-	rows    *[][]float32
-	rowLen  *int
-	rowLens *[]int
-	k       *int
-	approx  *approxRequest
+	key    string
+	row    *[]float32
+	rows   *[][]float32
+	k      *int
+	approx *approxRequest
 }
 
 // fastDecode parses body into t if it has the canonical shape, and
@@ -225,15 +208,10 @@ func fastDecode(body []byte, t fastTarget) bool {
 // canonical shape.
 func (t fastTarget) field(s *scanner, key []byte) (bit uint8, ok bool) {
 	if string(key) == t.key {
-		switch {
-		case t.row != nil:
-			*t.row, _, ok = s.floats(true)
-		case t.rowLen != nil:
-			_, *t.rowLen, ok = s.floats(false)
-		case t.rows != nil:
-			*t.rows, _, ok = s.floatRows(true)
-		default:
-			_, *t.rowLens, ok = s.floatRows(false)
+		if t.row != nil {
+			*t.row, ok = s.floats()
+		} else {
+			*t.rows, ok = s.floatRows()
 		}
 		return 1 << 0, ok
 	}
@@ -377,14 +355,13 @@ func (s *scanner) float64() (float64, bool) {
 	return f, err == nil
 }
 
-// floats consumes an array of numbers and returns its length n. With parse
-// it also returns the values in a []float32 allocated once at that length,
-// each parsed as encoding/json does for a float32: a number out of float32
-// range falls back, and encoding/json refuses it. Without, it checks the
-// numbers and calls strconv only for a literal that could be out of range.
-func (s *scanner) floats(parse bool) (vals []float32, n int, ok bool) {
+// floats consumes an array of numbers and returns them in a []float32
+// allocated once at its length, each parsed as encoding/json does for a
+// float32: a number out of float32 range falls back, and encoding/json
+// refuses it.
+func (s *scanner) floats() ([]float32, bool) {
 	if !s.skip('[') {
-		return nil, 0, false
+		return nil, false
 	}
 	// Size the slice by the commas before the next ']'. A wrong count only
 	// ever means a body outside the shape, which the strict parse below
@@ -393,54 +370,39 @@ func (s *scanner) floats(parse bool) (vals []float32, n int, ok bool) {
 	// allocation within twice the body.
 	end := bytes.IndexByte(s.b[s.i:], ']')
 	if end < 0 {
-		return nil, 0, false
+		return nil, false
 	}
 	seg := s.b[s.i : s.i+end]
+	n := 0
 	if len(bytes.TrimLeft(seg, " \t\n\r")) > 0 {
 		n = bytes.Count(seg, []byte{','}) + 1
 	}
 	if n > (len(seg)+1)/2 {
-		return nil, 0, false
+		return nil, false
 	}
-	if parse {
-		vals = make([]float32, n)
-	}
-	for j := 0; j < n; j++ {
+	vals := make([]float32, n)
+	for j := range vals {
 		if j > 0 && !s.skip(',') {
-			return nil, 0, false
+			return nil, false
 		}
 		s.ws()
 		lit, ok := s.number()
 		if !ok {
-			return nil, 0, false
-		}
-		if !parse && !mayOverflow(lit) {
-			continue
+			return nil, false
 		}
 		f, err := strconv.ParseFloat(string(lit), 32)
 		if err != nil {
-			return nil, 0, false
+			return nil, false
 		}
-		if parse {
-			vals[j] = float32(f)
-		}
+		vals[j] = float32(f)
 	}
-	return vals, n, s.skip(']')
+	return vals, s.skip(']')
 }
 
-// mayOverflow reports whether a number literal could be out of float32
-// range, the only error strconv.ParseFloat(s, 32) returns for a literal of
-// the JSON grammar. Without an exponent, 38 bytes hold at most 38 integer
-// digits, below 1e38 and so below the largest float32 (3.4e38).
-func mayOverflow(lit []byte) bool {
-	return len(lit) > 38 || bytes.IndexByte(lit, 'e') >= 0 || bytes.IndexByte(lit, 'E') >= 0
-}
-
-// floatRows consumes an array of number arrays, returning with parse the
-// rows and without only their lengths, as floats does.
-func (s *scanner) floatRows(parse bool) (rows [][]float32, lens []int, ok bool) {
+// floatRows consumes an array of number arrays, each as floats does.
+func (s *scanner) floatRows() ([][]float32, bool) {
 	if !s.skip('[') {
-		return nil, nil, false
+		return nil, false
 	}
 	// Size the outer slice by the row breaks before the first "]]", a
 	// guess that is exact for the canonical shape and harmless otherwise:
@@ -450,29 +412,21 @@ func (s *scanner) floatRows(parse bool) (rows [][]float32, lens []int, ok bool) 
 	if end := bytes.Index(s.b[s.i:], []byte("]]")); end >= 0 {
 		hint = bytes.Count(s.b[s.i:s.i+end], []byte("],[")) + 1
 	}
-	if parse {
-		rows = make([][]float32, 0, hint)
-	} else {
-		lens = make([]int, 0, hint)
-	}
+	rows := make([][]float32, 0, hint)
 	if s.skip(']') {
-		return rows, lens, true
+		return rows, true
 	}
 	for {
-		row, n, ok := s.floats(parse)
+		row, ok := s.floats()
 		if !ok {
-			return nil, nil, false
+			return nil, false
 		}
-		if parse {
-			rows = append(rows, row)
-		} else {
-			lens = append(lens, n)
-		}
+		rows = append(rows, row)
 		if s.skip(']') {
-			return rows, lens, true
+			return rows, true
 		}
 		if !s.skip(',') {
-			return nil, nil, false
+			return nil, false
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
-	"slices"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"hydra"
@@ -94,9 +94,8 @@ var edgeBodies = []struct {
 
 // TestDecodeAgreesWithEncodingJSON pins the codec's contract on the edge
 // bodies and on canonical ones: the fast path takes exactly the shapes it
-// claims, the coordinator's check as well as the decode, and every body
-// decodes to what encoding/json decodes, or is refused when encoding/json
-// refuses it.
+// claims, and every body decodes to what encoding/json decodes, or is
+// refused when encoding/json refuses it.
 func TestDecodeAgreesWithEncodingJSON(t *testing.T) {
 	cases := edgeBodies
 	for path, body := range canonicalBodies(t) {
@@ -108,8 +107,8 @@ func TestDecodeAgreesWithEncodingJSON(t *testing.T) {
 	}
 	for _, c := range cases {
 		body := []byte(c.body)
-		if decode, check := takesFastPath(c.path, body); decode != c.fast || check != c.fast {
-			t.Errorf("%s %.60q: fast path decodes %v, checks %v, want %v", c.path, c.body, decode, check, c.fast)
+		if fast := takesFastPath(c.path, body); fast != c.fast {
+			t.Errorf("%s %.60q: fast path takes it %v, want %v", c.path, c.body, fast, c.fast)
 		}
 		if msg := disagreement(c.path, body); msg != "" {
 			t.Errorf("%s %.60q: %s", c.path, c.body, msg)
@@ -119,9 +118,9 @@ func TestDecodeAgreesWithEncodingJSON(t *testing.T) {
 
 // FuzzServeRequest is the differential check of the codec against
 // encoding/json over /query, /batch and /ingest bodies: both accept or
-// both refuse, and accepted values are equal to the bit. The coordinator's
-// check of a /query or /batch body accepts and refuses the same bodies and
-// learns the lengths and k encoding/json decodes.
+// both refuse, and accepted values are equal to the bit. What the
+// coordinator forwards for a /query or /batch body decodes to the same
+// values, and is the client's bytes when the fast path took them.
 func FuzzServeRequest(f *testing.F) {
 	paths := []string{"/query", "/batch", "/ingest"}
 	index := map[string]uint8{"/query": 0, "/batch": 1, "/ingest": 2}
@@ -139,25 +138,17 @@ func FuzzServeRequest(f *testing.F) {
 	})
 }
 
-// takesFastPath reports whether the fast path decodes body on its own,
-// and whether it checks it on its own for the coordinator ("/ingest" has
-// no check; check repeats decode there).
-func takesFastPath(path string, body []byte) (decode, check bool) {
-	var q queryRequest
-	var b batchRequest
-	var in ingestRequest
-	var n int
-	var lens []int
+// takesFastPath reports whether the fast path decodes body on its own.
+func takesFastPath(path string, body []byte) (ok bool) {
 	switch path {
 	case "/query":
-		return fastDecode(body, fastTarget{key: "query", row: &q.Query, k: &q.K, approx: &q.approxRequest}),
-			fastDecode(body, fastTarget{key: "query", rowLen: &n, k: &q.K, approx: &q.approxRequest})
+		_, ok = fastQuery(body)
 	case "/batch":
-		return fastDecode(body, fastTarget{key: "queries", rows: &b.Queries, k: &b.K, approx: &b.approxRequest}),
-			fastDecode(body, fastTarget{key: "queries", rowLens: &lens, k: &b.K, approx: &b.approxRequest})
+		_, ok = fastBatch(body)
+	default:
+		_, ok = fastIngest(body)
 	}
-	decode = fastDecode(body, fastTarget{key: "series", rows: &in.Series})
-	return decode, decode
+	return ok
 }
 
 // disagreement decodes body for path with the codec and with
@@ -166,39 +157,15 @@ func takesFastPath(path string, body []byte) (decode, check bool) {
 func disagreement(path string, body []byte) string {
 	switch path {
 	case "/query":
-		return compareDecode(body, decodeQuery) + compareCheck(body, checkQuery, func(q queryRequest) fanout {
-			return fanout{lens: []int{len(q.Query)}, k: q.K}
-		})
+		return compareDecode(body, decodeQuery) + compareForward(body, forwardQuery, fastQuery)
 	case "/batch":
-		return compareDecode(body, decodeBatch) + compareCheck(body, checkBatch, func(b batchRequest) fanout {
-			f := fanout{k: b.K}
-			for _, q := range b.Queries {
-				f.lens = append(f.lens, len(q))
-			}
-			return f
-		})
+		return compareDecode(body, decodeBatch) + compareForward(body, forwardBatch, fastBatch)
 	}
 	return compareDecode(body, decodeIngest)
 }
 
-// compareCheck compares the coordinator's check of body with what
-// encoding/json decodes, reduced by learn to the lengths and k.
-func compareCheck[T any](body []byte, check func([]byte, error) (fanout, error), learn func(T) fanout) string {
-	got, gotErr := check(body, nil)
-	var v T
-	wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&v)
-	want := learn(v)
-	switch {
-	case (gotErr == nil) != (wantErr == nil):
-		return "check error " + errString(gotErr) + ", encoding/json error " + errString(wantErr)
-	case gotErr == nil && (!slices.Equal(got.lens, want.lens) || got.k != want.k):
-		return fmt.Sprintf("check learned %v k=%d, encoding/json %v k=%d", got.lens, got.k, want.lens, want.k)
-	}
-	return ""
-}
-
-func compareDecode[T any](body []byte, decode func([]byte, error) (T, error)) string {
-	got, gotErr := decode(body, nil)
+func compareDecode[T any](body []byte, decode func([]byte) (T, error)) string {
+	got, gotErr := decode(body)
 	var want T
 	wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
 	switch {
@@ -206,6 +173,36 @@ func compareDecode[T any](body []byte, decode func([]byte, error) (T, error)) st
 		return "codec error " + errString(gotErr) + ", encoding/json error " + errString(wantErr)
 	case gotErr == nil && !bitsEqual(reflect.ValueOf(got), reflect.ValueOf(want)):
 		return "values differ"
+	}
+	return ""
+}
+
+// compareForward checks what the coordinator forwards for body: it is
+// refused when encoding/json refuses body; otherwise its request is
+// encoding/json's, the bytes it sends decode to that request, and they are
+// body itself exactly when the fast path takes body.
+func compareForward[T any](body []byte, forward func([]byte) (forward[T], error), fast func([]byte) (T, bool)) string {
+	got, gotErr := forward(body)
+	var want T
+	wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+	if (gotErr == nil) != (wantErr == nil) {
+		return "forward error " + errString(gotErr) + ", encoding/json error " + errString(wantErr)
+	}
+	if gotErr != nil {
+		return ""
+	}
+	var sent T
+	if err := json.Unmarshal(got.body, &sent); err != nil {
+		return "forwarded bytes do not decode: " + err.Error()
+	}
+	_, isFast := fast(body)
+	switch {
+	case !bitsEqual(reflect.ValueOf(got.req), reflect.ValueOf(want)):
+		return "forwarded request differs from encoding/json's"
+	case !bitsEqual(reflect.ValueOf(sent), reflect.ValueOf(want)):
+		return "forwarded bytes decode to other values"
+	case isFast != bytes.Equal(got.body, body):
+		return fmt.Sprintf("fast path %v, but forwards the client's bytes %v", isFast, !isFast)
 	}
 	return ""
 }
@@ -258,7 +255,7 @@ func TestDecodeQueryAllocs(t *testing.T) {
 	w := &deadlineRecorder{ResponseRecorder: httptest.NewRecorder()}
 	allocs := testing.AllocsPerRun(50, func() {
 		rd.Reset(body)
-		if _, _, ok := postBody(w, req, decodeQuery); !ok {
+		if _, ok := postBody(w, req, decodeQuery); !ok {
 			t.Fatal("canonical /query refused")
 		}
 	})
@@ -275,14 +272,9 @@ func BenchmarkDecodeBatch16(b *testing.B) {
 	benchmarkPostBody(b, "/batch", decodeBatch)
 }
 
-// BenchmarkCheckQuery is the coordinator's side of a /query.
-func BenchmarkCheckQuery(b *testing.B) {
-	benchmarkPostBody(b, "/query", checkQuery)
-}
-
 // benchmarkPostBody times what a handler pays to have its request: the
 // body read through the cap and the decode.
-func benchmarkPostBody[T any](b *testing.B, path string, decode func([]byte, error) (T, error)) {
+func benchmarkPostBody[T any](b *testing.B, path string, decode func([]byte) (T, error)) {
 	body := canonicalBodies(b)[path]
 	rd := bytes.NewReader(body)
 	req := httptest.NewRequest(http.MethodPost, path, rd)
@@ -292,7 +284,7 @@ func benchmarkPostBody[T any](b *testing.B, path string, decode func([]byte, err
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rd.Reset(body)
-		if _, _, ok := postBody(w, req, decode); !ok {
+		if _, ok := postBody(w, req, decode); !ok {
 			b.Fatal("refused")
 		}
 	}
@@ -300,24 +292,26 @@ func benchmarkPostBody[T any](b *testing.B, path string, decode func([]byte, err
 
 // TestReadBodyClearsDeadline: once a body is in, whole, the read deadline
 // admission set is cleared, with a declared length or without, so it
-// cannot fire in net/http's background read mid-query. After a read that
-// failed on the deadline it stays, to bound the server's discard of the
-// rest, and the request is answered 408.
+// cannot fire in net/http's background read mid-query. The body reader
+// returns the last bytes and EOF in one read, as net/http's does for a
+// declared length. After a read that failed on the deadline the deadline
+// stays, to bound the server's discard of the rest, and the request is
+// answered 408.
 func TestReadBodyClearsDeadline(t *testing.T) {
 	body := canonicalBodies(t)["/query"]
 	for _, length := range []int64{int64(len(body)), -1} {
 		w := &deadlineRecorder{ResponseRecorder: httptest.NewRecorder(), deadline: time.Now()}
-		req := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, "/query", iotest.DataErrReader(bytes.NewReader(body)))
 		req.ContentLength = length
-		if _, _, ok := postBody(w, req, decodeQuery); !ok || !w.deadline.IsZero() {
+		if _, ok := postBody(w, req, decodeQuery); !ok || !w.deadline.IsZero() {
 			t.Errorf("Content-Length %d: decoded %v, read deadline left at %v", length, ok, w.deadline)
 		}
 	}
 
 	w := &deadlineRecorder{ResponseRecorder: httptest.NewRecorder(), deadline: time.Now()}
-	req := httptest.NewRequest(http.MethodPost, "/query", io.MultiReader(bytes.NewReader(body[:16]), errReader{os.ErrDeadlineExceeded}))
+	req := httptest.NewRequest(http.MethodPost, "/query", io.MultiReader(bytes.NewReader(body[:16]), iotest.ErrReader(os.ErrDeadlineExceeded)))
 	req.ContentLength = int64(len(body))
-	if _, _, ok := postBody(w, req, decodeQuery); ok || w.Code != http.StatusRequestTimeout || w.deadline.IsZero() {
+	if _, ok := postBody(w, req, decodeQuery); ok || w.Code != http.StatusRequestTimeout || w.deadline.IsZero() {
 		t.Errorf("body cut by the deadline: decoded %v, status %d, read deadline %v; want refused, 408, deadline kept", ok, w.Code, w.deadline)
 	}
 }

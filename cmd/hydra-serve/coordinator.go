@@ -424,31 +424,33 @@ func shardErrMsg(data []byte) string {
 // status attached. Below quorum: 503 + Retry-After with the status block
 // in the error body.
 //
-// The body is checked only to validate it and learn the query's length and
-// k; the shards get the client's bytes unchanged, and default k as the
-// coordinator does. Nothing pools the body: a cancelled hedge or retry may
-// still be sending it after the handler returns.
+// The body is decoded only to validate it and learn the query's length and
+// k; the shards get the client's bytes unchanged when the fast path took
+// them (forwarding), and default k as the coordinator does. Nothing pools
+// the body: a cancelled hedge or retry may still be sending it after the
+// handler returns.
 func (c *coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	timing := startTiming()
-	req, body, ok := postBody(w, r, checkQuery)
+	fw, ok := postBody(w, r, forwardQuery)
 	if !ok {
 		return
 	}
+	req := fw.req
 	done := c.queryStats.track()
 	defer done()
-	if msg := c.lengthRefusal(req.lens...); msg != "" {
+	if msg := c.lengthRefusal(req.Query); msg != "" {
 		writeError(w, r, http.StatusBadRequest, msg)
 		return
 	}
 	timing.lap("decode")
-	raws, statuses, refusal := c.scatter(r.Context(), "/query", body, requestID(r))
+	raws, statuses, refusal := c.scatter(r.Context(), "/query", fw.body, requestID(r))
 	if refusal != nil {
 		writeError(w, r, refusal.status, refusal.msg)
 		return
 	}
 	timing.lap("shards")
 
-	g := hydra.NewGather(max(req.k, 1))
+	g := hydra.NewGather(max(req.K, 1))
 	var agg statsJSON
 	answered, partial := 0, false
 	for i, raw := range raws {
@@ -492,21 +494,22 @@ func (c *coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 // handleBatch fans the whole batch out to every shard and merges each
 // query's per-shard answers independently, preserving the single-engine
 // batch contract: queries are isolated, one query's failure never voids its
-// siblings. The body is forwarded unchanged, as in handleQuery.
+// siblings. The body is forwarded as in handleQuery.
 func (c *coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	timing := startTiming()
-	req, body, ok := postBody(w, r, checkBatch)
+	fw, ok := postBody(w, r, forwardBatch)
 	if !ok {
 		return
 	}
+	req := fw.req
 	done := c.queryStats.track()
 	defer done()
-	if msg := c.lengthRefusal(req.lens...); msg != "" {
+	if msg := c.lengthRefusal(req.Queries...); msg != "" {
 		writeError(w, r, http.StatusBadRequest, msg)
 		return
 	}
 	timing.lap("decode")
-	raws, statuses, refusal := c.scatter(r.Context(), "/batch", body, requestID(r))
+	raws, statuses, refusal := c.scatter(r.Context(), "/batch", fw.body, requestID(r))
 	if refusal != nil {
 		writeError(w, r, refusal.status, refusal.msg)
 		return
@@ -520,7 +523,7 @@ func (c *coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		var br batchResponse
-		if err := json.Unmarshal(raw, &br); err != nil || len(br.Results) != len(req.lens) {
+		if err := json.Unmarshal(raw, &br); err != nil || len(br.Results) != len(req.Queries) {
 			statuses[i].State = "failed"
 			statuses[i].Error = "bad shard response: result count mismatch"
 			continue
@@ -532,9 +535,9 @@ func (c *coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		c.writeQuorumError(w, r, answered, statuses)
 		return
 	}
-	results := make([]batchResult, len(req.lens))
-	for qi := range results {
-		g := hydra.NewGather(max(req.k, 1))
+	results := make([]batchResult, len(req.Queries))
+	for qi := range req.Queries {
+		g := hydra.NewGather(max(req.K, 1))
 		folded, firstErr := 0, ""
 		for i, br := range perShard {
 			if br == nil {
@@ -578,17 +581,17 @@ func (c *coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 // length. It returns "" until the prober has learned that length, and for
 // a batch with any right-length entry — that batch fans out, and the shards
 // answer its wrong entries one by one, as a single server does.
-func (c *coordinator) lengthRefusal(lens ...int) string {
+func (c *coordinator) lengthRefusal(queries ...[]float32) string {
 	want := c.seriesLen.Load()
-	if want == 0 || len(lens) == 0 {
+	if want == 0 || len(queries) == 0 {
 		return ""
 	}
-	for _, n := range lens {
-		if int64(n) == want {
+	for _, q := range queries {
+		if int64(len(q)) == want {
 			return ""
 		}
 	}
-	return fmt.Sprintf("bad request: query length %d, collection length %d", lens[0], want)
+	return fmt.Sprintf("bad request: query length %d, collection length %d", len(queries[0]), want)
 }
 
 // writeQuorumError answers a below-quorum fan-out: 503 with jittered

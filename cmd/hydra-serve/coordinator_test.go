@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -357,6 +360,73 @@ func TestCoordinatorValidatesBeforeFanOut(t *testing.T) {
 	}
 	if n := shardQueries(); n != 2 {
 		t.Fatalf("mixed batch made %d shard requests, want one per shard", n)
+	}
+}
+
+// TestCoordinatorForwardsBody pins what the coordinator sends its shards:
+// a body in the shape clients marshal goes out as the client's bytes; any
+// other body goes out as the decoded request marshalled again, so
+// whitespace, unknown fields and bytes after the value do not travel to
+// the shards. Here both come out as the canonical bytes, and the answers
+// agree.
+func TestCoordinatorForwardsBody(t *testing.T) {
+	d, err := hydra.Generate("synthetic", 120, 64, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := hydra.Open("", hydra.WithData(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newServer(e, 5*time.Second, 0).handler()
+	var sent atomic.Value // the body the shard last received
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		sent.Store(body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(shard.Close)
+	coord := newCoordinator([]string{shard.URL}, testCoordCfg()).handler()
+
+	for _, c := range []struct {
+		path string
+		req  any
+	}{
+		{"/query", queryRequest{Query: d.Series(5), K: 2}},
+		{"/batch", batchRequest{Queries: [][]float32{d.Series(5), d.Series(9)}, K: 1}},
+	} {
+		canonical, err := json.Marshal(c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		padded := append([]byte("\n{ \"extra\": [1, {\"a\": null}], "), canonical[1:]...)
+		padded = append(padded, "  trailing"...)
+		type answer struct {
+			Matches []matchJSON   `json:"matches"`
+			Results []batchResult `json:"results"`
+		}
+		var answers [2]answer
+		for i, body := range [][]byte{canonical, padded} {
+			rec := httptest.NewRecorder()
+			coord.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s %.40q: status %d: %s", c.path, body, rec.Code, rec.Body)
+			}
+			if got, _ := sent.Load().([]byte); !bytes.Equal(got, canonical) {
+				t.Fatalf("%s %.40q: shard received %.80q, want the canonical bytes", c.path, body, got)
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &answers[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(answers[0], answers[1]) || len(answers[0].Matches)+len(answers[0].Results) == 0 {
+			t.Fatalf("%s: answers differ or are empty: %+v, %+v", c.path, answers[0], answers[1])
+		}
 	}
 }
 

@@ -98,7 +98,7 @@ type motifResponse struct {
 // starts). Profiles are heavier than queries — the in-flight bound is the
 // knob that keeps a motif burst from starving k-NN traffic.
 func (s *server) handleMotif(w http.ResponseWriter, r *http.Request) {
-	req, _, ok := postBody(w, r, decodeJSON[motifRequest])
+	req, ok := postBody(w, r, decodeJSON[motifRequest])
 	if !ok {
 		return
 	}

@@ -313,6 +313,54 @@ func TestServeTrickledBodyTimesOut(t *testing.T) {
 	}
 }
 
+// TestServePartialAfterBodyRead pins that the read deadline admission sets
+// for the body is gone once the body is in. Left in place, it fires in
+// net/http's background read of the connection at the instant the query's
+// own deadline does, cancels the request context, and a query that
+// overruns -timeout can end Canceled (499) instead of with its -partial
+// answer. The query here is MASS slowed by the storage/slow-read
+// faultpoint past a 50 ms -timeout; the body carries Content-Length, so
+// its last bytes and EOF come in one read, and every try must answer 200
+// with "partial":true.
+func TestServePartialAfterBodyRead(t *testing.T) {
+	d, err := hydra.Generate("synthetic", 400, 64, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := hydra.BuildIndex(context.Background(), "MASS", hydra.WithData(d), hydra.WithPartialOnDeadline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(queryRequest{Query: d.Series(0), K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer("", newServer(e, 50*time.Millisecond, 0).handler())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	faultpoint.ArmDelay(faultpoint.StorageSlowRead, 30*time.Millisecond)
+	defer faultpoint.Reset()
+
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	for try := 0; try < 10; try++ {
+		resp, err := client.Post("http://"+ln.Addr().String()+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var qr queryResponse
+		err = json.NewDecoder(resp.Body).Decode(&qr)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil || !qr.Partial {
+			t.Fatalf("try %d: status %d, partial %v (%v); want 200 with a partial answer", try, resp.StatusCode, qr.Partial, err)
+		}
+	}
+}
+
 // TestServeDrainInFlight runs serveUntilDone in-process: cancelling the
 // serving context while a query is in flight (admitted, its body half
 // sent) flips /readyz to 503 and refuses a new /query with 503 and

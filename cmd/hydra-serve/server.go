@@ -290,7 +290,7 @@ type ingestResponse struct {
 // all, 400 for bad input, 500 when the WAL write failed (the batch is
 // unacked and recovery will not resurrect it).
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	req, _, ok := postBody(w, r, decodeIngest)
+	req, ok := postBody(w, r, decodeIngest)
 	if !ok {
 		return
 	}
@@ -384,7 +384,7 @@ func (s *server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	timing := startTiming()
-	req, _, ok := postBody(w, r, decodeQuery)
+	req, ok := postBody(w, r, decodeQuery)
 	if !ok {
 		return
 	}
@@ -432,7 +432,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	timing := startTiming()
-	req, _, ok := postBody(w, r, decodeBatch)
+	req, ok := postBody(w, r, decodeBatch)
 	if !ok {
 		return
 	}
